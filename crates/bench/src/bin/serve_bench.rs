@@ -82,9 +82,9 @@ use cumf_datasets::{DatasetProfile, MfDataset, RequestSampler, SizeClass};
 use cumf_gpu_sim::GpuSpec;
 use cumf_numeric::dense::DenseMatrix;
 use cumf_serve::{
-    admission_queue, overlap_at_k, top_k_batch_stats, AdmissionConfig, AdmissionReport, AnnParams,
-    Completion, Endpoint, HttpConfig, ModelSnapshot, ObsConfig, ObsServer, QuantMode, Request,
-    Retrieval, ScoreConfig, ServeConfig, ServeEngine, SloConfig, SubmitError,
+    admission_queue, overlap_at_k, top_k_batch_sharded_timed, AdmissionConfig, AdmissionReport,
+    AnnParams, Completion, Endpoint, HttpConfig, ModelSnapshot, ObsConfig, ObsServer, QuantMode,
+    Request, Retrieval, ScoreConfig, ServeConfig, ServeEngine, SloConfig, SubmitError,
 };
 use cumf_telemetry::footprint::human_bytes;
 use cumf_telemetry::{CounterSample, LatencyHistogram};
@@ -298,9 +298,9 @@ impl RecallSummary {
 }
 
 /// Score a sample of trained users through both the exact and the
-/// approximate scorer on the engine's published snapshot (the registry
-/// has already attached the centroid index and the int8 block copy), and
-/// measure mean `overlap@k` plus scan bytes for each path.
+/// approximate sharded scorer on the engine's published snapshot (the
+/// registry has already built each shard's centroid index and int8 block
+/// copy), and measure mean `overlap@k` plus scan bytes for each path.
 ///
 /// Users are scored one request at a time — the latency-critical serving
 /// regime, and what the admission replay actually produces (at
@@ -316,7 +316,6 @@ fn measure_recall(engine: &ServeEngine, x: &DenseMatrix, flags: &ServeFlags) -> 
         .registry()
         .snapshot(&id)
         .expect("default arm is live");
-    let snapshot = guard.full();
     let sample = x.rows().clamp(1, 256);
     let step = (x.rows() / sample).max(1);
     let exact_cfg = ScoreConfig::default();
@@ -329,11 +328,11 @@ fn measure_recall(engine: &ServeEngine, x: &DenseMatrix, flags: &ServeFlags) -> 
     let mut u = 0usize;
     while u < x.rows() && users < sample {
         let one = DenseMatrix::from_vec(1, x.cols(), x.row(u).to_vec());
-        let (exact, es) = top_k_batch_stats(snapshot, &one, flags.k, &exact_cfg);
-        let (approx, aps) = top_k_batch_stats(snapshot, &one, flags.k, &approx_cfg);
+        let (exact, es) = top_k_batch_sharded_timed(&guard, &one, flags.k, &exact_cfg);
+        let (approx, aps) = top_k_batch_sharded_timed(&guard, &one, flags.k, &approx_cfg);
         recall += overlap_at_k(&exact[0], &approx[0], flags.k);
-        exact_bytes += es.bytes;
-        approx_bytes += aps.bytes;
+        exact_bytes += es.iter().map(|t| t.bytes).sum::<u64>();
+        approx_bytes += aps.iter().map(|t| t.bytes).sum::<u64>();
         users += 1;
         u += step;
     }

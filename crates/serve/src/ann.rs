@@ -18,10 +18,8 @@
 //!    the FP32 bytes — and only the surviving shortlist is rescored
 //!    exactly in FP32 before the final merge.
 //!
-//! Both structures are immutable once built and ride inside
-//! [`crate::store::ModelSnapshot`], so the store's publish/swap semantics
-//! and the sharded scatter-gather path carry them for free. Everything is
-//! deterministic: k-means uses a fixed seed and iteration cap, ties break
+//! Both structures are immutable once built; a published epoch holds one
+//! of each per shard, over the shard's rows. Everything is deterministic: k-means uses a fixed seed and iteration cap, ties break
 //! toward lower indices, and member lists are in ascending item order —
 //! so the approximate path is as reproducible as the exact one.
 
@@ -126,10 +124,18 @@ impl CentroidIndex {
     /// its previous centroid, so `k` never silently shrinks below the
     /// clamped value.
     pub fn build(items: &DenseMatrix, params: AnnParams) -> CentroidIndex {
-        let n = items.rows();
-        let f = items.cols();
+        CentroidIndex::build_rows(items.as_slice(), items.rows(), items.cols(), params)
+    }
+
+    /// [`CentroidIndex::build`] over `n` borrowed row-major `f`-long rows
+    /// (a shard's range); member ids are range-local.
+    pub(crate) fn build_rows(
+        theta: &[f32],
+        n: usize,
+        f: usize,
+        params: AnnParams,
+    ) -> CentroidIndex {
         let k = params.k_clusters.clamp(1, n.max(1));
-        let theta = items.as_slice();
 
         // Deterministic init: shuffle item ids, take the first k as seeds.
         let mut order: Vec<usize> = (0..n).collect();
@@ -293,9 +299,12 @@ impl QuantizedFactors {
     /// Quantize `items` (one `f`-long row per item) blockwise. An
     /// all-zero block gets scale 0 and round-trips exactly.
     pub fn build(items: &DenseMatrix) -> QuantizedFactors {
-        let n = items.rows();
-        let f = items.cols();
-        let theta = items.as_slice();
+        QuantizedFactors::build_rows(items.as_slice(), items.rows(), items.cols())
+    }
+
+    /// [`QuantizedFactors::build`] over `n` borrowed row-major `f`-long
+    /// rows; blocks are counted from the first.
+    pub(crate) fn build_rows(theta: &[f32], n: usize, f: usize) -> QuantizedFactors {
         let n_blocks = n.div_ceil(QUANT_BLOCK_ROWS).max(1);
         let mut data = vec![0i8; n * f];
         let mut scales = vec![0.0f32; n_blocks];

@@ -1166,26 +1166,19 @@ impl ServeEngine {
         m.ann_probed.add(trace.ann_probed);
         m.ann_candidates.add(trace.ann_candidates);
         m.ann_rescored.add(trace.ann_rescored);
-        // FP16 was asked for but a snapshot without an FP16 copy scanned
-        // in FP32: count the silently-widened requests per model.
-        if self.cfg.score.use_fp16 {
-            for group in groups.values() {
-                let scans = group.to_score.len() + group.similar_items.len();
-                if scans > 0 && !group.snapshot.full().has_fp16() {
-                    group.entry.metrics.fp16_fallback.add(scans as u64);
-                }
+        // Count the requests a missing artifact silently degraded, per
+        // model: FP16 asked for but the epoch has no FP16 copy (scanned
+        // in FP32), or approx retrieval asked for but the shards have no
+        // centroid index (scanned exactly — rare, the registry's policy
+        // builds it, but a recall dial that silently reads 4× the bytes
+        // must be visible). Each reads what the shard scans read.
+        for group in groups.values() {
+            let scans = (group.to_score.len() + group.similar_items.len()) as u64;
+            if self.cfg.score.use_fp16 && scans > 0 && !group.snapshot.full().has_fp16() {
+                group.entry.metrics.fp16_fallback.add(scans);
             }
-        }
-        // Approx retrieval was asked for but a snapshot without a centroid
-        // index scanned exactly: count the silently-exact requests per
-        // model (rare — the registry's policy attaches the index — but a
-        // recall dial that silently reads 4× the bytes must be visible).
-        if approx {
-            for group in groups.values() {
-                let scans = group.to_score.len() + group.similar_items.len();
-                if scans > 0 && !group.snapshot.full().has_ann() {
-                    group.entry.metrics.ann_fallback.add(scans as u64);
-                }
+            if approx && scans > 0 && !group.snapshot.has_ann() {
+                group.entry.metrics.ann_fallback.add(scans);
             }
         }
         if let Some(default) = table.entries.get(table.router.default_model()) {
@@ -1637,7 +1630,7 @@ mod tests {
         // The builder-derived policy attached both sidecars.
         let id = approx.registry().default_model();
         let held = approx.registry().snapshot(&id).unwrap();
-        assert!(held.full().has_ann() && held.full().has_int8());
+        assert!(held.has_ann() && held.shards().iter().all(|s| s.int8.is_some()));
         let reqs = known(&[0, 1, 2, 3]);
         let (want, te) = exact.recommend_batch_traced(&reqs, &NOOP);
         let (got, ta) = approx.recommend_batch_traced(&reqs, &NOOP);
@@ -1684,7 +1677,7 @@ mod tests {
             .publish(&id, ModelSnapshot::new(1, theta, vec![]))
             .unwrap();
         let held = e.registry().snapshot(&id).unwrap();
-        assert!(held.full().has_ann() && held.full().has_int8());
+        assert!(held.has_ann() && held.shards().iter().all(|s| s.int8.is_some()));
         let (_, trace) = e.recommend_batch_traced(&known(&[0, 1]), &NOOP);
         assert!(trace.ann_probed > 0);
         assert_eq!(

@@ -4,12 +4,10 @@
 //! into ranked recommendations under load. This crate is the online half
 //! the ROADMAP's "heavy traffic from millions of users" goal needs:
 //!
-//! * [`store`] — [`FactorStore`]: immutable [`ModelSnapshot`]s behind an
-//!   atomic `Arc` swap, so a background trainer publishes new epochs
-//!   without ever blocking readers. Snapshots optionally carry an FP16
-//!   copy of the factors — the paper's half-precision storage trick
-//!   (Solution 4), here halving *scoring* bandwidth instead of solver
-//!   bandwidth.
+//! * [`store`] — [`ModelSnapshot`]: one immutable published epoch of item
+//!   factors and priors. Snapshots optionally carry an FP16 copy of the
+//!   factors — the paper's half-precision storage trick (Solution 4),
+//!   here halving *scoring* bandwidth instead of solver bandwidth.
 //! * [`scorer`] — a blocked user×item scoring pass reduced through
 //!   per-user bounded heaps ([`topk`]): `O(n log k)` per user, never
 //!   materializing the full score matrix. The Θ-block size auto-tunes
@@ -21,10 +19,13 @@
 //!   rescores the shortlist exactly in FP32 — the paper's
 //!   accuracy-for-bandwidth dial applied to serving (see
 //!   `docs/APPROXIMATION.md`).
-//! * [`shard`] — [`ShardedFactorStore`]: the catalog split into
-//!   contiguous item-range shards, scored scatter-gather and merged with
-//!   a deterministic tie-break so the result is bit-identical to the
-//!   unsharded scorer.
+//! * [`shard`] — [`ShardedFactorStore`]: snapshots behind an atomic `Arc`
+//!   swap, so a background trainer publishes new epochs without ever
+//!   blocking readers. Each epoch's catalog is split into contiguous
+//!   item-range shards — row-range views over the one snapshot, each with
+//!   its own centroid index and int8 rows — scored scatter-gather and
+//!   merged with a deterministic tie-break so the result is bit-identical
+//!   to the unsharded scorer.
 //! * [`registry`] — multi-model serving: a keyed [`ModelRegistry`] of
 //!   factor stores sharing one scorer, cache, and observability bundle,
 //!   with a deterministic-hash canary [`Router`] ([`CanaryPolicy`]) and
@@ -130,5 +131,5 @@ pub use shard::{
     rank_slate_sharded, top_k_batch_sharded, top_k_batch_sharded_timed, Shard, ShardTiming,
     ShardedFactorStore, ShardedSnapshot,
 };
-pub use store::{FactorStore, ModelSnapshot};
+pub use store::ModelSnapshot;
 pub use topk::{merge_top_k, naive_top_k, ScoredItem, TopK};

@@ -270,7 +270,7 @@ impl ModelEntry {
 
     /// The user-factor matrix as a sharded snapshot, for `x_u·Xᵀ`
     /// similar-users scans through the same scatter-gather path items
-    /// use. Built lazily on first use (rows copied once, off the hot
+    /// use. Built lazily on first use (one copy of `X`, off the hot
     /// path for every later batch) and cached until
     /// [`ModelRegistry::set_user_factors`] swaps `X`. The snapshot
     /// carries no priors, FP16 copy, or centroid index: the user side
@@ -382,9 +382,9 @@ pub struct ModelRegistry {
     /// (`serve_mem_budget_exceeded_total`); nothing is evicted.
     memory_budget: Option<u64>,
     /// When set, every registered or published snapshot is completed to
-    /// this approximate-retrieval policy: a missing centroid index is
-    /// built (k-means at publish time, off the serving path) and — when
-    /// the policy asks for int8 — a missing int8 copy is quantized. The
+    /// this approximate-retrieval policy: each shard gets a centroid index
+    /// (k-means at publish time, off the serving path) and — when the
+    /// policy asks for int8 — an int8 copy of its rows. The
     /// engine derives this from its retrieval mode so `Approx` requests
     /// never fall back to the exact scan just because a publisher forgot
     /// to attach the index.
@@ -439,22 +439,6 @@ impl ModelRegistry {
             .record(self.obs.now(), model.cloned(), kind);
     }
 
-    /// Complete `snapshot` to the registry's approximate-retrieval policy:
-    /// build the centroid index and/or int8 copy it is missing. A no-op
-    /// when no policy is set or the snapshot already carries them (a
-    /// publisher's own index wins — it may have tuned the cluster count).
-    fn apply_ann_policy(&self, mut snapshot: ModelSnapshot) -> ModelSnapshot {
-        if let Some(policy) = self.ann {
-            if !snapshot.has_ann() {
-                snapshot = snapshot.with_ann(policy.params);
-            }
-            if policy.int8 && !snapshot.has_int8() {
-                snapshot = snapshot.with_int8();
-            }
-        }
-        snapshot
-    }
-
     fn entry_of(inner: &Inner, id: &ModelId) -> Result<Arc<ModelEntry>, ServeError> {
         match inner.models.get(id) {
             Some(e) if e.is_retired() => Err(ServeError::RetiredModel(id.clone())),
@@ -482,23 +466,24 @@ impl ModelRegistry {
                 got: user_factors.cols(),
             });
         }
+        // Shard and build the retrieval artifacts before taking the write
+        // lock that every batch's routing read waits on.
+        let sharded = ShardedSnapshot::build_with(snapshot, self.shards, self.ann);
+        let (f, epoch) = (sharded.f(), sharded.epoch());
+        let bytes = sharded.footprint().total_bytes();
         let mut inner = self.inner.write();
         if inner.models.contains_key(&id) {
             return Err(ServeError::DuplicateModel(id));
         }
-        let snapshot = self.apply_ann_policy(snapshot);
         let slot = inner.next_slot;
         inner.next_slot += 1;
         let metrics = self.obs.metrics().model(id.as_str());
-        metrics.epoch.set(snapshot.epoch as f64);
-        let f = snapshot.f();
-        let epoch = snapshot.epoch;
-        let bytes = snapshot.footprint().total_bytes();
+        metrics.epoch.set(epoch as f64);
         let entry = Arc::new(ModelEntry {
             id: id.clone(),
             slot,
             f,
-            store: ShardedFactorStore::new(snapshot, self.shards),
+            store: ShardedFactorStore::serving(sharded),
             user_factors: RwLock::new(Arc::new(user_factors)),
             user_snapshot: RwLock::new(None),
             retired: AtomicBool::new(false),
@@ -518,8 +503,8 @@ impl ModelRegistry {
     /// must match the dimension the model was registered with
     /// ([`ServeError::DimensionMismatch`] otherwise — a different `f` is
     /// a different model, register it as one). When an
-    /// approximate-retrieval policy is in force, the snapshot's missing
-    /// centroid index / int8 copy are built here — publish time, off the
+    /// approximate-retrieval policy is in force, the shards' centroid
+    /// indexes / int8 copies are built here — publish time, off the
     /// request path. Returns the new epoch.
     pub fn publish(&self, id: &ModelId, snapshot: ModelSnapshot) -> Result<u64, ServeError> {
         let entry = Self::entry_of(&self.inner.read(), id)?;
@@ -530,9 +515,10 @@ impl ModelRegistry {
                 got: snapshot.f(),
             });
         }
-        let snapshot = self.apply_ann_policy(snapshot);
-        let bytes = snapshot.footprint().total_bytes();
-        let epoch = entry.store.publish(snapshot)?;
+        // Shard and build the retrieval artifacts off the store's lock.
+        let sharded = ShardedSnapshot::build_with(snapshot, entry.store.n_shards(), self.ann);
+        let bytes = sharded.footprint().total_bytes();
+        let epoch = entry.store.swap(sharded);
         entry.metrics.epoch.set(epoch as f64);
         self.journal(Some(id), EventKind::SnapshotPublished { epoch, bytes });
         let report = self.refresh_memory_gauges();
@@ -1188,12 +1174,12 @@ mod tests {
         let champ = ModelId::from("champion");
         // Registration attached both sidecars…
         let held = reg.snapshot(&champ).unwrap();
-        assert!(held.full().has_ann() && held.full().has_int8());
-        assert_eq!(held.full().ann().unwrap().k_clusters(), 3);
+        assert!(held.has_ann() && held.shards()[0].int8.is_some());
+        assert_eq!(held.shards()[0].ann.as_ref().unwrap().k_clusters(), 3);
         // …and a bare published snapshot gets them too, at publish time.
         reg.publish(&champ, snap(1, 8, 4)).unwrap();
         let next = reg.snapshot(&champ).unwrap();
-        assert!(next.full().has_ann() && next.full().has_int8());
+        assert!(next.has_ann() && next.shards()[0].int8.is_some());
         // A publisher-supplied index is kept, not rebuilt.
         let tuned = snap(2, 8, 4).with_ann(AnnParams {
             k_clusters: 5,
@@ -1201,7 +1187,7 @@ mod tests {
         });
         reg.publish(&champ, tuned).unwrap();
         let kept = reg.snapshot(&champ).unwrap();
-        assert_eq!(kept.full().ann().unwrap().k_clusters(), 5);
+        assert_eq!(kept.shards()[0].ann.as_ref().unwrap().k_clusters(), 5);
     }
 
     #[test]
@@ -1260,13 +1246,15 @@ mod tests {
             Arc::ptr_eq(&first, &entry.user_side_snapshot()),
             "second call must reuse the cached view"
         );
-        // The cached copy is honest resident memory.
-        let uf_side = entry
-            .footprint()
+        // The cached copy is honest resident memory: exactly one copy of
+        // X (4 users × f = 4 × 4 bytes) — the shards are views over it.
+        let footprint = entry.footprint();
+        let uf_side = footprint
             .children()
             .iter()
-            .any(|c| c.name() == "user_snapshot");
-        assert!(uf_side, "cached view must appear in the footprint");
+            .find(|c| c.name() == "user_snapshot")
+            .expect("cached view must appear in the footprint");
+        assert_eq!(uf_side.total_bytes(), 4 * 4 * 4);
         // Swapping X drops the view; the next call rebuilds from the new
         // matrix.
         reg.set_user_factors(&champ, DenseMatrix::zeros(7, 4))

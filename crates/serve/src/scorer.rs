@@ -29,7 +29,7 @@
 
 use crate::ann::CentroidIndex;
 use crate::query::Explanation;
-use crate::store::ModelSnapshot;
+use crate::store::{ModelSnapshot, SnapshotView};
 use crate::topk::{ScoredItem, TopK};
 use cumf_numeric::dense::DenseMatrix;
 use cumf_numeric::kernel;
@@ -184,14 +184,21 @@ impl ScoreConfig {
 /// assert_eq!(scan_bytes(&snap, 40, &cfg), 2 * 1000 * 16 * 4);
 /// ```
 pub fn scan_bytes(snapshot: &ModelSnapshot, users: usize, cfg: &ScoreConfig) -> u64 {
-    let chunk = cfg.user_chunk.max(1);
-    let chunks = users.div_ceil(chunk) as u64;
-    let width: u64 = if cfg.use_fp16 && snapshot.has_fp16() {
+    view_scan_bytes(
+        &snapshot.view(0..snapshot.n_items(), None, None),
+        users,
+        cfg,
+    )
+}
+
+fn view_scan_bytes(view: &SnapshotView<'_>, users: usize, cfg: &ScoreConfig) -> u64 {
+    let chunks = users.div_ceil(cfg.user_chunk.max(1)) as u64;
+    let width = if cfg.use_fp16 && view.f16_rows.is_some() {
         2
     } else {
         4
     };
-    chunks * snapshot.n_items() as u64 * snapshot.f() as u64 * width
+    chunks * view.n_items as u64 * view.f as u64 * width
 }
 
 /// Score every row of `user_factors` against the snapshot's items and
@@ -225,25 +232,37 @@ pub fn top_k_batch_stats(
     k: usize,
     cfg: &ScoreConfig,
 ) -> (Vec<Vec<ScoredItem>>, ScanStats) {
+    let view = snapshot.view(0..snapshot.n_items(), snapshot.ann(), snapshot.int8());
+    scan_view(view, user_factors, k, cfg)
+}
+
+/// [`top_k_batch_stats`] over one view (a shard's pass); item ids are
+/// range-local.
+pub(crate) fn scan_view(
+    view: SnapshotView<'_>,
+    user_factors: &DenseMatrix,
+    k: usize,
+    cfg: &ScoreConfig,
+) -> (Vec<Vec<ScoredItem>>, ScanStats) {
     assert_eq!(
         user_factors.cols(),
-        snapshot.f(),
+        view.f,
         "user factor dimension must match the model"
     );
     if let Retrieval::Approx { n_probe, quant } = cfg.retrieval {
-        if let Some(index) = snapshot.ann() {
-            return top_k_batch_approx(snapshot, index, user_factors, k, n_probe, quant, cfg);
+        if let Some(index) = view.ann {
+            return top_k_batch_approx(view, index, user_factors, k, n_probe, quant, cfg);
         }
     }
     let users = user_factors.rows();
-    let rows = top_k_batch_exact(snapshot, user_factors, k, cfg);
-    let candidates = snapshot.n_items() as u64 * users as u64;
+    let rows = top_k_batch_exact(view, user_factors, k, cfg);
+    let candidates = view.n_items as u64 * users as u64;
     let stats = ScanStats {
-        bytes: scan_bytes(snapshot, users, cfg),
+        bytes: view_scan_bytes(&view, users, cfg),
         probed_clusters: 0,
         candidates,
         rescored: 0,
-        flops: 2 * snapshot.f() as u64 * candidates,
+        flops: 2 * view.f as u64 * candidates,
     };
     (rows, stats)
 }
@@ -257,7 +276,7 @@ pub fn top_k_batch_stats(
 /// as the exact scan, which is what makes the full-probe/no-quant case
 /// bit-identical to [`Retrieval::Exact`].
 fn top_k_batch_approx(
-    snapshot: &ModelSnapshot,
+    view: SnapshotView<'_>,
     index: &CentroidIndex,
     user_factors: &DenseMatrix,
     k: usize,
@@ -265,11 +284,11 @@ fn top_k_batch_approx(
     quant: QuantMode,
     cfg: &ScoreConfig,
 ) -> (Vec<Vec<ScoredItem>>, ScanStats) {
-    let f = snapshot.f();
+    let f = view.f;
     let users = user_factors.rows();
     let chunk = cfg.user_chunk.max(1);
     let int8 = match quant {
-        QuantMode::Int8 => snapshot.int8(),
+        QuantMode::Int8 => view.int8,
         QuantMode::None => None,
     };
     // Oversample the int8 shortlist so quantization roundoff near the
@@ -280,7 +299,7 @@ fn top_k_batch_approx(
     let candidates = AtomicU64::new(0);
     let rescored = AtomicU64::new(0);
     // Priors borrowed once for the whole pass; empty means "add 0".
-    let priors = snapshot.popularity();
+    let priors = view.priors;
     let prior = |v: usize| if priors.is_empty() { 0.0 } else { priors[v] };
 
     let mut heaps: Vec<TopK> = (0..users).map(|_| TopK::new(k)).collect();
@@ -307,7 +326,7 @@ fn top_k_batch_approx(
                         }
                         for cand in pre.into_sorted() {
                             let v = cand.item as usize;
-                            let s = kernel::dot_lanes(xu, snapshot.item_row(v)) + prior(v);
+                            let s = kernel::dot_lanes(xu, view.item_row(v)) + prior(v);
                             heap.push(cand.item, s);
                             r += 1;
                         }
@@ -316,7 +335,7 @@ fn top_k_batch_approx(
                         for &cluster in &clusters {
                             for &item in index.members(cluster as usize) {
                                 let v = item as usize;
-                                let s = kernel::dot_lanes(xu, snapshot.item_row(v)) + prior(v);
+                                let s = kernel::dot_lanes(xu, view.item_row(v)) + prior(v);
                                 heap.push(item, s);
                                 c += 1;
                             }
@@ -358,23 +377,18 @@ fn top_k_batch_approx(
 /// slice borrowed once per tile while the scores drain into the per-user
 /// heaps.
 fn top_k_batch_exact(
-    snapshot: &ModelSnapshot,
+    view: SnapshotView<'_>,
     user_factors: &DenseMatrix,
     k: usize,
     cfg: &ScoreConfig,
 ) -> Vec<Vec<ScoredItem>> {
-    let n = snapshot.n_items();
-    let f = snapshot.f();
+    let n = view.n_items;
+    let f = view.f;
     let users = user_factors.rows();
     let block = cfg.effective_block_items(f);
     let chunk = cfg.user_chunk.max(1);
-    let fp16_rows = if cfg.use_fp16 {
-        snapshot.f16_factors()
-    } else {
-        None
-    };
-    let theta = snapshot.item_factors().as_slice();
-    let priors = snapshot.popularity();
+    let fp16_rows = if cfg.use_fp16 { view.f16_rows } else { None };
+    let (theta, priors) = (view.rows, view.priors);
     let x = user_factors.as_slice();
 
     let tile_len = chunk.min(users.max(1)) * block;

@@ -3,15 +3,16 @@
 //! The paper's training-side win comes from partitioning the factor
 //! matrices across parallel workers and cache-blocking each partition's
 //! walk; this module applies the same reasoning to serving. Item factors
-//! are split into contiguous item-id ranges — each shard carrying its own
-//! FP32 (and optional FP16) blocks and popularity priors — and a request
-//! batch is *scattered*: every shard runs the existing blocked scoring
-//! kernel ([`top_k_batch`](crate::scorer::top_k_batch)) over its slice, producing one bounded heap per
-//! (shard, user). The *gather* step merges the per-shard heaps with the
-//! deterministic tie-break of [`merge_top_k`] (score descending, item id
-//! ascending), so the sharded ranking is bit-identical to the unsharded
-//! scorer's — test-enforced for shard counts 1–8 including tied scores
-//! straddling shard boundaries.
+//! are split into contiguous item-id ranges — each shard a row range over
+//! the epoch's one [`ModelSnapshot`], so no FP32 or FP16 row or prior is
+//! copied, plus a centroid index and int8 copy built over that range —
+//! and a request batch is *scattered*: every shard runs the blocked
+//! scoring kernel of [`top_k_batch`](crate::scorer::top_k_batch) over its
+//! range, producing one bounded heap per (shard, user). The *gather* step
+//! merges the per-shard heaps with the deterministic tie-break of
+//! [`merge_top_k`] (score descending, item id ascending), so the sharded
+//! ranking is bit-identical to the unsharded scorer's — test-enforced for
+//! shard counts 1–8 including tied scores straddling shard boundaries.
 //!
 //! Shards score on scoped OS threads when the host has more than one core
 //! (the rayon shim is sequential, so parallelism across shards comes from
@@ -21,11 +22,11 @@
 //! on-ramp to multi-node serving: each range could live in a different
 //! process and the gather step would not change.
 
-use crate::ann::AnnParams;
+use crate::ann::{AnnParams, AnnPolicy, CentroidIndex, QuantizedFactors};
 use crate::error::ServeError;
 use crate::registry::ModelId;
-use crate::scorer::{top_k_batch_stats, ScoreConfig};
-use crate::store::ModelSnapshot;
+use crate::scorer::{scan_view, ScoreConfig};
+use crate::store::{ModelSnapshot, SnapshotView};
 use crate::topk::{merge_top_k, ScoredItem};
 use cumf_numeric::dense::DenseMatrix;
 use cumf_numeric::kernel;
@@ -35,30 +36,38 @@ use std::sync::{Arc, Weak};
 use std::time::Instant;
 
 /// One contiguous slice of the item catalog: global ids
-/// `[start, start + local.n_items())`, with factors and priors copied out
-/// of the parent snapshot so each shard's scoring walk touches only its
-/// own blocks.
+/// `[start, start + n_items())`, a row range over the epoch's one
+/// [`ModelSnapshot`], plus the retrieval artifacts built over exactly
+/// those rows.
 #[derive(Clone, Debug)]
 pub struct Shard {
     /// Global item id of the shard's first row.
     pub start: usize,
-    /// The shard's factors/priors as a self-contained snapshot (same
-    /// epoch as the parent; FP16 copy present iff the parent carried one).
-    pub local: ModelSnapshot,
+    len: usize,
+    /// K-means index over the shard's rows; member ids are shard-local.
+    pub(crate) ann: Option<CentroidIndex>,
+    /// Int8 copy of the shard's rows, blocks counted from `start`.
+    pub(crate) int8: Option<QuantizedFactors>,
 }
 
 impl Shard {
     /// Number of items in this shard.
     pub fn n_items(&self) -> usize {
-        self.local.n_items()
+        self.len
+    }
+
+    /// The shard's rows of `full`, its epoch's snapshot.
+    pub(crate) fn view<'a>(&'a self, full: &'a ModelSnapshot) -> SnapshotView<'a> {
+        let rows = self.start..self.start + self.len;
+        full.view(rows, self.ann.as_ref(), self.int8.as_ref())
     }
 }
 
 /// A published model epoch split into contiguous item-range shards.
 ///
-/// Keeps the unsharded [`ModelSnapshot`] alongside the shards: cold-start
-/// fold-in solves against the full Θ, and the single-shard fast path
-/// scores it directly.
+/// Owns the one [`ModelSnapshot`] of the epoch — FP32 rows, FP16 copy and
+/// priors — and its shards are row ranges over it: cold-start fold-in
+/// solves against the full Θ, and every shard scan slices it.
 ///
 /// ```
 /// use cumf_numeric::dense::DenseMatrix;
@@ -82,48 +91,57 @@ pub struct ShardedSnapshot {
 impl ShardedSnapshot {
     /// Split `snapshot` into `n_shards` contiguous item ranges, sized as
     /// evenly as possible (earlier shards take the remainder). The shard
-    /// count is clamped to `[1, n_items]` so no shard is ever empty; each
-    /// shard re-narrows its own FP16 copy when the parent carries one,
-    /// re-quantizes its own int8 copy, and — when the parent carries a
-    /// centroid index — re-clusters its slice with the cluster count
-    /// scaled down proportionally (`⌈k·len/n⌉`, floored at 1) so the
-    /// probe/scan ratio stays roughly the parent's at any shard count.
+    /// count is clamped to `[1, n_items]` so no shard is ever empty.
+    ///
+    /// When `snapshot` carries a centroid index, each shard re-clusters
+    /// its own rows with `⌈k·len/n⌉` clusters (floored at 1), keeping the
+    /// probe/scan ratio at any shard count; an int8 copy is re-quantized
+    /// per shard too. The epoch then holds each artifact once.
     pub fn build(snapshot: ModelSnapshot, n_shards: usize) -> ShardedSnapshot {
-        let n = snapshot.n_items();
-        let f = snapshot.f();
+        ShardedSnapshot::build_with(snapshot, n_shards, None)
+    }
+
+    /// [`ShardedSnapshot::build`], also building per shard what `policy`
+    /// asks for (a publisher's own index wins: it may be tuned).
+    pub(crate) fn build_with(
+        mut snapshot: ModelSnapshot,
+        n_shards: usize,
+        policy: Option<AnnPolicy>,
+    ) -> ShardedSnapshot {
+        let (n, f) = (snapshot.n_items(), snapshot.f());
         let s = n_shards.clamp(1, n.max(1));
+        let (index, int8) = snapshot.take_retrieval();
+        let params = index.as_ref().map(CentroidIndex::params);
+        let params = params.or(policy.map(|p| p.params));
+        let want_int8 = int8.is_some() || policy.is_some_and(|p| p.int8);
+        // A single shard's range is the whole catalog: what the publisher
+        // built is exactly what the shard would rebuild.
+        let (mut index, mut int8) = if s == 1 { (index, int8) } else { (None, None) };
         let theta = snapshot.item_factors().as_slice();
-        let priors = snapshot.popularity();
         let (base, rem) = (n / s, n % s);
-        let mut shards = Vec::with_capacity(s);
-        let mut start = 0usize;
-        for i in 0..s {
-            let len = base + usize::from(i < rem);
-            let rows = theta[start * f..(start + len) * f].to_vec();
-            let pop = if priors.is_empty() {
-                vec![]
-            } else {
-                priors[start..start + len].to_vec()
-            };
-            let mut local =
-                ModelSnapshot::new(snapshot.epoch, DenseMatrix::from_vec(len, f, rows), pop);
-            if snapshot.has_fp16() {
-                local = local.with_fp16();
-            }
-            if let Some(idx) = snapshot.ann() {
-                let parent = idx.params();
-                let k = (parent.k_clusters * len).div_ceil(n.max(1)).max(1);
-                local = local.with_ann(AnnParams {
-                    k_clusters: k,
-                    ..parent
+        let shards = (0..s)
+            .map(|i| {
+                let (start, len) = (i * base + i.min(rem), base + usize::from(i < rem));
+                let rows = &theta[start * f..(start + len) * f];
+                let ann = params.map(|p| {
+                    index.take().unwrap_or_else(|| {
+                        let k = p.k_clusters.clamp(1, n.max(1));
+                        let k = (k * len).div_ceil(n.max(1)).max(1);
+                        CentroidIndex::build_rows(rows, len, f, AnnParams { k_clusters: k, ..p })
+                    })
                 });
-            }
-            if snapshot.has_int8() {
-                local = local.with_int8();
-            }
-            shards.push(Shard { start, local });
-            start += len;
-        }
+                let int8 = want_int8.then(|| {
+                    int8.take()
+                        .unwrap_or_else(|| QuantizedFactors::build_rows(rows, len, f))
+                });
+                Shard {
+                    start,
+                    len,
+                    ann,
+                    int8,
+                }
+            })
+            .collect();
         ShardedSnapshot {
             full: snapshot,
             shards,
@@ -150,8 +168,9 @@ impl ShardedSnapshot {
         self.shards.len()
     }
 
-    /// The unsharded snapshot (fold-in solves and the single-shard fast
-    /// path read this).
+    /// The epoch's one snapshot: FP32 rows, FP16 copy and priors, which
+    /// fold-in solves against and every shard slices. Its centroid index
+    /// and int8 copy live in the shards.
     pub fn full(&self) -> &ModelSnapshot {
         &self.full
     }
@@ -160,19 +179,34 @@ impl ShardedSnapshot {
     pub fn shards(&self) -> &[Shard] {
         &self.shards
     }
+
+    /// Whether every shard carries a centroid index — what an
+    /// approximate scan probes (otherwise it scans exactly).
+    pub(crate) fn has_ann(&self) -> bool {
+        self.shards.iter().all(|s| s.ann.is_some())
+    }
 }
 
 impl MemoryFootprint for ShardedSnapshot {
-    /// Children: `full` (the unsharded master kept for fold-in and the
-    /// single-shard fast path) and `shards` with one `shard{i}` subtree
-    /// each. Sharding *copies* rows, so the honest total is roughly twice
-    /// the factor payload — the tree shows exactly where.
+    /// Children: `full` (the epoch's one snapshot: FP32, FP16, priors)
+    /// and `shards` with one `shard{i}` subtree each, holding what is
+    /// truly per shard — its `centroids` and `int8` leaves. Shards are
+    /// views, so the total is one copy of each artifact.
     fn footprint(&self) -> FootprintReport {
         let shards = self
             .shards
             .iter()
             .enumerate()
-            .map(|(i, s)| s.local.footprint().renamed(format!("shard{i}")))
+            .map(|(i, s)| {
+                let mut leaves = Vec::new();
+                if let Some(idx) = &s.ann {
+                    leaves.push(FootprintReport::leaf("centroids", idx.bytes()));
+                }
+                if let Some(q) = &s.int8 {
+                    leaves.push(FootprintReport::leaf("int8", q.bytes()));
+                }
+                FootprintReport::branch(format!("shard{i}"), leaves)
+            })
             .collect();
         FootprintReport::branch(
             "sharded_snapshot",
@@ -276,11 +310,12 @@ pub fn scatter_top_k(
     let anchor = Instant::now();
     // One shard's pass: rankings shifted to global ids, timing, and the
     // locally buffered span (None when tracing is off).
+    let full = sharded.full();
     let score_shard =
         |idx: usize, shard: &Shard| -> (Vec<Vec<ScoredItem>>, ShardTiming, Option<PhaseSpan>) {
             let s0 = anchor.elapsed().as_secs_f64();
             let t0 = Instant::now();
-            let (mut local, stats) = top_k_batch_stats(&shard.local, user_factors, k, cfg);
+            let (mut local, stats) = scan_view(shard.view(full), user_factors, k, cfg);
             for user_ranking in &mut local {
                 for item in user_ranking.iter_mut() {
                     item.item += shard.start as u32;
@@ -371,8 +406,8 @@ pub fn top_k_batch_sharded_timed(
 /// shards that owned at least one candidate.
 ///
 /// This is the candidate-set serving path ([`crate::engine::Query::RankItems`]):
-/// the catalog scan is skipped entirely — each slate member is looked up
-/// in its owning contiguous-range shard and scored with the same
+/// the catalog scan is skipped entirely — each slate member is grouped
+/// under its owning contiguous-range shard and scored with the same
 /// `kernel::dot_lanes + prior` arithmetic as every other surface, so the
 /// result is bit-identical to the full sharded top-k ranking restricted
 /// to the slate (test-enforced). Duplicate slate entries rank
@@ -388,7 +423,7 @@ pub fn rank_slate_sharded(
     assert_eq!(query.len(), f, "query dimension must match the model");
     // Group candidates by owning shard: ranges are contiguous, so the
     // owner is the last shard starting at or before the id.
-    let shards = sharded.shards();
+    let (full, shards) = (sharded.full(), sharded.shards());
     let mut groups: Vec<Vec<u32>> = vec![Vec::new(); shards.len()];
     for &item in slate {
         assert!(
@@ -400,15 +435,14 @@ pub fn rank_slate_sharded(
     }
     let mut all: Vec<ScoredItem> = Vec::with_capacity(slate.len());
     let mut timings = Vec::new();
-    for (idx, (shard, group)) in shards.iter().zip(&groups).enumerate() {
+    for (idx, group) in groups.iter().enumerate() {
         if group.is_empty() {
             continue;
         }
         let t0 = Instant::now();
         for &item in group {
-            let local = item as usize - shard.start;
-            let score =
-                kernel::dot_lanes(query, shard.local.item_row(local)) + shard.local.prior(local);
+            let v = item as usize;
+            let score = kernel::dot_lanes(query, full.item_row(v)) + full.prior(v);
             all.push(ScoredItem { item, score });
         }
         let scored = group.len() as u64;
@@ -446,10 +480,15 @@ pub fn top_k_batch_sharded(
     top_k_batch_sharded_timed(sharded, user_factors, k, cfg).0
 }
 
-/// Snapshot-swapped holder of the current [`ShardedSnapshot`] — the
-/// sharded successor of [`FactorStore`](crate::store::FactorStore), with
-/// the same publish semantics: readers clone an `Arc` per batch and are
-/// never blocked by a publish in progress.
+/// Placeholder model id carried by [`ServeError::DimensionMismatch`] when
+/// a bare store (not registered under a [`crate::registry::ModelRegistry`])
+/// rejects a publish.
+const UNREGISTERED: &str = "(unregistered)";
+
+/// Snapshot-swapped holder of the current [`ShardedSnapshot`] (one shard
+/// makes it the plain unsharded store): readers clone an `Arc` per batch,
+/// never blocked by a publish in progress, and an old epoch is freed when
+/// its last reader drops it.
 ///
 /// ```
 /// use cumf_numeric::dense::DenseMatrix;
@@ -483,11 +522,14 @@ impl ShardedFactorStore {
     /// to the item count; every later publish re-shards at the same
     /// count).
     pub fn new(snapshot: ModelSnapshot, n_shards: usize) -> ShardedFactorStore {
-        let sharded = ShardedSnapshot::build(snapshot, n_shards);
-        let n_shards = sharded.n_shards();
+        ShardedFactorStore::serving(ShardedSnapshot::build(snapshot, n_shards))
+    }
+
+    /// A store serving `sharded`; later publishes re-shard at its count.
+    pub(crate) fn serving(sharded: ShardedSnapshot) -> ShardedFactorStore {
         ShardedFactorStore {
+            n_shards: sharded.n_shards(),
             current: RwLock::new(Arc::new(sharded)),
-            n_shards,
             superseded: Mutex::new(Vec::new()),
         }
     }
@@ -499,39 +541,37 @@ impl ShardedFactorStore {
     }
 
     /// Shard, then atomically replace the served snapshot; returns the
-    /// new epoch. The sharding pass runs before the write lock is taken,
-    /// so readers only ever wait for the pointer swap.
+    /// new epoch. Sharding runs before the write lock is taken, so
+    /// readers only ever wait for the pointer swap.
     ///
-    /// As with [`crate::store::FactorStore::publish`], the snapshot's
-    /// feature dimension must match the one currently served
-    /// ([`ServeError::DimensionMismatch`] otherwise).
+    /// The snapshot's feature dimension must match the one currently
+    /// served ([`ServeError::DimensionMismatch`] otherwise): every scorer
+    /// and user-factor matrix downstream is sized for the live `f`, so a
+    /// different `f` is a different model, not a new epoch.
     pub fn publish(&self, snapshot: ModelSnapshot) -> Result<u64, ServeError> {
         let expected = self.current.read().f();
         if snapshot.f() != expected {
             return Err(ServeError::DimensionMismatch {
-                model: ModelId::from(crate::store::UNREGISTERED),
+                model: ModelId::from(UNREGISTERED),
                 expected,
                 got: snapshot.f(),
             });
         }
-        let sharded = Arc::new(ShardedSnapshot::build(snapshot, self.n_shards));
-        let epoch = sharded.epoch();
-        let mut current = self.current.write();
-        if sharded.f() != current.f() {
-            // A concurrent publish changed f under us (only possible if it
-            // itself raced a mismatched publish); re-check under the lock.
-            return Err(ServeError::DimensionMismatch {
-                model: ModelId::from(crate::store::UNREGISTERED),
-                expected: current.f(),
-                got: sharded.f(),
-            });
-        }
+        Ok(self.swap(ShardedSnapshot::build(snapshot, self.n_shards)))
+    }
+
+    /// Atomically replace the served snapshot with `sharded`, built off
+    /// the lock by a caller that has checked its `f`; returns its epoch.
+    pub(crate) fn swap(&self, sharded: ShardedSnapshot) -> u64 {
+        let (epoch, sharded) = (sharded.epoch(), Arc::new(sharded));
+        // The write lock covers the pointer swap only; the replaced epoch
+        // is released after it, so freeing it never stalls a reader.
+        let old = std::mem::replace(&mut *self.current.write(), sharded);
         // Remember the replaced epoch weakly: if readers keep it alive it
         // shows up under `superseded` in the footprint (the snapshot-leak
         // signal); once the last Arc drops, the handle prunes itself.
-        self.superseded.lock().push(Arc::downgrade(&current));
-        *current = sharded;
-        Ok(epoch)
+        self.superseded.lock().push(Arc::downgrade(&old));
+        epoch
     }
 
     /// Superseded snapshots still alive behind outside `Arc`s, oldest
@@ -625,13 +665,11 @@ mod tests {
         let full = snap(11, 3, true);
         let sharded = ShardedSnapshot::build(full.clone(), 4);
         for shard in sharded.shards() {
+            let view = shard.view(sharded.full());
             for local in 0..shard.n_items() {
                 let global = shard.start + local;
-                assert_eq!(
-                    shard.local.item_factors().row(local),
-                    full.item_factors().row(global)
-                );
-                assert_eq!(shard.local.prior(local), full.prior(global));
+                assert_eq!(view.item_row(local), full.item_factors().row(global));
+                assert_eq!(view.priors[local], full.prior(global));
             }
         }
     }
@@ -640,9 +678,15 @@ mod tests {
     fn fp16_carries_through_sharding() {
         let sharded = ShardedSnapshot::build(snap(9, 4, false).with_fp16(), 3);
         assert!(sharded.full().has_fp16());
-        assert!(sharded.shards().iter().all(|s| s.local.has_fp16()));
+        assert!(sharded
+            .shards()
+            .iter()
+            .all(|s| s.view(sharded.full()).f16_rows.is_some()));
         let plain = ShardedSnapshot::build(snap(9, 4, false), 3);
-        assert!(plain.shards().iter().all(|s| !s.local.has_fp16()));
+        assert!(plain
+            .shards()
+            .iter()
+            .all(|s| s.view(plain.full()).f16_rows.is_none()));
     }
 
     #[test]
@@ -808,15 +852,18 @@ mod tests {
         };
         let parent = snap(40, 3, false).with_ann(params).with_int8();
         let sharded = ShardedSnapshot::build(parent, 4);
-        assert!(sharded.full().has_ann() && sharded.full().has_int8());
+        // One copy each: the catalog-wide index and int8 copy are
+        // replaced by the shards' own.
+        assert!(!sharded.full().has_ann() && !sharded.full().has_int8());
+        assert!(sharded.has_ann());
         for shard in sharded.shards() {
-            assert!(shard.local.has_int8());
-            let idx = shard.local.ann().expect("shard index");
+            assert!(shard.int8.is_some());
+            let idx = shard.ann.as_ref().expect("shard index");
             // 8 clusters over 40 items, 10-item shards ⇒ 2 clusters each.
             assert_eq!(idx.k_clusters(), 2);
         }
         let plain = ShardedSnapshot::build(snap(40, 3, false), 4);
-        assert!(plain.shards().iter().all(|s| !s.local.has_ann()));
+        assert!(plain.shards().iter().all(|s| s.ann.is_none()));
     }
 
     #[test]
@@ -861,10 +908,10 @@ mod tests {
         let sharded = ShardedSnapshot::build(snap(10, 2, true).with_fp16(), 3);
         let r = sharded.footprint();
         assert!(r.verify());
-        // full: 10×2 f32 + f16 + 10 prior f32s = 80 + 40 + 40; shards copy
-        // the same payload across 3 ranges.
+        // full: 10×2 f32 + f16 + 10 prior f32s = 80 + 40 + 40; the 3
+        // shards are views over it and add nothing.
         let full = 10 * 2 * 4 + 10 * 2 * 2 + 10 * 4;
-        assert_eq!(r.total_bytes(), 2 * full);
+        assert_eq!(r.total_bytes(), full);
         assert_eq!(r.children()[0].name(), "full");
         assert_eq!(r.children()[1].children().len(), 3);
     }

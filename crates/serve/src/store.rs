@@ -1,25 +1,13 @@
-//! The factor store: immutable model snapshots behind an atomic swap.
-//!
-//! Serving reads factors on every request while a background trainer wants
-//! to publish a new epoch every few minutes. The classic lock-free-reader
-//! answer (arc-swap, RCU) is an `Arc` per snapshot swapped under a brief
-//! lock: readers clone the `Arc` (nanoseconds, never blocked by a publish
-//! in progress), in-flight batches keep scoring the epoch they started
-//! with, and the old snapshot is dropped when its last reader finishes.
+//! Model snapshots: one immutable published epoch of item factors, and
+//! the crate-internal row-range views of one that scoring passes read.
+//! The atomic swap that publishes epochs is
+//! [`crate::shard::ShardedFactorStore`].
 
 use crate::ann::{AnnParams, CentroidIndex, QuantizedFactors};
-use crate::error::ServeError;
-use crate::registry::ModelId;
 use cumf_numeric::dense::DenseMatrix;
-use cumf_numeric::f16::{narrow_slice, widen_slice, F16};
+use cumf_numeric::f16::{narrow_slice, F16};
 use cumf_telemetry::{FootprintReport, MemoryFootprint};
-use parking_lot::RwLock;
-use std::sync::Arc;
-
-/// Placeholder model id carried by [`ServeError::DimensionMismatch`] when
-/// a bare store (not registered under a [`crate::registry::ModelRegistry`])
-/// rejects a publish.
-pub(crate) const UNREGISTERED: &str = "(unregistered)";
+use std::ops::Range;
 
 /// One immutable published model epoch: item factors (optionally also in
 /// FP16), per-item popularity priors, and the epoch number.
@@ -182,30 +170,59 @@ impl ModelSnapshot {
         }
     }
 
-    /// Materialize item rows `[start, start+len)` as `f32` into `scratch`
-    /// and return the filled slice, reading the FP16 copy when `fp16` is
-    /// set (and present). The FP32 path borrows directly from the matrix —
-    /// no copy — so `scratch` is only written on the quantized path.
-    pub fn block_rows<'a>(
+    /// Rows `range` as a [`SnapshotView`], scanned with `ann` and `int8`
+    /// — which must be built over exactly those rows.
+    pub(crate) fn view<'a>(
         &'a self,
-        start: usize,
-        len: usize,
-        fp16: bool,
-        scratch: &'a mut [f32],
-    ) -> &'a [f32] {
+        range: Range<usize>,
+        ann: Option<&'a CentroidIndex>,
+        int8: Option<&'a QuantizedFactors>,
+    ) -> SnapshotView<'a> {
         let f = self.f();
-        debug_assert!(start + len <= self.n_items());
-        match (&self.item_factors_f16, fp16) {
-            (Some(q), true) => {
-                let dst = &mut scratch[..len * f];
-                widen_slice(&q[start * f..(start + len) * f], dst);
-                dst
-            }
-            _ => {
-                let all = self.item_factors.as_slice();
-                &all[start * f..(start + len) * f]
-            }
+        let rows = range.start * f..range.end * f;
+        SnapshotView {
+            f,
+            n_items: range.len(),
+            rows: &self.item_factors.as_slice()[rows.clone()],
+            f16_rows: self.item_factors_f16.as_ref().map(|q| &q[rows]),
+            priors: if self.popularity.is_empty() {
+                &[]
+            } else {
+                &self.popularity[range]
+            },
+            ann,
+            int8,
         }
+    }
+
+    /// Detach the centroid index and int8 copy (sharding rebuilds them
+    /// per shard).
+    pub(crate) fn take_retrieval(&mut self) -> (Option<CentroidIndex>, Option<QuantizedFactors>) {
+        (self.ann.take(), self.int8.take())
+    }
+}
+
+/// A row range of a [`ModelSnapshot`] plus the retrieval artifacts built
+/// over exactly those rows: what one scoring pass reads. Item ids inside
+/// a view are range-local, like the index's member ids and int8 rows.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SnapshotView<'a> {
+    pub(crate) f: usize,
+    pub(crate) n_items: usize,
+    pub(crate) rows: &'a [f32],
+    /// `None` when the snapshot has no FP16 copy.
+    pub(crate) f16_rows: Option<&'a [F16]>,
+    /// Empty when the snapshot has no priors.
+    pub(crate) priors: &'a [f32],
+    pub(crate) ann: Option<&'a CentroidIndex>,
+    pub(crate) int8: Option<&'a QuantizedFactors>,
+}
+
+impl<'a> SnapshotView<'a> {
+    /// FP32 row of range-local item `v`.
+    #[inline]
+    pub(crate) fn item_row(&self, v: usize) -> &'a [f32] {
+        &self.rows[v * self.f..(v + 1) * self.f]
     }
 }
 
@@ -240,81 +257,11 @@ impl MemoryFootprint for ModelSnapshot {
     }
 }
 
-/// Snapshot-swapped holder of the current [`ModelSnapshot`].
-///
-/// ```
-/// use cumf_numeric::dense::DenseMatrix;
-/// use cumf_serve::store::{FactorStore, ModelSnapshot};
-///
-/// let store = FactorStore::new(ModelSnapshot::new(0, DenseMatrix::identity(3), vec![]));
-/// let reader = store.snapshot(); // epoch 0, held across a batch
-/// store.publish(ModelSnapshot::new(1, DenseMatrix::identity(3), vec![])).unwrap();
-/// assert_eq!(reader.epoch, 0);           // in-flight batch is unaffected
-/// assert_eq!(store.snapshot().epoch, 1); // new requests see the new epoch
-/// // A snapshot with a different feature dimension is a different model:
-/// assert!(store.publish(ModelSnapshot::new(2, DenseMatrix::identity(4), vec![])).is_err());
-/// ```
-#[derive(Debug)]
-pub struct FactorStore {
-    current: RwLock<Arc<ModelSnapshot>>,
-}
-
-impl FactorStore {
-    /// A store initially serving `snapshot`.
-    pub fn new(snapshot: ModelSnapshot) -> FactorStore {
-        FactorStore {
-            current: RwLock::new(Arc::new(snapshot)),
-        }
-    }
-
-    /// The current snapshot. Cheap (`Arc` clone under a read lock) and
-    /// never blocked for the duration of a publish — hold the returned
-    /// `Arc` for a whole batch so the batch scores one consistent epoch.
-    pub fn snapshot(&self) -> Arc<ModelSnapshot> {
-        self.current.read().clone()
-    }
-
-    /// Atomically replace the served snapshot; returns the new epoch.
-    /// In-flight readers keep their old `Arc`; it is freed when the last
-    /// of them drops it.
-    ///
-    /// The snapshot's feature dimension must match the one currently
-    /// served ([`ServeError::DimensionMismatch`] otherwise): every scorer
-    /// and user-factor matrix downstream is sized for the live `f`, so a
-    /// different `f` is a different model, not a new epoch.
-    pub fn publish(&self, snapshot: ModelSnapshot) -> Result<u64, ServeError> {
-        let mut current = self.current.write();
-        if snapshot.f() != current.f() {
-            return Err(ServeError::DimensionMismatch {
-                model: ModelId::from(UNREGISTERED),
-                expected: current.f(),
-                got: snapshot.f(),
-            });
-        }
-        let epoch = snapshot.epoch;
-        *current = Arc::new(snapshot);
-        Ok(epoch)
-    }
-
-    /// Epoch of the currently served snapshot.
-    pub fn epoch(&self) -> u64 {
-        self.current.read().epoch
-    }
-}
-
-impl MemoryFootprint for FactorStore {
-    /// The currently served snapshot, relabelled `current`.
-    fn footprint(&self) -> FootprintReport {
-        FootprintReport::branch(
-            "factor_store",
-            vec![self.snapshot().footprint().renamed("current")],
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::ServeError;
+    use crate::shard::ShardedFactorStore;
 
     fn snap(epoch: u64, n: usize, f: usize) -> ModelSnapshot {
         let mut m = DenseMatrix::zeros(n, f);
@@ -326,14 +273,17 @@ mod tests {
         ModelSnapshot::new(epoch, m, vec![])
     }
 
+    // The publish contract of the unsharded store, held by its
+    // replacement: a one-shard `ShardedFactorStore`.
+
     #[test]
     fn publish_swaps_epoch_without_touching_readers() {
-        let store = FactorStore::new(snap(1, 4, 3));
+        let store = ShardedFactorStore::new(snap(1, 4, 3), 1);
         let held = store.snapshot();
         assert_eq!(store.publish(snap(2, 4, 3)), Ok(2));
-        assert_eq!(held.epoch, 1);
+        assert_eq!(held.epoch(), 1);
         assert_eq!(store.epoch(), 2);
-        assert_eq!(store.snapshot().epoch, 2);
+        assert_eq!(store.snapshot().epoch(), 2);
     }
 
     #[test]
@@ -341,7 +291,7 @@ mod tests {
         // The serving scorers are sized for the live f; a snapshot with a
         // different f used to be accepted silently and corrupt the next
         // batch. It is now rejected and the served snapshot is untouched.
-        let store = FactorStore::new(snap(1, 4, 3));
+        let store = ShardedFactorStore::new(snap(1, 4, 3), 1);
         let err = store.publish(snap(2, 4, 5)).unwrap_err();
         assert!(matches!(
             err,
@@ -355,27 +305,6 @@ mod tests {
         assert_eq!(store.epoch(), 1, "rejected publish must not swap");
         // Item-count changes (catalog growth) are still fine.
         assert_eq!(store.publish(snap(2, 9, 3)), Ok(2));
-    }
-
-    #[test]
-    fn fp16_block_read_is_close_to_fp32() {
-        let s = snap(0, 8, 4).with_fp16();
-        let mut scratch = vec![0.0f32; 8 * 4];
-        let exact: Vec<f32> = s.block_rows(2, 3, false, &mut scratch).to_vec();
-        let quant = s.block_rows(2, 3, true, &mut scratch);
-        assert_eq!(quant.len(), exact.len());
-        for (q, e) in quant.iter().zip(&exact) {
-            // binary16 unit roundoff is 2⁻¹¹; values here are ≤ 3.1.
-            assert!((q - e).abs() <= e.abs() * 1e-3 + 1e-6, "{q} vs {e}");
-        }
-    }
-
-    #[test]
-    fn fp16_flag_without_copy_falls_back_to_fp32() {
-        let s = snap(0, 4, 2);
-        let mut scratch = vec![0.0f32; 8];
-        let rows = s.block_rows(0, 2, true, &mut scratch);
-        assert_eq!(rows, &s.item_factors().as_slice()[..4]);
     }
 
     #[test]
@@ -446,7 +375,7 @@ mod tests {
 
     #[test]
     fn store_footprint_tracks_the_published_snapshot() {
-        let store = FactorStore::new(snap(0, 8, 4));
+        let store = ShardedFactorStore::new(snap(0, 8, 4), 1);
         let before = store.footprint().total_bytes();
         store.publish(snap(1, 16, 4)).unwrap();
         let after = store.footprint();

@@ -12,13 +12,14 @@ use cumf_datasets::{MfDataset, SizeClass};
 use cumf_gpu_sim::GpuSpec;
 use cumf_numeric::dense::DenseMatrix;
 use cumf_serve::{
-    admission_queue, canary_unit, naive_top_k, ndcg_at_k, overlap_at_k, score_one, top_k_batch,
-    top_k_batch_sharded, AdmissionConfig, AnnParams, CanaryPolicy, ModelSnapshot, QuantMode,
-    QuantizedFactors, Request, Retrieval, ScoreConfig, ServeConfig, ServeEngine, ShardedSnapshot,
-    SubmitError,
+    admission_queue, canary_unit, merge_top_k, naive_top_k, ndcg_at_k, overlap_at_k, score_one,
+    top_k_batch, top_k_batch_sharded, AdmissionConfig, AnnParams, CanaryPolicy, ModelSnapshot,
+    QuantMode, QuantizedFactors, Request, Retrieval, ScoreConfig, ScoredItem, ServeConfig,
+    ServeEngine, ShardedSnapshot, SubmitError,
 };
-use cumf_telemetry::NOOP;
+use cumf_telemetry::{FootprintReport, NOOP};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
 /// A random (snapshot, user batch) pair: n items × f features plus u user
@@ -596,4 +597,231 @@ fn fp16_copy_present_but_disabled_changes_nothing() {
         top_k_batch(&plain, &x, 10, &cfg),
         top_k_batch(&carrying, &x, 10, &cfg)
     );
+}
+
+/// Sharded approximate retrieval reproduces, bit for bit, the
+/// construction in which every shard copied its rows into a snapshot of
+/// its own and built its index (`⌈k·len/n⌉` clusters) and int8 copy over
+/// that copy: same shard boundaries, same k-means input rows, same int8
+/// blocks. Checked with partial probes (which do miss true top-k items
+/// here) over a catalog whose duplicated rows tie across shard
+/// boundaries, through both `ShardedSnapshot::build` and the engine's
+/// policy-driven publish.
+#[test]
+fn sharded_approx_matches_per_shard_copies_bit_for_bit() {
+    let (n, f, u, k, clusters, n_probe) = (203usize, 5usize, 16usize, 10usize, 12usize, 3usize);
+    // 150 distinct rows; items 150.. duplicate rows 0, 2, 4, … (and their
+    // priors), so scores tie across every shard boundary.
+    let src = |i: usize| if i < 150 { i } else { (i - 150) * 2 };
+    let base: Vec<f32> = (0..150 * f)
+        .map(|i| ((i as u64 * 2_654_435_761 % 1000) as f32 - 500.0) / 500.0)
+        .collect();
+    let theta: Vec<f32> = (0..n)
+        .flat_map(|i| base[src(i) * f..(src(i) + 1) * f].to_vec())
+        .collect();
+    let priors: Vec<f32> = (0..n).map(|i| (src(i) % 4) as f32 * 0.05).collect();
+    let x = DenseMatrix::from_vec(
+        u,
+        f,
+        (0..u * f)
+            .map(|i| ((i as u64 * 40_503 % 997) as f32 - 498.0) / 498.0)
+            .collect(),
+    );
+    let params = AnnParams {
+        k_clusters: clusters,
+        ..AnnParams::default()
+    };
+    let snapshot = ModelSnapshot::new(
+        0,
+        DenseMatrix::from_vec(n, f, theta.clone()),
+        priors.clone(),
+    );
+    let mut pruned = 0usize;
+    for quant in [QuantMode::Int8, QuantMode::None] {
+        let cfg = ScoreConfig {
+            retrieval: Retrieval::Approx { n_probe, quant },
+            ..ScoreConfig::default()
+        };
+        for s in [1usize, 2, 3, 8] {
+            // Reference: even split, remainder to the earlier shards, each
+            // range copied into its own snapshot.
+            let mut per_shard: Vec<Vec<Vec<ScoredItem>>> = Vec::new();
+            let mut start = 0usize;
+            for i in 0..s {
+                let len = n / s + usize::from(i < n % s);
+                let local = ModelSnapshot::new(
+                    0,
+                    DenseMatrix::from_vec(len, f, theta[start * f..(start + len) * f].to_vec()),
+                    priors[start..start + len].to_vec(),
+                )
+                .with_ann(AnnParams {
+                    k_clusters: (clusters * len).div_ceil(n),
+                    ..params
+                })
+                .with_int8();
+                let mut ranked = top_k_batch(&local, &x, k, &cfg);
+                for item in ranked.iter_mut().flatten() {
+                    item.item += start as u32;
+                }
+                per_shard.push(ranked);
+                start += len;
+            }
+            let want: Vec<Vec<ScoredItem>> = (0..u)
+                .map(|user| {
+                    let lists: Vec<Vec<ScoredItem>> =
+                        per_shard.iter().map(|r| r[user].clone()).collect();
+                    merge_top_k(&lists, k)
+                })
+                .collect();
+
+            let sharded = ShardedSnapshot::build(snapshot.clone().with_ann(params).with_int8(), s);
+            assert_eq!(sharded.n_shards(), s);
+            let got = top_k_batch_sharded(&sharded, &x, k, &cfg);
+            assert_eq!(got, want, "{s} shards, {quant:?}");
+            let exact = top_k_batch(&snapshot, &x, k, &ScoreConfig::default());
+            pruned += exact.iter().zip(&want).filter(|(e, w)| e != w).count();
+
+            let engine = ServeEngine::builder()
+                .config(
+                    ServeConfig::default()
+                        .with_k(k)
+                        .with_shards(s)
+                        .with_score(cfg)
+                        .with_ann(params),
+                )
+                .model("only", x.clone(), snapshot.clone())
+                .build()
+                .unwrap();
+            let requests: Vec<Request> =
+                (0..u).map(|i| Request::known(i as u64, i as u32)).collect();
+            for (user, rec) in engine
+                .recommend_batch(&requests, &NOOP)
+                .into_iter()
+                .enumerate()
+            {
+                assert_eq!(
+                    rec.unwrap().items,
+                    want[user],
+                    "engine, {s} shards, {quant:?}"
+                );
+            }
+        }
+    }
+    assert!(pruned > 0, "the partial probe must actually prune");
+}
+
+/// The subtree named `name` anywhere under `report`.
+fn find_subtree<'a>(report: &'a FootprintReport, name: &str) -> Option<&'a FootprintReport> {
+    if report.name() == name {
+        return Some(report);
+    }
+    report.children().iter().find_map(|c| find_subtree(c, name))
+}
+
+/// Publish racing readers: two threads serve batches from a 3-shard int8
+/// approximate engine while a third publishes perturbed epochs. No batch
+/// is torn across epochs, every response names a published epoch, no
+/// request fails, and once the readers stop no superseded epoch is still
+/// pinned — shard views keep no stale snapshot alive.
+#[test]
+fn publish_races_readers_without_tearing_a_batch() {
+    let (n, f, users, epochs) = (240usize, 6usize, 32u32, 6u64);
+    let theta: Vec<f32> = (0..n * f)
+        .map(|i| ((i as u64 * 2_654_435_761 % 1000) as f32 - 500.0) / 500.0)
+        .collect();
+    let x: Vec<f32> = (0..users as usize * f)
+        .map(|i| ((i as u64 * 40_503 % 997) as f32 - 498.0) / 498.0)
+        .collect();
+    let config = ServeConfig::default()
+        .with_k(5)
+        .with_shards(3)
+        .with_score(ScoreConfig {
+            retrieval: Retrieval::Approx {
+                n_probe: 2,
+                quant: QuantMode::Int8,
+            },
+            ..ScoreConfig::default()
+        })
+        .with_ann(AnnParams {
+            k_clusters: 12,
+            ..AnnParams::default()
+        });
+    let engine = ServeEngine::builder()
+        .config(config)
+        .model(
+            "default",
+            DenseMatrix::from_vec(users as usize, f, x),
+            ModelSnapshot::new(0, DenseMatrix::from_vec(n, f, theta.clone()), vec![]),
+        )
+        .build()
+        .unwrap();
+    let id = engine.registry().default_model().clone();
+    let batch = |round: u64| -> Vec<Request> {
+        (0..8u64)
+            .map(|j| Request::known(round * 8 + j, ((round * 5 + j * 3) % users as u64) as u32))
+            .collect()
+    };
+    let served = AtomicU64::new(0);
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..2u64)
+            .map(|r| {
+                let (engine, served, done) = (&engine, &served, &done);
+                scope.spawn(move || {
+                    let mut batches: Vec<Vec<u64>> = Vec::new();
+                    let mut round = r << 32;
+                    while !done.load(Ordering::Acquire) {
+                        let epochs: Vec<u64> = engine
+                            .recommend_batch(&batch(round), &NOOP)
+                            .into_iter()
+                            .map(|rec| rec.expect("no request fails during a publish").epoch)
+                            .collect();
+                        batches.push(epochs);
+                        served.fetch_add(1, Ordering::Release);
+                        round += 1;
+                    }
+                    batches
+                })
+            })
+            .collect();
+        for epoch in 1..=epochs {
+            // Let the readers make progress before every publish so the
+            // two really interleave.
+            let before = served.load(Ordering::Acquire);
+            while served.load(Ordering::Acquire) < before + 2 {
+                std::thread::yield_now();
+            }
+            let scale = 1.0 + epoch as f32 * 0.01;
+            let next: Vec<f32> = theta.iter().map(|v| v * scale).collect();
+            engine
+                .registry()
+                .publish(
+                    &id,
+                    ModelSnapshot::new(epoch, DenseMatrix::from_vec(n, f, next), vec![]),
+                )
+                .unwrap();
+        }
+        done.store(true, Ordering::Release);
+        for reader in readers {
+            let batches = reader.join().expect("reader panicked");
+            assert!(!batches.is_empty());
+            for epochs_of_batch in batches {
+                let first = epochs_of_batch[0];
+                assert!(first <= epochs, "epoch {first} was never published");
+                assert!(
+                    epochs_of_batch.iter().all(|&e| e == first),
+                    "one batch, one model, several epochs: {epochs_of_batch:?}"
+                );
+            }
+        }
+    });
+    let last = engine.recommend_batch(&batch(u64::MAX >> 8), &NOOP);
+    assert!(last.iter().all(|r| r.as_ref().unwrap().epoch == epochs));
+    let report = engine.memory_report();
+    let superseded = find_subtree(&report, "superseded").expect("store reports superseded epochs");
+    assert!(
+        superseded.children().is_empty(),
+        "a stale epoch is still pinned"
+    );
+    assert_eq!(superseded.total_bytes(), 0);
 }
