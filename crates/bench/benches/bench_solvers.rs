@@ -1,7 +1,11 @@
 //! Criterion microbenchmarks of the solve step: exact Cholesky/LU vs.
-//! truncated CG (FP32 and FP16 storage) at the paper's f=100.
+//! truncated CG (FP32 and FP16 storage) at the paper's f=100, and the
+//! trainer's whole per-row solve (`solve_row` with the default solver:
+//! narrow `A_u` to FP16, then six CG iterations).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use cumf_als::kernels::solve::solve_row;
+use cumf_als::SolverKind;
 use cumf_numeric::cg::cg_solve;
 use cumf_numeric::cholesky::cholesky_solve;
 use cumf_numeric::lu::lu_solve;
@@ -44,6 +48,13 @@ fn bench_solvers(c: &mut Criterion) {
         bch.iter(|| {
             let mut x = vec![0.0f32; f];
             black_box(cg_solve(black_box(&a16), &mut x, &b, 6, 1e-4))
+        })
+    });
+    let solver = SolverKind::cumf_default();
+    group.bench_function(BenchmarkId::new("solve_row_cumf_default", f), |bch| {
+        bch.iter(|| {
+            let mut x = vec![0.0f32; f];
+            black_box(solve_row(&solver, black_box(&a), &mut x, &b))
         })
     });
     group.finish();

@@ -13,7 +13,9 @@ use crate::kernels::bias::{bias_cost, bias_row};
 use crate::kernels::hermitian::{
     hermitian_phases, hermitian_row, HermitianPhases, HermitianShape, HermitianWorkload,
 };
-use crate::kernels::solve::{solve_cost, solve_row, solve_row_traced, SolveTrace};
+use crate::kernels::solve::{
+    solve_cost, solve_row_traced, solve_row_with, SolveScratch, SolveTrace,
+};
 use crate::metrics::test_rmse;
 use cumf_datasets::MfDataset;
 use cumf_gpu_sim::interconnect::Interconnect;
@@ -549,11 +551,12 @@ impl<'a> AlsTrainer<'a> {
                 || {
                     (
                         SymPacked::zeros(f),
-                        Vec::with_capacity(shape.bin * f),
+                        Vec::new(),
                         vec![0.0f32; f],
+                        SolveScratch::new(f),
                     )
                 },
-                |(a, staging, b), (u, out_row)| {
+                |(a, staging, b, solve), (u, out_row)| {
                     let cols = r.row_cols(u);
                     if cols.is_empty() {
                         // No observations: the regularized optimum is 0.
@@ -564,7 +567,7 @@ impl<'a> AlsTrainer<'a> {
                     bias_row(cols, r.row_values(u), features, b);
                     // Warm start from the previous sweep's factors.
                     out_row.copy_from_slice(old_factors.row(u));
-                    let stats = solve_row(&solver, a, out_row, b);
+                    let stats = solve_row_with(&solver, a, out_row, b, solve);
                     total_cg_iters.fetch_add(stats.iterations as u64, Ordering::Relaxed);
                     if tracing {
                         max_cg_iters.fetch_max(stats.iterations as u64, Ordering::Relaxed);
@@ -584,7 +587,7 @@ impl<'a> AlsTrainer<'a> {
         if tracing {
             if let Some(u) = (0..r.rows()).find(|&u| !r.row_cols(u).is_empty()) {
                 let mut a = SymPacked::zeros(f);
-                let mut staging = Vec::with_capacity(shape.bin * f);
+                let mut staging = Vec::new();
                 let mut b = vec![0.0f32; f];
                 let mut x_row = old_factors.row(u).to_vec();
                 hermitian_row(
@@ -840,6 +843,88 @@ mod tests {
         let last = report.final_rmse();
         assert!(last < first, "RMSE should fall: {first} → {last}");
         assert!(last < 1.1, "tiny Netflix should fit well, got {last}");
+    }
+
+    /// The fused single-loop FP16 matvec the split passes replaced, each
+    /// entry widened through `F16::to_f32`.
+    struct FusedF16(cumf_numeric::sym::SymPackedF16);
+
+    impl cumf_numeric::cg::MatVec for FusedF16 {
+        fn dim(&self) -> usize {
+            self.0.dim()
+        }
+        fn matvec(&self, x: &[f32], y: &mut [f32]) {
+            let data = self.0.as_slice();
+            y.fill(0.0);
+            for i in 0..self.dim() {
+                let base = i * (i + 1) / 2;
+                let mut acc = 0.0f32;
+                for j in 0..i {
+                    let a = data[base + j].to_f32();
+                    acc += a * x[j];
+                    y[j] += a * x[i];
+                }
+                y[i] += acc + data[base + i].to_f32() * x[i];
+            }
+        }
+    }
+
+    /// One sweep of the default solver (CG, FP16 storage) written out from
+    /// the reference pieces: `hermitian_row_reference`, `bias_row`, the
+    /// FP16 overflow guard, and CG over [`FusedF16`], warm-started from
+    /// `old`.
+    fn reference_sweep(
+        r: &CsrMatrix,
+        features: &DenseMatrix,
+        old: &DenseMatrix,
+        lambda: f32,
+        fs: usize,
+        tolerance: f32,
+    ) -> DenseMatrix {
+        let f = features.cols();
+        let mut out = DenseMatrix::zeros(r.rows(), f);
+        for u in 0..r.rows() {
+            let cols = r.row_cols(u);
+            if cols.is_empty() {
+                continue;
+            }
+            let mut a =
+                crate::kernels::hermitian::hermitian_row_reference(cols, features, lambda, f);
+            let mut b = vec![0.0f32; f];
+            bias_row(cols, r.row_values(u), features, &mut b);
+            let amax = a.as_slice().iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+            if amax > 3.0e4 {
+                let s = amax / 1.0e4;
+                a.as_mut_slice().iter_mut().for_each(|v| *v /= s);
+                b.iter_mut().for_each(|v| *v /= s);
+            }
+            let x = out.row_mut(u);
+            x.copy_from_slice(old.row(u));
+            cumf_numeric::cg::cg_solve(&FusedF16(a.to_f16()), x, &b, fs, tolerance);
+        }
+        out
+    }
+
+    #[test]
+    fn two_epochs_match_a_reference_sweep_bit_for_bit() {
+        let data = tiny();
+        let mut cfg = fast_config(&data, SolverKind::cumf_default());
+        // Odd f: partial register tiles; BIN 5: rows span several batches.
+        cfg.f = 19;
+        cfg.bin = 5;
+        let SolverKind::Cg { fs, tolerance, .. } = cfg.solver else {
+            unreachable!("the default solver is CG")
+        };
+        let mut t = AlsTrainer::new(&data, cfg.clone(), GpuSpec::maxwell_titan_x(), 1);
+        let (mut x, mut theta) = (t.x.clone(), t.theta.clone());
+        for _ in 0..2 {
+            t.run_epoch();
+            x = reference_sweep(&data.r, &theta, &x, cfg.lambda, fs, tolerance);
+            theta = reference_sweep(&data.rt, &x, &theta, cfg.lambda, fs, tolerance);
+        }
+        let bits = |m: &DenseMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&t.x), bits(&x), "user factors");
+        assert_eq!(bits(&t.theta), bits(&theta), "item factors");
     }
 
     #[test]

@@ -10,14 +10,15 @@
 use crate::config::SolverKind;
 use crate::kernels::bias::bias_row;
 use crate::kernels::hermitian::{hermitian_row, HermitianShape};
-use crate::kernels::solve::solve_row;
+use crate::kernels::solve::{solve_row_with, SolveScratch};
 use cumf_numeric::dense::DenseMatrix;
 use cumf_numeric::sym::SymPacked;
 
 /// Reusable workspace for fold-in solves at one feature dimension `f`.
 ///
 /// One fold-in allocates a staging buffer, a packed Gram matrix, a bias
-/// vector and two index/value scatter buffers; a serving engine folding
+/// vector, two index/value scatter buffers and the solver's buffers
+/// ([`SolveScratch`]); a serving engine folding
 /// cold users on every micro-batch wants to pay that once per worker, not
 /// once per request. All buffers are fully overwritten on each solve, so
 /// reuse never leaks state between rows.
@@ -29,6 +30,7 @@ pub struct FoldInScratch {
     b: Vec<f32>,
     cols: Vec<u32>,
     values: Vec<f32>,
+    solve: SolveScratch,
 }
 
 impl FoldInScratch {
@@ -37,12 +39,13 @@ impl FoldInScratch {
     pub fn new(f: usize) -> FoldInScratch {
         let shape = HermitianShape::paper(f);
         FoldInScratch {
-            staging: Vec::with_capacity(shape.bin * f),
+            staging: Vec::new(),
             shape,
             a: SymPacked::zeros(f),
             b: vec![0.0f32; f],
             cols: Vec::new(),
             values: Vec::new(),
+            solve: SolveScratch::new(f),
         }
     }
 
@@ -86,7 +89,7 @@ pub fn fold_in_row_into(
         &mut scratch.a,
     );
     bias_row(&scratch.cols, &scratch.values, item_factors, &mut scratch.b);
-    solve_row(solver, &scratch.a, out, &scratch.b);
+    solve_row_with(solver, &scratch.a, out, &scratch.b, &mut scratch.solve);
 }
 
 /// Fold a new row (user) into an existing model: returns the factor vector

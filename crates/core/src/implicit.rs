@@ -18,7 +18,7 @@
 
 use crate::als::solver_kernel_name;
 use crate::config::{Precision, SolverKind};
-use crate::kernels::solve::{solve_cost, solve_row};
+use crate::kernels::solve::{solve_cost, solve_row_with, SolveScratch};
 use cumf_datasets::MfDataset;
 use cumf_gpu_sim::kernel::{hermitian_pipe_efficiency, launch_time, KernelCost, LaunchTiming};
 use cumf_gpu_sim::occupancy::{occupancy, KernelResources};
@@ -274,8 +274,8 @@ impl<'a> ImplicitAlsTrainer<'a> {
             .par_chunks_mut(f)
             .enumerate()
             .for_each_init(
-                || (SymPacked::zeros(f), vec![0.0f32; f]),
-                |(a, b), (u, row)| {
+                || (SymPacked::zeros(f), vec![0.0f32; f], SolveScratch::new(f)),
+                |(a, b, scratch), (u, row)| {
                     a.as_mut_slice().copy_from_slice(gram.as_slice());
                     b.fill(0.0);
                     for (v, rv) in r.row_iter(u) {
@@ -285,7 +285,7 @@ impl<'a> ImplicitAlsTrainer<'a> {
                     }
                     a.add_diagonal(lambda);
                     row.copy_from_slice(old.row(u));
-                    solve_row(&solver, a, row, b);
+                    solve_row_with(&solver, a, row, b, scratch);
                 },
             );
         out

@@ -8,11 +8,27 @@
 //!
 //! The functional implementation mirrors the CUDA kernel's structure
 //! (Figure 2): feature vectors are *staged* in batches of `BIN` (the shared
-//! memory buffer), and each staged vector's outer product is accumulated
-//! *tile by tile* over the lower triangle only (`x ≤ y` tiles, the register
-//! blocking). The mirrored structure is not decoration — the tests assert
-//! tile-order-invariance against a plain rank-1 update, which is exactly the
-//! correctness argument for the CUDA kernel's tiling.
+//! memory buffer), and each batch is folded into the lower triangle of
+//! `A_u` by a register-blocked rank-k kernel
+//! ([`cumf_numeric::kernel::syrk_packed`]): a small tile of `A_u` stays in
+//! registers while all `BIN` staged vectors stream through it, and is
+//! stored once — the host form of the paper's register tiling
+//! (Solution 1).
+//!
+//! The host tile is a constant of that kernel
+//! ([`GRAM_ROWS`](cumf_numeric::kernel::GRAM_ROWS) rows ×
+//! [`LANES`] columns, sized to the vector registers), not
+//! [`HermitianShape::tile`]: the paper's `T × T` tile (`T` = 10 at
+//! f = 100) is device geometry, and it is what `gpu-sim` prices —
+//! register demand, occupancy, the launch below. [`tiled_rank1_update`]
+//! keeps the paper's `T × T` walk for one vector, for the tile ablation.
+//!
+//! Bit-identity rests on the per-element order, not on any tile: each
+//! element still receives `acc += θ_i·θ_j` once per rating, in the row's
+//! order, `mul` then `add`; only the loop nest around it changes. The
+//! tests pin `hermitian_row` (and `tiled_rank1_update` at every `T`) to
+//! the plain rank-1 reference bit for bit — exactly the correctness
+//! argument for the CUDA kernel's tiling.
 //!
 //! The cost side prices the three phases Figure 4 measures — **load**
 //! (global→shared staging under a [`LoadPattern`]), **compute** (the
@@ -26,6 +42,7 @@ use cumf_gpu_sim::memory::{
 use cumf_gpu_sim::occupancy::{hermitian_regs_per_thread, occupancy, KernelResources, Occupancy};
 use cumf_gpu_sim::GpuSpec;
 use cumf_numeric::dense::DenseMatrix;
+use cumf_numeric::kernel::{syrk_packed, LANES};
 use cumf_numeric::sym::{packed_len, SymPacked};
 use cumf_sparse::CsrMatrix;
 
@@ -36,7 +53,9 @@ pub struct HermitianShape {
     pub f: usize,
     /// Shared-memory staging batch (`BIN`, 32 in the paper).
     pub bin: usize,
-    /// Register tile edge (`T`, 10 in the paper at f = 100).
+    /// Register tile edge (`T`, 10 in the paper at f = 100). It sizes the
+    /// device kernel the cost model prices; the host kernel's register
+    /// tile is a constant of `syrk_packed`.
     pub tile: usize,
 }
 
@@ -92,13 +111,16 @@ pub fn tiled_rank1_update(acc: &mut [f32], theta: &[f32], tile: usize) {
 }
 
 /// Build `A_u` for one row: stage the row's feature vectors in `BIN`-sized
-/// batches (the shared-memory buffer), accumulate each via
-/// [`tiled_rank1_update`], then add `λ·n_u` to the diagonal.
+/// batches (the shared-memory buffer), fold each batch into `A_u` with
+/// the register-blocked rank-k kernel [`syrk_packed`], then add `λ·n_u`
+/// to the diagonal.
 ///
 /// `staging` is the caller-provided scratch standing in for shared memory
-/// (`BIN × f` floats); reusing it across rows mirrors how the CUDA kernel
-/// reuses its static shared allocation, and keeps the host loop
-/// allocation-free.
+/// (`BIN` rows of `f` floats, each padded to the kernel's lane width);
+/// reusing it across rows mirrors how the CUDA kernel reuses its static
+/// shared allocation, and keeps the host loop allocation-free.
+/// `shape.tile` is not read here: the host's register tile is the
+/// kernel's constant, and `T` only prices the device kernel.
 pub fn hermitian_row(
     cols: &[u32],
     features: &DenseMatrix,
@@ -111,21 +133,17 @@ pub fn hermitian_row(
     debug_assert_eq!(features.cols(), f);
     debug_assert_eq!(out.dim(), f);
     out.as_mut_slice().fill(0.0);
+    let ld = f.next_multiple_of(LANES);
 
     for batch in cols.chunks(shape.bin) {
         // Stage: copy this batch of feature vectors (global → shared).
         staging.clear();
         for &v in batch {
             staging.extend_from_slice(features.row(v as usize));
+            staging.resize(staging.len() + ld - f, 0.0);
         }
-        // Accumulate each staged vector tile-by-tile (shared → registers).
-        for idx in 0..batch.len() {
-            tiled_rank1_update(
-                out.as_mut_slice(),
-                &staging[idx * f..(idx + 1) * f],
-                shape.tile,
-            );
-        }
+        // Stream the whole batch through each register tile.
+        syrk_packed(out.as_mut_slice(), f, staging, ld);
     }
     out.add_diagonal(lambda * cols.len() as f32);
 }
@@ -253,12 +271,7 @@ pub fn for_each_row_hermitian<F>(
 {
     use rayon::prelude::*;
     (0..r.rows()).into_par_iter().for_each_init(
-        || {
-            (
-                SymPacked::zeros(shape.f),
-                Vec::with_capacity(shape.bin * shape.f),
-            )
-        },
+        || (SymPacked::zeros(shape.f), Vec::new()),
         |(acc, staging), u| {
             hermitian_row(r.row_cols(u), features, lambda, shape, staging, acc);
             consumer(u, acc);

@@ -11,10 +11,10 @@ use crate::config::{Precision, SolverKind};
 use cumf_gpu_sim::kernel::{KernelCost, LU_BATCHED_PIPE_EFFICIENCY};
 use cumf_gpu_sim::memory::STREAM_READ_EFFICIENCY;
 use cumf_gpu_sim::GpuSpec;
-use cumf_numeric::cg::{cg_solve, cg_solve_traced};
+use cumf_numeric::cg::{cg_solve_in, CgOutcome, CgScratch};
 use cumf_numeric::cholesky::cholesky_solve;
 use cumf_numeric::lu::{lu_flops, lu_solve};
-use cumf_numeric::sym::SymPacked;
+use cumf_numeric::sym::{SymPacked, SymPackedF16};
 
 /// Outcome of one row's solve — the trainer averages `iterations` across
 /// rows to feed the cost model the *actual* CG work done.
@@ -42,14 +42,58 @@ pub struct SolveTrace {
     pub fp16_roundtrip_max: f64,
 }
 
+/// Per-row solve buffers kept across rows: the FP16 copy of `A_u`, the
+/// rescaled system of the FP16 overflow guard, and the CG work vectors.
+/// A sweep holds one per worker (the trainer's and the fold-in's
+/// per-worker state), so the solve allocates nothing per row. Every
+/// buffer is overwritten before it is read: reuse never changes a bit.
+#[derive(Clone, Debug)]
+pub struct SolveScratch {
+    a16: SymPackedF16,
+    scaled: SymPacked,
+    b_scaled: Vec<f32>,
+    cg: CgScratch,
+}
+
+impl SolveScratch {
+    /// Buffers for systems of dimension `f`.
+    pub fn new(f: usize) -> SolveScratch {
+        SolveScratch {
+            a16: SymPackedF16::zeros(f),
+            scaled: SymPacked::zeros(f),
+            b_scaled: vec![0.0; f],
+            cg: CgScratch::default(),
+        }
+    }
+}
+
 /// Solve `A x = b` for one row, warm-starting CG from the incoming `x`.
 ///
 /// Returns the per-row stats. Falls back from a failed direct factorization
 /// (numerically semidefinite `A_u` on a nearly-empty row) to CG, which
 /// handles semidefiniteness gracefully — the same guard the CUDA batched
-/// solver implements via info codes.
+/// solver implements via info codes. Allocates its buffers; loops over
+/// rows call [`solve_row_with`] instead.
 pub fn solve_row(solver: &SolverKind, a: &SymPacked, x: &mut [f32], b: &[f32]) -> SolveStats {
-    solve_row_impl(solver, a, x, b, None)
+    solve_row_with(solver, a, x, b, &mut SolveScratch::new(a.dim()))
+}
+
+/// [`solve_row`] on reusable buffers — bit-identical to it.
+///
+/// Panics if `scratch` was sized for a different dimension.
+pub fn solve_row_with(
+    solver: &SolverKind,
+    a: &SymPacked,
+    x: &mut [f32],
+    b: &[f32],
+    scratch: &mut SolveScratch,
+) -> SolveStats {
+    assert_eq!(
+        scratch.a16.dim(),
+        a.dim(),
+        "solve scratch sized for another f"
+    );
+    solve_row_impl(solver, a, x, b, None, scratch)
 }
 
 /// [`solve_row`] plus telemetry capture: CG residual trajectories and FP16
@@ -62,14 +106,11 @@ pub fn solve_row_traced(
     b: &[f32],
     trace: &mut SolveTrace,
 ) -> SolveStats {
-    solve_row_impl(solver, a, x, b, Some(trace))
+    let mut scratch = SolveScratch::new(a.dim());
+    solve_row_impl(solver, a, x, b, Some(trace), &mut scratch)
 }
 
-fn fp16_roundtrip_stats(
-    original: &SymPacked,
-    narrowed: &cumf_numeric::sym::SymPackedF16,
-    trace: &mut SolveTrace,
-) {
+fn fp16_roundtrip_stats(original: &SymPacked, narrowed: &SymPackedF16, trace: &mut SolveTrace) {
     let mut sum_sq = 0.0f64;
     let mut max = 0.0f64;
     let n = original.as_slice().len().max(1);
@@ -88,11 +129,16 @@ fn solve_row_impl(
     x: &mut [f32],
     b: &[f32],
     mut trace: Option<&mut SolveTrace>,
+    scratch: &mut SolveScratch,
 ) -> SolveStats {
     let f = a.dim();
     fn residuals<'t>(t: &'t mut Option<&mut SolveTrace>) -> Option<&'t mut Vec<f64>> {
         t.as_deref_mut().map(|t| &mut t.residuals)
     }
+    let stats = |out: CgOutcome| SolveStats {
+        iterations: out.iterations,
+        converged: out.converged,
+    };
     match solver {
         SolverKind::BatchCholesky => match cholesky_solve(a, b) {
             Ok(sol) => {
@@ -102,7 +148,7 @@ fn solve_row_impl(
                     converged: true,
                 }
             }
-            Err(_) => cg_fallback(a, x, b),
+            Err(_) => stats(cg_solve_in(a, x, b, f, 1e-6, None, &mut scratch.cg)),
         },
         SolverKind::BatchLu => match lu_solve(&a.to_dense(), b) {
             Ok(sol) => {
@@ -112,20 +158,22 @@ fn solve_row_impl(
                     converged: true,
                 }
             }
-            Err(_) => cg_fallback(a, x, b),
+            Err(_) => stats(cg_solve_in(a, x, b, f, 1e-6, None, &mut scratch.cg)),
         },
         SolverKind::Cg {
             fs,
             tolerance,
             precision,
         } => match precision {
-            Precision::Fp32 => {
-                let out = cg_solve_traced(a, x, b, *fs, *tolerance, residuals(&mut trace));
-                SolveStats {
-                    iterations: out.iterations,
-                    converged: out.converged,
-                }
-            }
+            Precision::Fp32 => stats(cg_solve_in(
+                a,
+                x,
+                b,
+                *fs,
+                *tolerance,
+                residuals(&mut trace),
+                &mut scratch.cg,
+            )),
             Precision::Fp16 => {
                 // Narrow A_u to half precision — the reduced-precision read
                 // path of Solution 4. b and x stay FP32 (as on the GPU).
@@ -135,45 +183,40 @@ fn solve_row_impl(
                 // same system, so rescale into range before narrowing (the
                 // tolerance applies to the scaled residual, which only makes
                 // the stop criterion stricter).
+                let SolveScratch {
+                    a16,
+                    scaled,
+                    b_scaled,
+                    cg,
+                } = scratch;
                 let amax = a.as_slice().iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-                if amax > 3.0e4 {
+                let (narrowed, rhs) = if amax > 3.0e4 {
                     let s = amax / 1.0e4;
-                    let mut scaled = a.clone();
-                    for v in scaled.as_mut_slice() {
-                        *v /= s;
+                    for (d, &v) in scaled.as_mut_slice().iter_mut().zip(a.as_slice()) {
+                        *d = v / s;
                     }
-                    let b_scaled: Vec<f32> = b.iter().map(|x| x / s).collect();
-                    let a16 = scaled.to_f16();
-                    if let Some(t) = trace.as_deref_mut() {
-                        fp16_roundtrip_stats(&scaled, &a16, t);
+                    for (d, &v) in b_scaled.iter_mut().zip(b) {
+                        *d = v / s;
                     }
-                    let out =
-                        cg_solve_traced(&a16, x, &b_scaled, *fs, *tolerance, residuals(&mut trace));
-                    SolveStats {
-                        iterations: out.iterations,
-                        converged: out.converged,
-                    }
+                    (&*scaled, &b_scaled[..])
                 } else {
-                    let a16 = a.to_f16();
-                    if let Some(t) = trace.as_deref_mut() {
-                        fp16_roundtrip_stats(a, &a16, t);
-                    }
-                    let out = cg_solve_traced(&a16, x, b, *fs, *tolerance, residuals(&mut trace));
-                    SolveStats {
-                        iterations: out.iterations,
-                        converged: out.converged,
-                    }
+                    (a, b)
+                };
+                narrowed.to_f16_into(a16);
+                if let Some(t) = trace.as_deref_mut() {
+                    fp16_roundtrip_stats(narrowed, a16, t);
                 }
+                stats(cg_solve_in(
+                    &*a16,
+                    x,
+                    rhs,
+                    *fs,
+                    *tolerance,
+                    residuals(&mut trace),
+                    cg,
+                ))
             }
         },
-    }
-}
-
-fn cg_fallback(a: &SymPacked, x: &mut [f32], b: &[f32]) -> SolveStats {
-    let out = cg_solve(a, x, b, a.dim(), 1e-6);
-    SolveStats {
-        iterations: out.iterations,
-        converged: out.converged,
     }
 }
 
@@ -405,6 +448,58 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One scratch carried through a sequence of rows — FP16 with and
+    /// without the overflow rescale, FP32 CG, and direct solves including
+    /// a singular one that falls back to CG — gives each row the bits a
+    /// fresh solve gives it.
+    #[test]
+    fn reused_scratch_is_bit_identical_to_a_fresh_solve() {
+        let f = 9;
+        let mut big = spd(f, 12);
+        for v in big.as_mut_slice() {
+            *v *= 1.0e6;
+        }
+        let rows = [spd(f, 10), big, spd(f, 11), SymPacked::zeros(f)];
+        let solvers = [
+            SolverKind::cumf_default(),
+            SolverKind::Cg {
+                fs: 6,
+                tolerance: 1e-4,
+                precision: Precision::Fp32,
+            },
+            SolverKind::BatchCholesky,
+            SolverKind::BatchLu,
+        ];
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut scratch = SolveScratch::new(f);
+        for solver in &solvers {
+            for (k, a) in rows.iter().enumerate() {
+                let b: Vec<f32> = (0..f).map(|i| (i + k) as f32 * 0.3 - 1.0).collect();
+                let mut x_fresh = vec![0.1f32; f];
+                let mut x_reused = x_fresh.clone();
+                let fresh = solve_row(solver, a, &mut x_fresh, &b);
+                let reused = solve_row_with(solver, a, &mut x_reused, &b, &mut scratch);
+                assert_eq!(bits(&x_fresh), bits(&x_reused), "{solver:?} row {k}");
+                assert_eq!(fresh.iterations, reused.iterations);
+                assert_eq!(fresh.converged, reused.converged);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sized for another f")]
+    fn scratch_of_another_dimension_is_rejected() {
+        let a = spd(4, 1);
+        let mut x = [0.0f32; 4];
+        solve_row_with(
+            &SolverKind::cumf_default(),
+            &a,
+            &mut x,
+            &[1.0; 4],
+            &mut SolveScratch::new(5),
+        );
     }
 
     #[test]

@@ -77,6 +77,16 @@ pub struct CgOutcome {
     pub converged: bool,
 }
 
+/// The three work vectors of one CG solve (`r`, `p`, `A·p`), kept so a
+/// caller solving one system per row allocates them once. Resized to the
+/// system's dimension on use; their contents never carry between solves.
+#[derive(Clone, Debug, Default)]
+pub struct CgScratch {
+    r: Vec<f32>,
+    p: Vec<f32>,
+    ap: Vec<f32>,
+}
+
 /// Solve `A x = b` approximately, warm-starting from the incoming `x`.
 ///
 /// * `max_iters` — the paper's `fs` (6 for f=100 in their evaluation);
@@ -91,37 +101,48 @@ pub fn cg_solve(
     max_iters: usize,
     tolerance: f32,
 ) -> CgOutcome {
-    cg_solve_traced(a, x, b, max_iters, tolerance, None)
+    cg_solve_in(
+        a,
+        x,
+        b,
+        max_iters,
+        tolerance,
+        None,
+        &mut CgScratch::default(),
+    )
 }
 
-/// [`cg_solve`] with an optional residual-trajectory trace: when `trace` is
-/// `Some`, the residual norm `√(rᵀr)` is appended once before the first
-/// iteration and once per iteration. The arithmetic is identical with or
-/// without a trace — tracing only observes values the solver computes
-/// anyway.
-pub fn cg_solve_traced(
+/// [`cg_solve`] on caller-owned work vectors, with an optional
+/// residual-trajectory trace: when `trace` is `Some`, the residual norm
+/// `√(rᵀr)` is appended once before the first iteration and once per
+/// iteration. The arithmetic is identical with or without a trace —
+/// tracing only observes values the solver computes anyway — and with
+/// fresh or reused `scratch`.
+pub fn cg_solve_in(
     a: &impl MatVec,
     x: &mut [f32],
     b: &[f32],
     max_iters: usize,
     tolerance: f32,
     mut trace: Option<&mut Vec<f64>>,
+    scratch: &mut CgScratch,
 ) -> CgOutcome {
     let dim = a.dim();
     assert_eq!(x.len(), dim, "cg_solve: x length");
     assert_eq!(b.len(), dim, "cg_solve: b length");
 
-    let mut r = vec![0.0f32; dim];
-    let mut p = vec![0.0f32; dim];
-    let mut ap = vec![0.0f32; dim];
+    let CgScratch { r, p, ap } = scratch;
+    for v in [&mut *r, &mut *p, &mut *ap] {
+        v.resize(dim, 0.0);
+    }
 
     // r = b − A·x
-    a.matvec(x, &mut ap);
+    a.matvec(x, ap);
     for i in 0..dim {
         r[i] = b[i] - ap[i];
     }
-    p.copy_from_slice(&r);
-    let mut rsold = dot_f64(&r, &r);
+    p.copy_from_slice(r);
+    let mut rsold = dot_f64(r, r);
     if let Some(t) = trace.as_deref_mut() {
         t.push(rsold.sqrt());
     }
@@ -139,18 +160,18 @@ pub fn cg_solve_traced(
     let mut rsnew = rsold;
 
     for _ in 0..max_iters {
-        a.matvec(&p, &mut ap);
+        a.matvec(p, ap);
         iterations += 1;
-        let pap = dot_f64(&p, &ap);
+        let pap = dot_f64(p, ap);
         if pap <= 0.0 {
             // Loss of positive-definiteness in finite precision; stop rather
             // than take a step in a bad direction.
             break;
         }
         let alpha = (rsold / pap) as f32;
-        axpy(alpha, &p, x);
-        axpy(-alpha, &ap, &mut r);
-        rsnew = dot_f64(&r, &r);
+        axpy(alpha, p, x);
+        axpy(-alpha, ap, r);
+        rsnew = dot_f64(r, r);
         if let Some(t) = trace.as_deref_mut() {
             t.push(rsnew.sqrt());
         }
@@ -158,7 +179,7 @@ pub fn cg_solve_traced(
             converged = true;
             break;
         }
-        xpby(&r, (rsnew / rsold) as f32, &mut p);
+        xpby(r, (rsnew / rsold) as f32, p);
         rsold = rsnew;
     }
 
@@ -298,7 +319,16 @@ mod tests {
         let mut x_traced = vec![0.0; 12];
         let mut residuals = Vec::new();
         let plain = cg_solve(&a, &mut x_plain, &b, 6, 0.0);
-        let traced = cg_solve_traced(&a, &mut x_traced, &b, 6, 0.0, Some(&mut residuals));
+        let mut scratch = CgScratch::default();
+        let traced = cg_solve_in(
+            &a,
+            &mut x_traced,
+            &b,
+            6,
+            0.0,
+            Some(&mut residuals),
+            &mut scratch,
+        );
         assert_eq!(x_plain, x_traced, "tracing must not change arithmetic");
         assert_eq!(plain, traced);
         // One entry before iteration 1 plus one per iteration.

@@ -45,61 +45,45 @@ impl F16 {
     ///
     /// Values above [`F16::MAX`] overflow to infinity; values below the
     /// subnormal range flush to (signed) zero via the rounding, matching
-    /// hardware `__float2half_rn`.
+    /// hardware `__float2half_rn`. A NaN stays a NaN of the same sign,
+    /// keeping the top ten bits of its payload with the quiet bit set.
+    ///
+    /// Branch-free: all three encodings are computed and the magnitude
+    /// selects one, so a loop over a slice vectorizes.
+    ///
+    /// * normal results rebase the exponent by integer subtraction and
+    ///   round the 13 dropped mantissa bits to nearest even by adding
+    ///   `0xFFF` plus the lowest kept bit — a carry rolls into the
+    ///   exponent, and from the largest finite value into infinity;
+    /// * subnormal results (`|x| < 2⁻¹⁴`) add `0.5`, whose ulp is the
+    ///   binary16 subnormal unit `2⁻²⁴`, so the FPU's own rounding leaves
+    ///   the encoded mantissa in the low bits of the sum;
+    /// * `|x| ≥ 2¹⁶` is infinity, or NaN with payload
+    ///   `0x7E00 | mantissa >> 13`.
     #[inline]
     pub fn from_f32(x: f32) -> F16 {
         let bits = x.to_bits();
-        let sign = ((bits >> 16) & 0x8000) as u16;
-        let exp = ((bits >> 23) & 0xFF) as i32;
-        let man = bits & 0x007F_FFFF;
-
-        if exp == 0xFF {
-            // Infinity or NaN. Preserve NaN-ness (set a mantissa bit).
-            return if man == 0 {
-                F16(sign | EXP_MASK)
-            } else {
-                F16(sign | EXP_MASK | 0x0200 | ((man >> 13) as u16 & MAN_MASK))
-            };
-        }
-
-        // Unbiased exponent in f32, rebiased for f16 (bias 15).
-        let unbiased = exp - 127;
-        let half_exp = unbiased + 15;
-
-        if half_exp >= 0x1F {
-            // Overflow → infinity.
-            return F16(sign | EXP_MASK);
-        }
-
-        if half_exp <= 0 {
-            // Subnormal (or zero) in f16. The implicit leading 1 of the f32
-            // mantissa becomes explicit and is shifted right.
-            if half_exp < -10 {
-                // Too small even for the largest shift: rounds to zero.
-                return F16(sign);
-            }
-            let full_man = man | 0x0080_0000; // make leading 1 explicit
-                                              // value = full_man × 2^(unbiased-23); subnormal unit is 2⁻²⁴,
-                                              // so half_man = full_man >> (14 - half_exp).
-            let shift = (14 - half_exp) as u32;
-            let half_man = full_man >> shift;
-            // Round to nearest even on the dropped bits.
-            let dropped = full_man & ((1u32 << shift) - 1);
-            let halfway = 1u32 << (shift - 1);
-            let mut h = half_man as u16;
-            if dropped > halfway || (dropped == halfway && (h & 1) == 1) {
-                h += 1; // may carry into the exponent: that is correct
-            }
-            return F16(sign | h);
-        }
-
-        // Normal case: keep top 10 mantissa bits, round-to-nearest-even.
-        let mut h = (half_exp as u16) << 10 | ((man >> 13) as u16 & MAN_MASK);
-        let dropped = man & 0x1FFF;
-        if dropped > 0x1000 || (dropped == 0x1000 && (h & 1) == 1) {
-            h += 1; // carries into exponent (and to infinity) correctly
-        }
-        F16(sign | h)
+        let sign = (bits >> 16) & 0x8000;
+        let abs = bits & 0x7FFF_FFFF;
+        let odd = (abs >> 13) & 1;
+        let normal = abs.wrapping_sub(112 << 23).wrapping_add(0xFFF + odd) >> 13;
+        let half = f32::from_bits(126 << 23);
+        let subnormal = (f32::from_bits(abs) + half)
+            .to_bits()
+            .wrapping_sub(half.to_bits());
+        let special = if abs > 0x7F80_0000 {
+            0x7E00 | ((abs >> 13) & 0x3FF)
+        } else {
+            0x7C00
+        };
+        let h = if abs >= 143 << 23 {
+            special
+        } else if abs < 113 << 23 {
+            subnormal
+        } else {
+            normal
+        };
+        F16((sign | h) as u16)
     }
 
     /// Widen to `f32`. Exact for every binary16 value.
@@ -193,11 +177,33 @@ impl core::fmt::Display for F16 {
 ///
 /// This is the store path of the paper's FP16 pipeline: `get_hermitian`
 /// writes `A_u` once in FP16; the CG solver then reads it many times.
+///
+/// On x86-64 hosts with AVX2 the loop runs in an AVX2 compilation of the
+/// same body (the dispatch `kernel` uses); [`F16::from_f32`] is
+/// branch-free, so it vectorizes at either width with the same bits.
 pub fn narrow_slice(src: &[f32], dst: &mut [F16]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the AVX2 requirement was just probed on this host.
+        return unsafe { narrow_slice_avx2(src, dst) };
+    }
+    narrow_slice_impl(src, dst)
+}
+
+#[inline(always)]
+fn narrow_slice_impl(src: &[f32], dst: &mut [F16]) {
     assert_eq!(src.len(), dst.len(), "narrow_slice: length mismatch");
     for (d, &s) in dst.iter_mut().zip(src) {
         *d = F16::from_f32(s);
     }
+}
+
+/// [`narrow_slice_impl`] compiled for AVX2. Callers must have verified
+/// AVX2 support.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn narrow_slice_avx2(src: &[f32], dst: &mut [F16]) {
+    narrow_slice_impl(src, dst)
 }
 
 /// Widen a whole `F16` slice into a pre-allocated `f32` buffer.
@@ -211,6 +217,126 @@ pub fn widen_slice(src: &[F16], dst: &mut [f32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The branchy encoder `F16::from_f32` replaced, kept as the
+    /// reference the branch-free one must match bit for bit.
+    fn from_f32_reference(x: f32) -> F16 {
+        let bits = x.to_bits();
+        let sign = ((bits >> 16) & 0x8000) as u16;
+        let exp = ((bits >> 23) & 0xFF) as i32;
+        let man = bits & 0x007F_FFFF;
+
+        if exp == 0xFF {
+            // Infinity or NaN. Preserve NaN-ness (set a mantissa bit).
+            return if man == 0 {
+                F16(sign | EXP_MASK)
+            } else {
+                F16(sign | EXP_MASK | 0x0200 | ((man >> 13) as u16 & MAN_MASK))
+            };
+        }
+
+        // Unbiased exponent in f32, rebiased for f16 (bias 15).
+        let half_exp = exp - 127 + 15;
+        if half_exp >= 0x1F {
+            // Overflow → infinity.
+            return F16(sign | EXP_MASK);
+        }
+
+        if half_exp <= 0 {
+            // Subnormal (or zero) in f16: the implicit leading 1 of the
+            // f32 mantissa becomes explicit and is shifted right.
+            if half_exp < -10 {
+                // Too small even for the largest shift: rounds to zero.
+                return F16(sign);
+            }
+            let full_man = man | 0x0080_0000;
+            // value = full_man × 2^(exp-150); the subnormal unit is 2⁻²⁴,
+            // so half_man = full_man >> (14 - half_exp).
+            let shift = (14 - half_exp) as u32;
+            let half_man = full_man >> shift;
+            // Round to nearest even on the dropped bits.
+            let dropped = full_man & ((1u32 << shift) - 1);
+            let halfway = 1u32 << (shift - 1);
+            let mut h = half_man as u16;
+            if dropped > halfway || (dropped == halfway && (h & 1) == 1) {
+                h += 1; // may carry into the exponent: that is correct
+            }
+            return F16(sign | h);
+        }
+
+        // Normal case: keep top 10 mantissa bits, round-to-nearest-even.
+        let mut h = (half_exp as u16) << 10 | ((man >> 13) as u16 & MAN_MASK);
+        let dropped = man & 0x1FFF;
+        if dropped > 0x1000 || (dropped == 0x1000 && (h & 1) == 1) {
+            h += 1; // carries into exponent (and to infinity) correctly
+        }
+        F16(sign | h)
+    }
+
+    fn assert_encodes_like_reference(bits: u32) {
+        let x = f32::from_bits(bits);
+        assert_eq!(
+            F16::from_f32(x).to_bits(),
+            from_f32_reference(x).to_bits(),
+            "input {bits:#010x}"
+        );
+    }
+
+    /// Every sign × exponent × top-ten-mantissa pattern, crossed with the
+    /// low 13 bits that decide the rounding (zero, sticky-only, just
+    /// below, at and just above halfway, all ones), plus NaN payloads.
+    #[test]
+    fn encoder_matches_reference_on_rounding_critical_patterns() {
+        const LOW: [u32; 6] = [0, 1, 0x0FFF, 0x1000, 0x1001, 0x1FFF];
+        for sign in [0u32, 1] {
+            for exp in 0u32..256 {
+                for top in 0u32..1024 {
+                    for low in LOW {
+                        assert_encodes_like_reference(sign << 31 | exp << 23 | top << 13 | low);
+                    }
+                }
+            }
+        }
+        for payload in [
+            1u32, 0x1FFF, 0x2000, 0x40_0000, 0x40_0001, 0x7F_FFFF, 0x15_5555,
+        ] {
+            assert_encodes_like_reference(0x7F80_0000 | payload);
+            assert_encodes_like_reference(0xFF80_0000 | payload);
+        }
+    }
+
+    /// The whole `f32` domain; about 20 s in release, so it runs under
+    /// `cargo test --release -p cumf-numeric -- --ignored`.
+    #[test]
+    #[ignore = "exhaustive 2^32 sweep: run in release with --ignored"]
+    fn encoder_matches_reference_on_every_f32() {
+        let mut src = vec![0.0f32; 1 << 16];
+        let mut dst = vec![F16::ZERO; 1 << 16];
+        for hi in 0u32..1 << 16 {
+            for (lo, x) in src.iter_mut().enumerate() {
+                *x = f32::from_bits(hi << 16 | lo as u32);
+            }
+            narrow_slice(&src, &mut dst);
+            for (&x, h) in src.iter().zip(&dst) {
+                let want = from_f32_reference(x);
+                assert_eq!(h.to_bits(), want.to_bits(), "input {:#010x}", x.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn narrow_slice_matches_scalar_encoder_at_every_length() {
+        let src: Vec<f32> = (0..67)
+            .map(|i| f32::from_bits(0x3300_0000u32.wrapping_add(i * 0x0123_4567)))
+            .collect();
+        for len in 0..src.len() {
+            let mut dst = vec![F16::ZERO; len];
+            narrow_slice(&src[..len], &mut dst);
+            for (&x, h) in src.iter().zip(&dst) {
+                assert_eq!(h.to_bits(), F16::from_f32(x).to_bits());
+            }
+        }
+    }
 
     #[test]
     fn exact_small_integers_round_trip() {

@@ -35,6 +35,19 @@
 //! [`TILE_USERS`] users instead of once per user, quartering the Θ
 //! traffic of a batched scan.
 //!
+//! # The Gram kernel
+//!
+//! [`syrk_packed`] is the training side's kernel: the rank-k update of a
+//! packed symmetric `A_u` behind `get_hermitian`. It needs no lane order,
+//! because it has no reduction: every element of `A_u` is its own
+//! accumulator, receiving one `mul` then `add` per staged vector in the
+//! vectors' order, exactly as a loop of rank-1 updates does. Register
+//! blocking — a [`GRAM_ROWS`]` × `[`LANES`] tile of `A_u` held in
+//! registers while the whole staged batch streams through it — changes
+//! only the loop nest, so the result is bit-identical to the rank-1 loop
+//! whatever the tile. The tile is a host constant; the paper's `T × T`
+//! register tile is device geometry that only the GPU cost model prices.
+//!
 //! # Vector-width multiversioning
 //!
 //! The lane order fixes *what* is computed, not how wide the machine
@@ -404,6 +417,119 @@ fn score_tile_f16_impl(
     }
 }
 
+/// Rows of `A` held in one [`syrk_packed`] register tile. With [`LANES`]
+/// columns that is four 8-lane accumulators; every staged vector is
+/// streamed through the tile before it is stored back.
+pub const GRAM_ROWS: usize = 4;
+
+/// Symmetric rank-k update of a packed lower triangle — the Gram kernel
+/// of `get_hermitian`: for every `i ≥ j` and every staged vector `θ` in
+/// order, `acc[i(i+1)/2 + j] += θ[i] * θ[j]`.
+///
+/// `acc` is the packed lower triangle of an `f × f` matrix (row `i`
+/// holds columns `0..=i`). `staged` holds the batch's vectors at row
+/// stride `ld`, which must be at least `f` rounded up to [`LANES`]: the
+/// diagonal tiles read whole [`LANES`]-wide column chunks, and the
+/// padding lanes they read are multiplied but never stored, so their
+/// contents do not matter.
+///
+/// The triangle is walked in [`GRAM_ROWS`]` × `[`LANES`] register tiles
+/// (the tile on the diagonal stores only its lower part), and each tile
+/// is loaded once, updated by every staged vector, then stored once.
+/// That is only a change of loop nest: each element still receives one
+/// `mul` then `add` per staged vector, in the vectors' order, so the
+/// result is bit-identical to one rank-1 update per vector.
+///
+/// Panics if `acc` is not `f(f+1)/2` long, `ld` is too small, or
+/// `staged` is not a whole number of rows.
+pub fn syrk_packed(acc: &mut [f32], f: usize, staged: &[f32], ld: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the AVX2 requirement was just probed on this host.
+        return unsafe { avx2::syrk_packed(acc, f, staged, ld) };
+    }
+    syrk_packed_impl(acc, f, staged, ld)
+}
+
+#[inline(always)]
+fn syrk_packed_impl(acc: &mut [f32], f: usize, staged: &[f32], ld: usize) {
+    assert_eq!(acc.len(), f * (f + 1) / 2, "syrk_packed: bad packed length");
+    if f == 0 {
+        return;
+    }
+    assert!(
+        ld >= f.next_multiple_of(LANES),
+        "syrk_packed: stride {ld} is shorter than the padded row"
+    );
+    assert_eq!(staged.len() % ld, 0, "syrk_packed: partial staged row");
+    let mut i0 = 0;
+    while i0 + GRAM_ROWS <= f {
+        gram_row_block::<GRAM_ROWS>(acc, staged, ld, i0);
+        i0 += GRAM_ROWS;
+    }
+    match f - i0 {
+        1 => gram_row_block::<1>(acc, staged, ld, i0),
+        2 => gram_row_block::<2>(acc, staged, ld, i0),
+        3 => gram_row_block::<3>(acc, staged, ld, i0),
+        _ => {}
+    }
+}
+
+/// Rows `i0..i0 + R` of the triangle: the full tiles left of the
+/// diagonal, then the diagonal tile. `i0` is a multiple of
+/// [`GRAM_ROWS`], so the diagonal tile starts at `i0` rounded down to
+/// [`LANES`] and row `r` keeps `(i0 % LANES) + r + 1 ≤ LANES` of its
+/// columns.
+#[inline(always)]
+fn gram_row_block<const R: usize>(acc: &mut [f32], staged: &[f32], ld: usize, i0: usize) {
+    let diag = i0 / LANES * LANES;
+    let mut j0 = 0;
+    while j0 < diag {
+        gram_tile::<R>(acc, staged, ld, i0, j0, [LANES; R]);
+        j0 += LANES;
+    }
+    let mut width = [0; R];
+    for (r, w) in width.iter_mut().enumerate() {
+        *w = i0 + r + 1 - diag;
+    }
+    gram_tile::<R>(acc, staged, ld, i0, diag, width);
+}
+
+/// One register tile: rows `i0..i0 + R`, columns `j0..j0 + LANES`, of
+/// which row `r` loads and stores only its first `width[r]` columns.
+#[inline(always)]
+fn gram_tile<const R: usize>(
+    acc: &mut [f32],
+    staged: &[f32],
+    ld: usize,
+    i0: usize,
+    j0: usize,
+    width: [usize; R],
+) {
+    let mut t = [[0.0f32; LANES]; R];
+    for r in 0..R {
+        let base = (i0 + r) * (i0 + r + 1) / 2 + j0;
+        t[r][..width[r]].copy_from_slice(&acc[base..base + width[r]]);
+    }
+    assert!(
+        i0 + R <= ld && j0 + LANES <= ld,
+        "gram tile outside the row"
+    );
+    for theta in staged.chunks_exact(ld) {
+        let tj = &theta[j0..j0 + LANES];
+        for r in 0..R {
+            let ti = theta[i0 + r];
+            for l in 0..LANES {
+                t[r][l] += ti * tj[l];
+            }
+        }
+    }
+    for r in 0..R {
+        let base = (i0 + r) * (i0 + r + 1) / 2 + j0;
+        acc[base..base + width[r]].copy_from_slice(&t[r][..width[r]]);
+    }
+}
+
 /// AVX2 compilations of the portable kernel bodies. Each function simply
 /// inlines the matching `*_impl` under `#[target_feature(enable =
 /// "avx2")]`, so the evaluation order — and therefore every bit of the
@@ -476,6 +602,11 @@ mod avx2 {
             acc[l] += x * decode_f16(h);
         }
         reduce_lanes(acc)
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn syrk_packed(acc: &mut [f32], f: usize, staged: &[f32], ld: usize) {
+        syrk_packed_impl(acc, f, staged, ld)
     }
 
     #[target_feature(enable = "avx2")]
@@ -711,6 +842,89 @@ mod tests {
                 "len {len}"
             );
         }
+    }
+
+    /// One rank-1 update per staged vector, element by element in packed
+    /// order — the loop `syrk_packed` replaces.
+    fn reference_syrk(acc: &mut [f32], f: usize, staged: &[f32], ld: usize) {
+        for theta in staged.chunks_exact(ld) {
+            for i in 0..f {
+                for j in 0..=i {
+                    acc[i * (i + 1) / 2 + j] += theta[i] * theta[j];
+                }
+            }
+        }
+    }
+
+    /// A staged batch whose padding lanes hold NaN: they are read by the
+    /// diagonal tiles but must never reach a stored element. Rows 1 and 3
+    /// repeat row 0, as a row with duplicate columns stages them.
+    fn staged_batch(f: usize, n: usize, seed: u64) -> (Vec<f32>, usize) {
+        let ld = f.next_multiple_of(LANES);
+        let (vals, _) = vecs(n * f, seed);
+        let mut staged = vec![f32::NAN; n * ld];
+        for k in 0..n {
+            let src = if k == 1 || k == 3 { 0 } else { k };
+            staged[k * ld..k * ld + f].copy_from_slice(&vals[src * f..(src + 1) * f]);
+        }
+        (staged, ld)
+    }
+
+    /// Both compilations of the Gram kernel against the rank-1 loop, on
+    /// odd and lane-multiple `f`, batch sizes from one vector to a full
+    /// BIN, and a non-zero starting triangle (a second batch continuing
+    /// the first).
+    #[test]
+    fn syrk_packed_is_bit_identical_to_rank1_updates() {
+        type Syrk = fn(&mut [f32], usize, &[f32], usize);
+        let mut kernels: Vec<(&str, Syrk)> = vec![("portable", |acc, f, staged, ld| {
+            syrk_packed_impl(acc, f, staged, ld)
+        })];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            kernels.push(("avx2", |acc, f, staged, ld| {
+                // SAFETY: the AVX2 requirement was just probed on this host.
+                unsafe { avx2::syrk_packed(acc, f, staged, ld) }
+            }));
+        }
+        for (name, kernel) in kernels {
+            for f in [1usize, 3, 7, 8, 9, 15, 16, 17, 24, 100, 128] {
+                for n in [1usize, 5, 32] {
+                    let (start, _) = vecs(f * (f + 1) / 2, 3 + f as u64);
+                    let (staged, ld) = staged_batch(f, n.max(4), 17 * f as u64 + n as u64);
+                    let staged = &staged[..n * ld];
+                    let mut got = start.clone();
+                    kernel(&mut got, f, staged, ld);
+                    let mut want = start;
+                    reference_syrk(&mut want, f, staged, ld);
+                    let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                    let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, want, "{name}: f={f} n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn syrk_packed_accepts_a_wider_stride_and_an_empty_batch() {
+        let f = 10;
+        let ld = 24;
+        let (vals, _) = vecs(2 * ld, 8);
+        let mut got = vec![0.0f32; f * (f + 1) / 2];
+        syrk_packed(&mut got, f, &vals, ld);
+        let mut want = vec![0.0f32; f * (f + 1) / 2];
+        reference_syrk(&mut want, f, &vals, ld);
+        assert_eq!(got, want);
+        syrk_packed(&mut got, f, &[], ld);
+        assert_eq!(got, want, "an empty batch leaves A untouched");
+        syrk_packed(&mut [], 0, &[], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "shorter than the padded row")]
+    fn syrk_packed_rejects_an_unpadded_stride() {
+        let mut acc = vec![0.0f32; 55];
+        syrk_packed(&mut acc, 10, &[0.0; 10], 10);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use crate::dense::DenseMatrix;
 use crate::f16::F16;
+use crate::kernel::decode_f16;
 
 /// A symmetric `dim × dim` matrix stored as its packed lower triangle.
 #[derive(Clone, Debug, PartialEq)]
@@ -115,19 +116,23 @@ impl SymPacked {
 
     /// Symmetric matrix–vector product `y = self · x`, reading each packed
     /// element once and using it for both `(i,j)` and `(j,i)`.
+    ///
+    /// Row `i` runs as two passes over its off-diagonal part: the scatter
+    /// `y[j] += a_ij·x_i`, one independent update per element (so it
+    /// vectorizes), then the sequential chain `acc += a_ij·x_j`. Every
+    /// `y[j]` and every `acc` sees the same operations in the same order
+    /// as the single fused loop, so the bits do not depend on the split.
     pub fn matvec(&self, x: &[f32], y: &mut [f32]) {
         assert_eq!(x.len(), self.dim, "sym matvec: x length");
         assert_eq!(y.len(), self.dim, "sym matvec: y length");
         y.fill(0.0);
         for i in 0..self.dim {
             let base = i * (i + 1) / 2;
-            let mut acc = 0.0f32;
-            for j in 0..i {
-                let a = self.data[base + j];
-                acc += a * x[j];
-                y[j] += a * x[i];
-            }
-            y[i] += acc + self.data[base + i] * x[i];
+            let xi = x[i];
+            let row = &self.data[base..base + i];
+            scatter_row(row, xi, &mut y[..i]);
+            let acc = chain_row(0.0, row, &x[..i]);
+            y[i] += acc + self.data[base + i] * xi;
         }
     }
 
@@ -159,14 +164,41 @@ impl SymPacked {
 
     /// Narrow the packed buffer to FP16 (the paper's Solution-4 store path).
     pub fn to_f16(&self) -> SymPackedF16 {
-        let mut data = vec![F16::ZERO; self.data.len()];
-        crate::f16::narrow_slice(&self.data, &mut data);
-        SymPackedF16 {
-            dim: self.dim,
-            data,
-        }
+        let mut out = SymPackedF16::zeros(self.dim);
+        self.to_f16_into(&mut out);
+        out
+    }
+
+    /// [`SymPacked::to_f16`] into an existing matrix, so a solver that
+    /// narrows one `A_u` per row reuses one buffer.
+    ///
+    /// Panics if `out` has a different dimension.
+    pub fn to_f16_into(&self, out: &mut SymPackedF16) {
+        assert_eq!(out.dim, self.dim, "to_f16_into: dimension mismatch");
+        crate::f16::narrow_slice(&self.data, &mut out.data);
     }
 }
+
+/// `y[j] += a[j]·xi` for every `j`: independent updates, one per element.
+#[inline]
+fn scatter_row(a: &[f32], xi: f32, y: &mut [f32]) {
+    for (yj, &aj) in y.iter_mut().zip(a) {
+        *yj += aj * xi;
+    }
+}
+
+/// `acc + Σ a[j]·x[j]`, accumulated left to right in one chain.
+#[inline]
+fn chain_row(mut acc: f32, a: &[f32], x: &[f32]) -> f32 {
+    for (&aj, &xj) in a.iter().zip(x) {
+        acc += aj * xj;
+    }
+    acc
+}
+
+/// Columns decoded per pass of [`SymPackedF16::matvec`]: a stack buffer,
+/// so the decode needs no heap scratch at any dimension.
+const DECODE_CHUNK: usize = 64;
 
 /// A symmetric packed matrix stored in binary16 — the reduced-precision form
 /// `A_u` takes in device memory for the FP16 CG solver.
@@ -177,6 +209,14 @@ pub struct SymPackedF16 {
 }
 
 impl SymPackedF16 {
+    /// The zero matrix of dimension `dim`.
+    pub fn zeros(dim: usize) -> Self {
+        SymPackedF16 {
+            dim,
+            data: vec![F16::ZERO; packed_len(dim)],
+        }
+    }
+
     /// Dimension of the matrix.
     #[inline]
     pub fn dim(&self) -> usize {
@@ -197,19 +237,32 @@ impl SymPackedF16 {
 
     /// Symmetric matvec reading FP16 storage, accumulating in FP32 — exactly
     /// the arithmetic contract of half-precision loads on the GPU.
+    ///
+    /// Each row is processed in chunks of columns, three passes per chunk:
+    /// widen the FP16 entries into a stack buffer (branch-free and exact,
+    /// see [`decode_f16`]), the vectorized scatter `y[j] += a_ij·x_i`, and
+    /// the sequential chain `acc += a_ij·x_j`, which carries across
+    /// chunks. The result is bit-identical to [`SymPacked::matvec`] on the
+    /// widened matrix.
     pub fn matvec(&self, x: &[f32], y: &mut [f32]) {
-        assert_eq!(x.len(), self.dim);
-        assert_eq!(y.len(), self.dim);
+        assert_eq!(x.len(), self.dim, "sym f16 matvec: x length");
+        assert_eq!(y.len(), self.dim, "sym f16 matvec: y length");
         y.fill(0.0);
+        let mut buf = [0.0f32; DECODE_CHUNK];
         for i in 0..self.dim {
             let base = i * (i + 1) / 2;
+            let xi = x[i];
             let mut acc = 0.0f32;
-            for j in 0..i {
-                let a = self.data[base + j].to_f32();
-                acc += a * x[j];
-                y[j] += a * x[i];
+            for j0 in (0..i).step_by(DECODE_CHUNK) {
+                let j1 = (j0 + DECODE_CHUNK).min(i);
+                let a = &mut buf[..j1 - j0];
+                for (aj, &h) in a.iter_mut().zip(&self.data[base + j0..base + j1]) {
+                    *aj = decode_f16(h);
+                }
+                scatter_row(a, xi, &mut y[j0..j1]);
+                acc = chain_row(acc, a, &x[j0..j1]);
             }
-            y[i] += acc + self.data[base + i].to_f32() * x[i];
+            y[i] += acc + decode_f16(self.data[base + i]) * xi;
         }
     }
 
@@ -307,6 +360,77 @@ mod tests {
     fn dense_round_trip() {
         let s = sample();
         assert_eq!(SymPacked::from_dense_lower(&s.to_dense()), s);
+    }
+
+    /// The fused single-loop matvec the split passes replaced: both
+    /// updates of `a_ij` in one inner loop, reading entries through `get`.
+    fn reference_matvec(dim: usize, get: impl Fn(usize) -> f32, x: &[f32], y: &mut [f32]) {
+        y.fill(0.0);
+        for i in 0..dim {
+            let base = i * (i + 1) / 2;
+            let mut acc = 0.0f32;
+            for j in 0..i {
+                let a = get(base + j);
+                acc += a * x[j];
+                y[j] += a * x[i];
+            }
+            y[i] += acc + get(base + i) * x[i];
+        }
+    }
+
+    fn lcg(seed: u64) -> impl FnMut() -> f32 {
+        let mut state = seed;
+        move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as f32 / (1u64 << 31) as f32 - 0.5) * 3.7
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Dimensions below, at and across the FP16 decode chunk.
+    const DIMS: [usize; 9] = [0, 1, 2, 7, 8, 63, 64, 65, 130];
+
+    #[test]
+    fn split_matvec_is_bit_identical_to_the_fused_loop() {
+        for dim in DIMS {
+            let mut next = lcg(dim as u64 + 5);
+            let a = SymPacked::from_packed(dim, (0..packed_len(dim)).map(|_| next()).collect());
+            let x: Vec<f32> = (0..dim).map(|_| next()).collect();
+            let (mut got, mut want) = (vec![1.0; dim], vec![0.0; dim]);
+            a.matvec(&x, &mut got);
+            reference_matvec(dim, |k| a.as_slice()[k], &x, &mut want);
+            assert_eq!(bits(&got), bits(&want), "dim {dim}");
+        }
+    }
+
+    #[test]
+    fn split_f16_matvec_is_bit_identical_to_the_fused_loop() {
+        for dim in DIMS {
+            let mut next = lcg(dim as u64 + 11);
+            // Finite FP16 entries of every exponent, subnormals included.
+            let data: Vec<F16> = (0..packed_len(dim))
+                .map(|k| F16::from_bits((k as u16).wrapping_mul(40503) % 0x7C00))
+                .collect();
+            let a = SymPackedF16 { dim, data };
+            let x: Vec<f32> = (0..dim).map(|_| next()).collect();
+            let (mut got, mut want) = (vec![1.0; dim], vec![0.0; dim]);
+            a.matvec(&x, &mut got);
+            reference_matvec(dim, |k| a.as_slice()[k].to_f32(), &x, &mut want);
+            assert_eq!(bits(&got), bits(&want), "dim {dim}");
+        }
+    }
+
+    #[test]
+    fn to_f16_into_reuses_a_buffer_with_the_same_bits() {
+        let s = sample();
+        let mut out = SymPackedF16::zeros(3);
+        s.to_f16_into(&mut out);
+        assert_eq!(out, s.to_f16());
     }
 
     #[test]
