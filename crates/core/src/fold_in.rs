@@ -113,9 +113,11 @@ pub fn fold_in_row(
 
 /// Fold a batch of new rows in, returning an `rows × f` factor matrix.
 /// Rows solve in parallel, each worker reusing one [`FoldInScratch`].
-pub fn fold_in_batch(
+/// Each row is any borrowable rating list (`Vec<(u32, f32)>` or a slice),
+/// so callers can fold histories they do not own.
+pub fn fold_in_batch<R: AsRef<[(u32, f32)]> + Sync>(
     item_factors: &DenseMatrix,
-    rows: &[Vec<(u32, f32)>],
+    rows: &[R],
     lambda: f32,
     solver: &SolverKind,
 ) -> DenseMatrix {
@@ -128,7 +130,7 @@ pub fn fold_in_batch(
         .for_each_init(
             || FoldInScratch::new(f),
             |scratch, (row, ratings)| {
-                fold_in_row_into(item_factors, ratings, lambda, solver, scratch, row);
+                fold_in_row_into(item_factors, ratings.as_ref(), lambda, solver, scratch, row);
             },
         );
     out

@@ -7,30 +7,40 @@
 //! request path generalizes "which user" into a [`Query`] — user → top-k,
 //! item → similar items, user → similar users, rank-a-slate, and explain —
 //! each resolving to a (query vector, target matrix, candidate set) triple
-//! served through the same sharded scorer (see [`crate::query`]):
+//! served through the same sharded scorer (see [`crate::query`]).
 //!
-//! 1. snapshot the registry's routing state once per batch
-//!    ([`crate::registry::Router`]) and resolve every request to a model —
-//!    explicit [`ModelId`], default alias, or deterministic canary split;
-//!    routing failures become per-request [`ServeError`]s, not panics;
-//! 2. answer the cacheable endpoints (user → top-k, item → similar
-//!    items) from the lock-striped result cache ([`StripedCache`]) when
-//!    possible — keys carry `(model, epoch, id, endpoint, retrieval)`, so
-//!    canary arms never see each other's entries, exact/approximate
-//!    answers never alias, and an item→item ranking never answers for a
-//!    user→top-k one;
-//! 3. fold cold users' rating histories into factor vectors with
-//!    [`cumf_als::fold_in_batch`] (one regularized solve each, CG or
-//!    Cholesky per the configured [`SolverKind`]) against the routed
-//!    model's full Θ;
-//! 4. scatter each model's share of the batch across its snapshot's
-//!    shards, one blocked scoring pass per shard, and gather the per-shard
-//!    heaps into global rankings ([`scatter_top_k`] + gather —
-//!    bit-identical to the unsharded scorer);
-//! 5. fill the cache, update the typed serving metrics
-//!    ([`crate::obs::ServeMetrics`], including per-model `model="…"`
-//!    series), and stamp a [`BatchTrace`] whose stage timestamps the
-//!    admission worker turns into per-request spans.
+//! A batch runs five stages, each stamping one [`BatchTrace`] boundary:
+//!
+//! 1. **resolve** — snapshot the registry's routing state once per batch
+//!    ([`crate::registry::Router`]), route every request to a model
+//!    (explicit [`ModelId`], default alias, or deterministic canary
+//!    split), validate it per endpoint, and answer the cacheable
+//!    endpoints (user → top-k, item → similar items) from the
+//!    lock-striped result cache ([`StripedCache`]) when possible. Keys
+//!    carry `(model, epoch, id, endpoint, retrieval)`, so canary arms
+//!    never see each other's entries, exact/approximate answers never
+//!    alias, and an item→item ranking never answers for a user→top-k one.
+//!    Failures become per-request [`ServeError`]s, not panics; every other
+//!    request becomes one job on its model's list: a scan row, a slate,
+//!    or an explain;
+//! 2. **assemble** — fold cold users' rating histories into factor
+//!    vectors with [`cumf_als::fold_in_batch`] (one regularized solve
+//!    each, CG or Cholesky per the configured [`SolverKind`]) against the
+//!    routed model's full Θ, and build one query matrix per model and
+//!    scan plan (top-k and similar items over Θ, similar users over X);
+//! 3. **scan** — scatter each query matrix across its target's shards,
+//!    one blocked scoring pass per shard ([`scatter_top_k`]), and score
+//!    the slates and explains directly;
+//! 4. **merge** — gather the per-shard heaps into global rankings
+//!    (bit-identical to the unsharded scorer), drop a similarity query's
+//!    own id, and keep the best k;
+//! 5. **respond** — fill the cache and build the responses in request
+//!    order.
+//!
+//! One `record` step then updates the typed serving metrics
+//! ([`crate::obs::ServeMetrics`], including per-model `model="…"` and
+//! per-endpoint series), the journal and the phase spans; the admission
+//! worker turns the trace's timestamps into per-request spans.
 //!
 //! Telemetry uses *wall-clock* seconds since engine construction as the
 //! time base — serving is a real host-side workload, unlike training whose
@@ -48,15 +58,16 @@ use crate::error::ServeError;
 use crate::obs::{
     BatchTrace, EventKind, HealthCheck, HealthStatus, ObsConfig, ServeObs, ShardMetrics,
 };
-use crate::registry::{CanaryPolicy, ModelEntry, ModelId, ModelRegistry, RouteKey};
+use crate::registry::{CanaryPolicy, ModelEntry, ModelId, ModelRegistry, RoutingTable};
 use crate::scorer::{explain_one, QuantMode, Retrieval, ScoreConfig};
-use crate::shard::{rank_slate_sharded, scatter_top_k, ShardTiming, ShardedSnapshot};
+use crate::shard::{rank_slate_sharded, scatter_top_k, ShardScatter, ShardTiming, ShardedSnapshot};
 use crate::store::ModelSnapshot;
 use crate::topk::ScoredItem;
 use cumf_als::{fold_in_batch, SolverKind};
 use cumf_numeric::dense::DenseMatrix;
-use cumf_telemetry::{FootprintReport, MemoryFootprint, PhaseSpan, Recorder, NOOP};
+use cumf_telemetry::{FootprintReport, MemoryFootprint, PhaseSpan, Recorder};
 use std::collections::BTreeMap;
+use std::iter::zip;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -479,24 +490,101 @@ pub struct ServeEngine {
     endpoint_journaled: [AtomicBool; 5],
 }
 
+/// A served response, or the failure that replaced it.
+type Response = Result<Recommendation, ServeError>;
+
+/// The three scan plans, in the order a batch runs them, each named by
+/// the endpoint that issues it (see [`ServeEngine::target`]). Top-k and
+/// similar-items scans both read Θ but stay separate: they fetch a
+/// different number of candidates, and under approximate retrieval the
+/// int8 shortlist grows with that number.
+const PLANS: [Endpoint; 3] = [
+    Endpoint::TopK,
+    Endpoint::SimilarItems,
+    Endpoint::SimilarUsers,
+];
+
 /// One model's share of a batch, keyed by registry slot so iteration
 /// order (and therefore span/timing order) is deterministic.
-struct ModelGroup {
+struct ModelGroup<'r> {
     entry: Arc<ModelEntry>,
     snapshot: Arc<ShardedSnapshot>,
     user_factors: Arc<DenseMatrix>,
-    /// (request index, `Some(user)` when cacheable).
-    to_score: Vec<(usize, Option<u32>)>,
-    /// Cold histories, aligned with the `None` entries of `to_score`.
-    cold_histories: Vec<Vec<(u32, f32)>>,
-    /// Similar-items queries: (request index, query item id).
-    similar_items: Vec<(usize, u32)>,
-    /// Similar-users queries: (request index, query user id).
-    similar_users: Vec<(usize, u32)>,
-    /// Rank-slate queries: (request index, user, candidate slate).
-    rank_slates: Vec<(usize, u32, Vec<u32>)>,
-    /// Explain queries: (request index, user, item).
-    explains: Vec<(usize, u32, u32)>,
+    /// Requests routed to this model, including failed and cached ones.
+    routed: usize,
+    /// Requests answered from the result cache.
+    hits: usize,
+    /// (request index, resolved job) for every request left to serve, in
+    /// request order.
+    jobs: Vec<(usize, Job<'r>)>,
+}
+
+/// A validated request, resolved against its routed model.
+enum Job<'r> {
+    /// One query row of a `q·Tᵀ` scan.
+    Scan(Scan<'r>),
+    /// Rank a caller-supplied slate for a known user (borrowed from the
+    /// request).
+    Slate { user: u32, slate: &'r [u32] },
+    /// Explain one (user, item) score.
+    Explain { user: u32, item: u32 },
+}
+
+/// One query row of a scan, borrowing what it needs from the request.
+struct Scan<'r> {
+    /// The plan (one of [`PLANS`]) the row is scanned under. Similarity
+    /// plans drop the row's own id from its ranking.
+    plan: Endpoint,
+    row: Row<'r>,
+    /// Where the answer is cached; `None` for uncacheable endpoints and
+    /// cold users.
+    key: Option<CacheKey>,
+}
+
+/// Where a scan's query vector comes from.
+enum Row<'r> {
+    /// Row `u` of the model's user factors `X`.
+    User(u32),
+    /// Row `v` of the model's item factors `Θ`.
+    Item(u32),
+    /// A cold user's rating history, folded in by the assemble stage.
+    Cold(&'r [(u32, f32)]),
+}
+
+/// A job's ranking (and, for an explain, its explanation): what the scan
+/// and merge stages produce for the respond stage, one per job.
+type Ranked = (Vec<ScoredItem>, Option<Explanation>);
+
+impl<'r> ModelGroup<'r> {
+    /// The queued scans of `plan` with their positions in `jobs`, in
+    /// request order.
+    fn scans(&self, plan: Endpoint) -> impl Iterator<Item = (usize, &Scan<'r>)> {
+        let jobs = self.jobs.iter().enumerate();
+        jobs.filter_map(move |(pos, (_, job))| match job {
+            Job::Scan(scan) if scan.plan == plan => Some((pos, scan)),
+            _ => None,
+        })
+    }
+
+    /// Queued scans matching `pred`.
+    fn count(&self, pred: impl Fn(&Scan<'r>) -> bool) -> usize {
+        let matching = |(_, job): &&(usize, Job<'r>)| matches!(job, Job::Scan(s) if pred(s));
+        self.jobs.iter().filter(matching).count()
+    }
+
+    /// The response to request `request_id`, served by this group's model
+    /// and epoch.
+    fn recommendation(&self, request_id: u64, ranked: Ranked, from_cache: bool) -> Recommendation {
+        let (items, explanation) = ranked;
+        Recommendation {
+            request_id,
+            model: self.entry.id.clone(),
+            epoch: self.snapshot.epoch(),
+            items,
+            from_cache,
+            explanation,
+        }
+    }
 }
 
 impl ServeEngine {
@@ -649,12 +737,14 @@ impl ServeEngine {
     ) -> Result<Recommendation, ServeError> {
         self.recommend_batch(&[Request::known(user as u64, user)], recorder)
             .pop()
+            // A batch answers every request in its slot, so a batch of one
+            // returns exactly one response.
             .expect("batch of one returns one response")
     }
 
     /// Serve a micro-batch: route every request to a model, cache
     /// lookups, cold-start fold-in, one scatter-gather scoring pass per
-    /// routed model, responses in request order.
+    /// routed model and scan plan, responses in request order.
     ///
     /// Failures are *per request*: a request that routes to an unknown or
     /// retired model, or names a user the routed model does not know,
@@ -671,7 +761,7 @@ impl ServeEngine {
 
     /// [`recommend_batch`](ServeEngine::recommend_batch) plus the batch's
     /// [`BatchTrace`]: six contiguous engine-clock timestamps bracketing
-    /// the cache, fold-in, scatter, merge, and response stages, plus the
+    /// the resolve, assemble, scan, merge, and respond stages, plus the
     /// `(model, epoch)` arms the batch served. The admission worker
     /// re-bases the trace onto each request as a
     /// [`crate::obs::RequestSpan`] whose stage durations telescope to its
@@ -679,8 +769,8 @@ impl ServeEngine {
     ///
     /// Always updates the engine's [`ServeObs`] metrics; additionally
     /// emits `serve.batch` / `serve.batch.*` phase spans (and per-shard
-    /// `serve.shard{i}.score` spans from each model's scatter) when
-    /// `recorder` is enabled.
+    /// `serve.shard{i}.score` spans from every scan) when `recorder` is
+    /// enabled.
     pub fn recommend_batch_traced(
         &self,
         requests: &[Request],
@@ -688,452 +778,34 @@ impl ServeEngine {
     ) -> (Vec<Result<Recommendation, ServeError>>, BatchTrace) {
         let t0 = self.now();
         let table = self.registry.routing_table();
-
-        // Pass 1: route every request, answer from cache (one stripe lock
-        // per lookup), group the rest by model.
-        let mut responses: Vec<Option<Result<Recommendation, ServeError>>> =
-            vec![None; requests.len()];
-        let mut groups: BTreeMap<u32, ModelGroup> = BTreeMap::new();
-        let mut batch_hits = 0u64;
-        let mut errors = 0usize;
-        for (i, req) in requests.iter().enumerate() {
-            // Every query kind routes on a stable key: user-keyed queries
-            // by their user, similar-items by the *item* id (deterministic
-            // per item, so canary arms cache consistently), cold starts by
-            // request id.
-            let route_key = match &req.query {
-                Query::User(UserRef::Known(u)) => RouteKey::User(*u),
-                Query::User(UserRef::Cold(_)) => RouteKey::Cold(req.id),
-                Query::SimilarItems(v) => RouteKey::User(*v),
-                Query::SimilarUsers(u) => RouteKey::User(*u),
-                Query::RankItems { user, .. } => RouteKey::User(*user),
-                Query::Explain { user, .. } => RouteKey::User(*user),
-            };
-            let entry = match table.route(req.model.as_ref(), route_key) {
-                Ok(entry) => entry,
-                Err(e) => {
-                    self.obs.metrics().error(e.reason()).inc();
-                    errors += 1;
-                    responses[i] = Some(Err(e));
-                    continue;
-                }
-            };
-            let group = groups.entry(entry.slot).or_insert_with(|| ModelGroup {
-                snapshot: entry.store.snapshot(),
-                user_factors: entry.user_factors(),
-                entry,
-                to_score: Vec::new(),
-                cold_histories: Vec::new(),
-                similar_items: Vec::new(),
-                similar_users: Vec::new(),
-                rank_slates: Vec::new(),
-                explains: Vec::new(),
-            });
-            group.entry.metrics.requests.inc();
-            let epoch = group.snapshot.epoch();
-            let n_users = group.user_factors.rows();
-            let n_items = group.snapshot.n_items();
-            let unknown_user = |user: u32| ServeError::UnknownUser {
-                user,
-                n_users,
-                model: group.entry.id.clone(),
-            };
-            let unknown_item = |item: u32| ServeError::UnknownItem {
-                item,
-                n_items,
-                model: group.entry.id.clone(),
-            };
-            // Validation per endpoint; `Err` short-circuits the request,
-            // `Ok(None)` means queued for scoring, `Ok(Some(items))` is a
-            // cache hit.
-            let outcome: Result<Option<Vec<ScoredItem>>, ServeError> = match &req.query {
-                Query::User(UserRef::Known(u)) => {
-                    if (*u as usize) >= n_users {
-                        Err(unknown_user(*u))
-                    } else {
-                        let key = CacheKey {
-                            model: group.entry.slot,
-                            epoch,
-                            user: *u,
-                            endpoint: Endpoint::TopK,
-                            retrieval: self.cfg.score.retrieval,
-                        };
-                        match self.cache.get(&key) {
-                            Some(items) => Ok(Some(items)),
-                            None => {
-                                group.to_score.push((i, Some(*u)));
-                                Ok(None)
-                            }
-                        }
-                    }
-                }
-                Query::User(UserRef::Cold(history)) => {
-                    group.to_score.push((i, None));
-                    group.cold_histories.push(history.clone());
-                    Ok(None)
-                }
-                Query::SimilarItems(v) => {
-                    if (*v as usize) >= n_items {
-                        Err(unknown_item(*v))
-                    } else {
-                        let key = CacheKey {
-                            model: group.entry.slot,
-                            epoch,
-                            user: *v,
-                            endpoint: Endpoint::SimilarItems,
-                            retrieval: self.cfg.score.retrieval,
-                        };
-                        match self.cache.get(&key) {
-                            Some(items) => Ok(Some(items)),
-                            None => {
-                                group.similar_items.push((i, *v));
-                                Ok(None)
-                            }
-                        }
-                    }
-                }
-                Query::SimilarUsers(u) => {
-                    if n_users == 0 {
-                        Err(ServeError::NoUserFactors(group.entry.id.clone()))
-                    } else if (*u as usize) >= n_users {
-                        Err(unknown_user(*u))
-                    } else {
-                        group.similar_users.push((i, *u));
-                        Ok(None)
-                    }
-                }
-                Query::RankItems { user, slate } => {
-                    if (*user as usize) >= n_users {
-                        Err(unknown_user(*user))
-                    } else if slate.is_empty() {
-                        Err(ServeError::EmptySlate)
-                    } else if let Some(&bad) = slate.iter().find(|&&v| (v as usize) >= n_items) {
-                        Err(unknown_item(bad))
-                    } else {
-                        group.rank_slates.push((i, *user, slate.clone()));
-                        Ok(None)
-                    }
-                }
-                Query::Explain { user, item } => {
-                    if (*user as usize) >= n_users {
-                        Err(unknown_user(*user))
-                    } else if (*item as usize) >= n_items {
-                        Err(unknown_item(*item))
-                    } else {
-                        group.explains.push((i, *user, *item));
-                        Ok(None)
-                    }
-                }
-            };
-            match outcome {
-                Ok(None) => {}
-                Ok(Some(items)) => {
-                    batch_hits += 1;
-                    group.entry.metrics.cache_hits.inc();
-                    responses[i] = Some(Ok(Recommendation {
-                        request_id: req.id,
-                        model: group.entry.id.clone(),
-                        epoch,
-                        items,
-                        from_cache: true,
-                        explanation: None,
-                    }));
-                }
-                Err(e) => {
-                    self.obs.metrics().error(e.reason()).inc();
-                    errors += 1;
-                    responses[i] = Some(Err(e));
-                }
-            }
-        }
+        let (mut responses, groups) = self.resolve(requests, &table);
         let t1 = self.now();
-
-        // Pass 2: per model (slot order), fold cold users against that
-        // model's full Θ and assemble its batch factor matrix.
-        let mut batches: BTreeMap<u32, DenseMatrix> = BTreeMap::new();
-        for (&slot, group) in &groups {
-            let folded = if group.cold_histories.is_empty() {
-                None
-            } else {
-                Some(fold_in_batch(
-                    group.snapshot.full().item_factors(),
-                    &group.cold_histories,
-                    self.cfg.lambda,
-                    &self.cfg.solver,
-                ))
-            };
-            let mut batch = DenseMatrix::zeros(group.to_score.len(), group.snapshot.f());
-            let mut next_cold = 0usize;
-            for (row, (_, user)) in group.to_score.iter().enumerate() {
-                let src = match user {
-                    Some(u) => group.user_factors.row(*u as usize),
-                    None => {
-                        let r = folded
-                            .as_ref()
-                            .expect("cold rows were folded")
-                            .row(next_cold);
-                        next_cold += 1;
-                        r
-                    }
-                };
-                batch.row_mut(row).copy_from_slice(src);
-            }
-            batches.insert(slot, batch);
-        }
-        // Query matrices for the vector endpoints: similar-items rows are
-        // Θ rows of the query items, similar-users rows are X rows of the
-        // query users — both resolve to "score this vector against a
-        // target matrix", which is the query abstraction's whole point.
-        let mut item_query_batches: BTreeMap<u32, DenseMatrix> = BTreeMap::new();
-        let mut user_query_batches: BTreeMap<u32, DenseMatrix> = BTreeMap::new();
-        for (&slot, group) in &groups {
-            if !group.similar_items.is_empty() {
-                let f = group.snapshot.f();
-                let mut q = DenseMatrix::zeros(group.similar_items.len(), f);
-                for (row, (_, v)) in group.similar_items.iter().enumerate() {
-                    q.row_mut(row)
-                        .copy_from_slice(group.snapshot.full().item_row(*v as usize));
-                }
-                item_query_batches.insert(slot, q);
-            }
-            if !group.similar_users.is_empty() {
-                let f = group.user_factors.cols();
-                let mut q = DenseMatrix::zeros(group.similar_users.len(), f);
-                for (row, (_, u)) in group.similar_users.iter().enumerate() {
-                    q.row_mut(row)
-                        .copy_from_slice(group.user_factors.row(*u as usize));
-                }
-                user_query_batches.insert(slot, q);
-            }
-        }
+        let queries: Vec<_> = groups.iter().map(|g| self.assemble(g)).collect();
         let t2 = self.now();
-
-        // Pass 3: scatter each model's micro-batch across its shards
-        // (slot order, so per-shard `serve.shard{i}.score` spans land
-        // deterministically), then gather per-shard heaps into global
-        // rankings.
-        let mut scatters = Vec::with_capacity(groups.len());
-        for (slot, group) in &groups {
-            let scatter_rec: &dyn Recorder = if group.to_score.is_empty() {
-                &NOOP
-            } else {
-                recorder
-            };
-            let scatter = scatter_top_k(
-                &group.snapshot,
-                &batches[slot],
-                self.cfg.k,
-                &self.cfg.score,
-                scatter_rec,
-                self.now(),
-            );
-            scatters.push((*slot, scatter));
-        }
-        // Vector-endpoint scoring rides the same score window. The
-        // scatters run with a silent recorder so the per-shard span stream
-        // stays exactly the top-k path's; their work is still accounted in
-        // the shard timings merged below.
-        let mut item_scatters = Vec::new();
-        let mut user_scatters = Vec::new();
-        let mut slate_ranked: BTreeMap<u32, Vec<Vec<ScoredItem>>> = BTreeMap::new();
-        let mut slate_timings: Vec<ShardTiming> = Vec::new();
-        let mut explained: BTreeMap<u32, Vec<(Explanation, f32)>> = BTreeMap::new();
-        for (slot, group) in &groups {
-            if let Some(q) = item_query_batches.get(slot) {
-                // k+1 candidates: the query item ranks itself first more
-                // often than not, and one spare guarantees k survivors
-                // after self-exclusion. Runs under the engine's ScoreConfig,
-                // so similar-items gets the ANN dial and FP16 path free.
-                let scatter = scatter_top_k(
-                    &group.snapshot,
-                    q,
-                    self.cfg.k + 1,
-                    &self.cfg.score,
-                    &NOOP,
-                    self.now(),
-                );
-                item_scatters.push((*slot, scatter));
-            }
-            if let Some(q) = user_query_batches.get(slot) {
-                // The user side always scans exactly in FP32: X carries no
-                // FP16/int8/centroid sidecars, and building them per batch
-                // would cost more than the scan they would save.
-                let user_cfg = ScoreConfig {
-                    retrieval: Retrieval::Exact,
-                    use_fp16: false,
-                    ..self.cfg.score
-                };
-                let scatter = scatter_top_k(
-                    &group.entry.user_side_snapshot(),
-                    q,
-                    self.cfg.k + 1,
-                    &user_cfg,
-                    &NOOP,
-                    self.now(),
-                );
-                user_scatters.push((*slot, scatter));
-            }
-            for (_, user, slate) in &group.rank_slates {
-                let (items, timings) = rank_slate_sharded(
-                    &group.snapshot,
-                    group.user_factors.row(*user as usize),
-                    slate,
-                    self.cfg.k,
-                );
-                slate_timings.extend(timings);
-                slate_ranked.entry(*slot).or_default().push(items);
-            }
-            for (_, user, item) in &group.explains {
-                let (e, score) = explain_one(
-                    group.snapshot.full(),
-                    group.user_factors.row(*user as usize),
-                    *item as usize,
-                );
-                explained.entry(*slot).or_default().push((e, score));
-            }
-        }
+        let mut shard_timings = Vec::new();
+        let scanned: Vec<_> = zip(&groups, queries)
+            .map(|(g, q)| self.scan(g, q, recorder, &mut shard_timings))
+            .collect();
         let t3 = self.now();
-        let mut shard_timings: Vec<ShardTiming> = Vec::new();
-        let mut ranked: BTreeMap<u32, Vec<Vec<ScoredItem>>> = BTreeMap::new();
-        for (slot, scatter) in scatters {
-            let (rankings, timings) = scatter.gather(self.cfg.k);
-            if !groups[&slot].to_score.is_empty() {
-                shard_timings.extend(timings);
-            }
-            ranked.insert(slot, rankings);
-        }
-        let mut item_ranked: BTreeMap<u32, Vec<Vec<ScoredItem>>> = BTreeMap::new();
-        for (slot, scatter) in item_scatters {
-            let (rankings, timings) = scatter.gather(self.cfg.k + 1);
-            shard_timings.extend(timings);
-            item_ranked.insert(slot, rankings);
-        }
-        let mut user_ranked: BTreeMap<u32, Vec<Vec<ScoredItem>>> = BTreeMap::new();
-        for (slot, scatter) in user_scatters {
-            let (rankings, timings) = scatter.gather(self.cfg.k + 1);
-            shard_timings.extend(timings);
-            user_ranked.insert(slot, rankings);
-        }
-        shard_timings.extend(slate_timings);
+        let ranked: Vec<_> = zip(&groups, scanned)
+            .map(|(g, s)| self.merge(g, s, &mut shard_timings))
+            .collect();
         let t4 = self.now();
-
-        // Pass 4: fill cache, assemble responses in request order.
-        let mut scored_users = 0usize;
-        let mut cold_users = 0usize;
-        // Only the cacheable endpoints (top-k known users, similar-items)
-        // count as cache misses; the uncached endpoints are scored work
-        // but never a miss.
-        let mut cacheable_misses = 0u64;
-        for (&slot, group) in &groups {
-            let known_misses = group.to_score.len() - group.cold_histories.len();
-            scored_users += known_misses
-                + group.similar_items.len()
-                + group.similar_users.len()
-                + group.rank_slates.len()
-                + group.explains.len();
-            cold_users += group.cold_histories.len();
-            cacheable_misses += (known_misses + group.similar_items.len()) as u64;
-            let epoch = group.snapshot.epoch();
-            let respond = |request_id: u64, items: Vec<ScoredItem>, explanation| {
-                Ok(Recommendation {
-                    request_id,
-                    model: group.entry.id.clone(),
-                    epoch,
-                    items,
-                    from_cache: false,
-                    explanation,
-                })
-            };
-            for ((i, user), items) in group.to_score.iter().zip(&ranked[&slot]) {
-                if let Some(u) = user {
-                    self.cache.insert(
-                        CacheKey {
-                            model: slot,
-                            epoch,
-                            user: *u,
-                            endpoint: Endpoint::TopK,
-                            retrieval: self.cfg.score.retrieval,
-                        },
-                        items.clone(),
-                    );
-                }
-                responses[*i] = Some(respond(requests[*i].id, items.clone(), None));
-            }
-            if let Some(rankings) = item_ranked.get(&slot) {
-                for ((i, v), items) in group.similar_items.iter().zip(rankings) {
-                    // Self-exclusion: drop the query item, keep the best k.
-                    // Filtering the k+1 ranking is provably identical to
-                    // excluding before selection under the total order.
-                    let items: Vec<ScoredItem> = items
-                        .iter()
-                        .filter(|s| s.item != *v)
-                        .take(self.cfg.k)
-                        .copied()
-                        .collect();
-                    self.cache.insert(
-                        CacheKey {
-                            model: slot,
-                            epoch,
-                            user: *v,
-                            endpoint: Endpoint::SimilarItems,
-                            retrieval: self.cfg.score.retrieval,
-                        },
-                        items.clone(),
-                    );
-                    responses[*i] = Some(respond(requests[*i].id, items, None));
-                }
-            }
-            if let Some(rankings) = user_ranked.get(&slot) {
-                for ((i, u), items) in group.similar_users.iter().zip(rankings) {
-                    let items: Vec<ScoredItem> = items
-                        .iter()
-                        .filter(|s| s.item != *u)
-                        .take(self.cfg.k)
-                        .copied()
-                        .collect();
-                    responses[*i] = Some(respond(requests[*i].id, items, None));
-                }
-            }
-            if let Some(per_req) = slate_ranked.get(&slot) {
-                for ((i, _, _), items) in group.rank_slates.iter().zip(per_req) {
-                    responses[*i] = Some(respond(requests[*i].id, items.clone(), None));
-                }
-            }
-            if let Some(per_req) = explained.get(&slot) {
-                for ((i, _, item), (e, score)) in group.explains.iter().zip(per_req) {
-                    responses[*i] = Some(respond(
-                        requests[*i].id,
-                        vec![ScoredItem {
-                            item: *item,
-                            score: *score,
-                        }],
-                        Some(e.clone()),
-                    ));
-                }
-            }
+        for (group, ranked) in zip(&groups, ranked) {
+            self.respond(group, ranked, requests, &mut responses);
         }
         let t5 = self.now();
 
-        let arms: Vec<(ModelId, u64)> = groups
-            .values()
-            .map(|g| (g.entry.id.clone(), g.snapshot.epoch()))
+        let out: Vec<Response> = responses
+            .into_iter()
+            // Resolve answers or queues every request, and respond answers
+            // every queued job, so every slot is filled.
+            .map(|r| r.expect("every request answered"))
             .collect();
-        // Factor bytes the scatter passes streamed: per-shard accounting
-        // ([`ShardTiming::bytes`] — analytic on the exact path, measured
-        // on the approximate one), summed over every arm. Cache hits
-        // never reach a scatter, so they contribute nothing.
-        let scan_bytes: u64 = shard_timings.iter().map(|t| t.bytes).sum();
-        let score_flops: u64 = shard_timings.iter().map(|t| t.flops).sum();
+        let sum = |field: fn(&ShardTiming) -> u64| shard_timings.iter().map(field).sum::<u64>();
         let approx = !self.cfg.score.retrieval.is_exact();
-        let ann_probed: u64 = shard_timings.iter().map(|t| t.probed_clusters).sum();
-        let ann_rescored: u64 = shard_timings.iter().map(|t| t.rescored).sum();
-        // Stage-2 candidate rows under the approximate mode; 0 on exact
-        // engines, where ShardTiming::scored is the full scan.
-        let ann_candidates: u64 = if approx {
-            shard_timings.iter().map(|t| t.scored).sum()
-        } else {
-            0
-        };
+        let total = |count: fn(&ModelGroup) -> usize| groups.iter().map(count).sum::<usize>();
+        let cold_users = total(|g| g.count(|s| matches!(s.row, Row::Cold(_))));
         let trace = BatchTrace {
             start: t0,
             cache_done: t1,
@@ -1142,43 +814,310 @@ impl ServeEngine {
             merge_done: t4,
             end: t5,
             requests: requests.len(),
-            cache_hits: batch_hits as usize,
+            cache_hits: total(|g| g.hits),
             cold_users,
-            scored_users,
-            errors,
-            arms,
+            scored_users: total(|g| g.jobs.len()) - cold_users,
+            errors: out.iter().filter(|r| r.is_err()).count(),
+            arms: groups
+                .iter()
+                .map(|g| (g.entry.id.clone(), g.snapshot.epoch()))
+                .collect(),
+            // Factor bytes the scans counted as they read them, summed
+            // over every arm. Cache hits never reach a scan.
+            scan_bytes: sum(|t| t.bytes),
+            score_flops: sum(|t| t.flops),
+            ann_probed: sum(|t| t.probed_clusters),
+            // Stage-2 candidate rows under the approximate mode; 0 on
+            // exact engines, where ShardTiming::scored is the full scan.
+            ann_candidates: if approx { sum(|t| t.scored) } else { 0 },
+            ann_rescored: sum(|t| t.rescored),
             shard_timings,
-            scan_bytes,
-            score_flops,
-            ann_probed,
-            ann_candidates,
-            ann_rescored,
         };
+        self.record(requests, &groups, &out, &trace, &table, recorder);
+        (out, trace)
+    }
 
+    /// Stage 1 (resolve): route every request, validate it against its
+    /// model, and probe the cache (one stripe lock per lookup). Failures
+    /// and hits are answered here; every other request becomes a job on
+    /// its model's group.
+    fn resolve<'r>(
+        &self,
+        requests: &'r [Request],
+        table: &RoutingTable,
+    ) -> (Vec<Option<Response>>, Vec<ModelGroup<'r>>) {
+        let mut responses = Vec::with_capacity(requests.len());
+        let mut groups: BTreeMap<u32, ModelGroup<'r>> = BTreeMap::new();
+        for (i, req) in requests.iter().enumerate() {
+            let routed = table.route(req.model.as_ref(), req.query.route_key(req.id));
+            // `Ok(None)`: queued as a job; `Ok(Some(_))`: a cache hit.
+            let outcome = routed.and_then(|entry| {
+                let group = groups.entry(entry.slot).or_insert_with(|| ModelGroup {
+                    snapshot: entry.store.snapshot(),
+                    user_factors: entry.user_factors(),
+                    entry,
+                    routed: 0,
+                    hits: 0,
+                    jobs: Vec::new(),
+                });
+                group.routed += 1;
+                let job = self.job(group, &req.query)?;
+                let key = match &job {
+                    Job::Scan(scan) => scan.key.as_ref(),
+                    _ => None,
+                };
+                let Some(items) = key.and_then(|key| self.cache.get(key)) else {
+                    group.jobs.push((i, job));
+                    return Ok(None);
+                };
+                group.hits += 1;
+                Ok(Some(group.recommendation(req.id, (items, None), true)))
+            });
+            responses.push(outcome.transpose());
+        }
+        (responses, groups.into_values().collect())
+    }
+
+    /// Validate `query` against `group`'s model and resolve it to a job.
+    fn job<'r>(&self, group: &ModelGroup, query: &'r Query) -> Result<Job<'r>, ServeError> {
+        let (n_users, n_items) = (group.user_factors.rows(), group.snapshot.n_items());
+        let model = || group.entry.id.clone();
+        let user = |user: u32| match (user as usize) < n_users {
+            true => Ok(user),
+            false => Err(ServeError::UnknownUser {
+                user,
+                n_users,
+                model: model(),
+            }),
+        };
+        let item = |item: u32| match (item as usize) < n_items {
+            true => Ok(item),
+            false => Err(ServeError::UnknownItem {
+                item,
+                n_items,
+                model: model(),
+            }),
+        };
+        // Cacheable scans carry their key; keys include the endpoint, so
+        // an item→item ranking never answers for a user→top-k one.
+        let scan = |plan, row, cached: Option<u32>| {
+            let key = cached.map(|id| CacheKey {
+                model: group.entry.slot,
+                epoch: group.snapshot.epoch(),
+                user: id,
+                endpoint: plan,
+                retrieval: self.cfg.score.retrieval,
+            });
+            Job::Scan(Scan { plan, row, key })
+        };
+        Ok(match query {
+            Query::User(UserRef::Known(u)) => scan(Endpoint::TopK, Row::User(user(*u)?), Some(*u)),
+            Query::User(UserRef::Cold(history)) => scan(Endpoint::TopK, Row::Cold(history), None),
+            Query::SimilarItems(v) => scan(Endpoint::SimilarItems, Row::Item(item(*v)?), Some(*v)),
+            Query::SimilarUsers(_) if n_users == 0 => {
+                return Err(ServeError::NoUserFactors(model()))
+            }
+            Query::SimilarUsers(u) => scan(Endpoint::SimilarUsers, Row::User(user(*u)?), None),
+            Query::RankItems { user: u, slate } => {
+                let u = user(*u)?;
+                if slate.is_empty() {
+                    return Err(ServeError::EmptySlate);
+                }
+                slate.iter().try_for_each(|&v| item(v).map(drop))?;
+                Job::Slate { user: u, slate }
+            }
+            Query::Explain { user: u, item: v } => Job::Explain {
+                user: user(*u)?,
+                item: item(*v)?,
+            },
+        })
+    }
+
+    /// Stage 2 (assemble): one query matrix per non-empty plan. Cold rows
+    /// are folded in against the model's full Θ — one `fold_in_batch`
+    /// per model, since only top-k scans carry them.
+    fn assemble(&self, group: &ModelGroup) -> Vec<(Endpoint, DenseMatrix)> {
+        let full = group.snapshot.full();
+        let mut queries = Vec::new();
+        for plan in PLANS {
+            let rows: Vec<&Row> = group.scans(plan).map(|(_, scan)| &scan.row).collect();
+            if rows.is_empty() {
+                continue;
+            }
+            let mut q = DenseMatrix::zeros(rows.len(), group.snapshot.f());
+            let mut cold = Vec::new();
+            for (r, row) in rows.into_iter().enumerate() {
+                let src = match *row {
+                    Row::User(u) => group.user_factors.row(u as usize),
+                    Row::Item(v) => full.item_row(v as usize),
+                    Row::Cold(history) => {
+                        cold.push((r, history));
+                        continue;
+                    }
+                };
+                q.row_mut(r).copy_from_slice(src);
+            }
+            if !cold.is_empty() {
+                let histories: Vec<_> = cold.iter().map(|&(_, h)| h).collect();
+                let (lambda, solver) = (self.cfg.lambda, &self.cfg.solver);
+                let folded = fold_in_batch(full.item_factors(), &histories, lambda, solver);
+                for (i, (r, _)) in cold.into_iter().enumerate() {
+                    q.row_mut(r).copy_from_slice(folded.row(i));
+                }
+            }
+            queries.push((plan, q));
+        }
+        queries
+    }
+
+    /// What a plan's scan reads and under which config: Θ under the
+    /// engine's [`ScoreConfig`], or — for similar users — the user side,
+    /// always exactly in FP32: X carries no FP16/int8/centroid sidecars,
+    /// and building them per batch would cost more than the scan they
+    /// would save.
+    fn target(&self, group: &ModelGroup, plan: Endpoint) -> (Arc<ShardedSnapshot>, ScoreConfig) {
+        if plan != Endpoint::SimilarUsers {
+            return (Arc::clone(&group.snapshot), self.cfg.score);
+        }
+        let exact = ScoreConfig {
+            retrieval: Retrieval::Exact,
+            use_fp16: false,
+            ..self.cfg.score
+        };
+        (group.entry.user_side_snapshot(), exact)
+    }
+
+    /// Stage 3 (scan): one scatter per query matrix across its target's
+    /// shards (each emitting its per-shard `serve.shard{i}.score` spans),
+    /// plus the slates and explains, which score their few rows directly
+    /// and are ranked here. Returns the scatters and one ranking slot per
+    /// job.
+    fn scan(
+        &self,
+        group: &ModelGroup,
+        queries: Vec<(Endpoint, DenseMatrix)>,
+        recorder: &dyn Recorder,
+        timings: &mut Vec<ShardTiming>,
+    ) -> (Vec<(Endpoint, usize, ShardScatter)>, Vec<Ranked>) {
+        let mut scatters = Vec::new();
+        for (plan, q) in queries {
+            let (target, cfg) = self.target(group, plan);
+            // Similarity scans fetch k+1: the query id ranks itself first
+            // more often than not, and one spare guarantees k survivors
+            // after self-exclusion.
+            let fetch = self.cfg.k + usize::from(plan != Endpoint::TopK);
+            let scatter = scatter_top_k(&target, &q, fetch, &cfg, recorder, self.now());
+            scatters.push((plan, fetch, scatter));
+        }
+        let mut ranked = vec![(Vec::new(), None); group.jobs.len()];
+        for ((_, job), slot) in group.jobs.iter().zip(&mut ranked) {
+            match *job {
+                Job::Scan(_) => {}
+                Job::Slate { user, slate } => {
+                    let query = group.user_factors.row(user as usize);
+                    let (items, t) = rank_slate_sharded(&group.snapshot, query, slate, self.cfg.k);
+                    timings.extend(t);
+                    slot.0 = items;
+                }
+                Job::Explain { user, item } => {
+                    let query = group.user_factors.row(user as usize);
+                    let (e, score) = explain_one(group.snapshot.full(), query, item as usize);
+                    *slot = (vec![ScoredItem { item, score }], Some(e));
+                }
+            }
+        }
+        (scatters, ranked)
+    }
+
+    /// Stage 4 (merge): gather each scatter's per-shard heaps into global
+    /// rankings, drop the query id, and keep the best k. Filtering the
+    /// k+1 ranking is provably identical to excluding before selection
+    /// under the total order.
+    fn merge(
+        &self,
+        group: &ModelGroup,
+        (scatters, mut ranked): (Vec<(Endpoint, usize, ShardScatter)>, Vec<Ranked>),
+        timings: &mut Vec<ShardTiming>,
+    ) -> Vec<Ranked> {
+        for (plan, fetch, scatter) in scatters {
+            let (rankings, shard_timings) = scatter.gather(fetch);
+            timings.extend(shard_timings);
+            for ((pos, scan), items) in group.scans(plan).zip(rankings) {
+                let exclude = match scan.row {
+                    Row::User(id) | Row::Item(id) if plan != Endpoint::TopK => Some(id),
+                    _ => None,
+                };
+                let items = items.into_iter().filter(|s| Some(s.item) != exclude);
+                ranked[pos].0 = items.take(self.cfg.k).collect();
+            }
+        }
+        ranked
+    }
+
+    /// Stage 5 (respond): fill the cache and build the responses.
+    fn respond(
+        &self,
+        group: &ModelGroup,
+        ranked: Vec<Ranked>,
+        requests: &[Request],
+        responses: &mut [Option<Response>],
+    ) {
+        for (&(i, ref job), ranked) in group.jobs.iter().zip(ranked) {
+            if let Job::Scan(Scan { key: Some(key), .. }) = job {
+                self.cache.insert(*key, ranked.0.clone());
+            }
+            responses[i] = Some(Ok(group.recommendation(requests[i].id, ranked, false)));
+        }
+    }
+
+    /// Publish a finished batch: the typed metrics (engine-wide, per
+    /// model, per endpoint, per shard), the fallback counters, the
+    /// once-per-engine journal records, and the `serve.batch*` phase
+    /// spans (every scan already emitted its per-shard spans inside
+    /// [t2, t3]).
+    fn record(
+        &self,
+        requests: &[Request],
+        groups: &[ModelGroup],
+        out: &[Response],
+        trace: &BatchTrace,
+        table: &RoutingTable,
+        recorder: &dyn Recorder,
+    ) {
         // Always-on typed metrics (lock-free counters, striped by thread).
         let m = self.obs.metrics();
         m.requests.add(requests.len() as u64);
         m.batches.inc();
-        m.cache_hits.add(batch_hits);
-        m.cache_misses.add(cacheable_misses);
-        m.cold_users.add(cold_users as u64);
-        m.scan_bytes.add(scan_bytes);
+        m.cache_hits.add(trace.cache_hits as u64);
+        m.cold_users.add(trace.cold_users as u64);
+        m.scan_bytes.add(trace.scan_bytes);
         m.ann_probed.add(trace.ann_probed);
         m.ann_candidates.add(trace.ann_candidates);
         m.ann_rescored.add(trace.ann_rescored);
-        // Count the requests a missing artifact silently degraded, per
-        // model: FP16 asked for but the epoch has no FP16 copy (scanned
-        // in FP32), or approx retrieval asked for but the shards have no
-        // centroid index (scanned exactly — rare, the registry's policy
-        // builds it, but a recall dial that silently reads 4× the bytes
-        // must be visible). Each reads what the shard scans read.
-        for group in groups.values() {
-            let scans = (group.to_score.len() + group.similar_items.len()) as u64;
+        for e in out.iter().filter_map(|r| r.as_ref().err()) {
+            m.error(e.reason()).inc();
+        }
+        for group in groups {
+            let metrics = &group.entry.metrics;
+            metrics.requests.add(group.routed as u64);
+            metrics.cache_hits.add(group.hits as u64);
+            // Only the cacheable endpoints (top-k known users,
+            // similar-items) count as cache misses; the uncached endpoints
+            // are scored work but never a miss.
+            m.cache_misses.add(group.count(|s| s.key.is_some()) as u64);
+            // Count the requests a missing artifact silently degraded:
+            // FP16 asked for but the epoch has no FP16 copy (scanned in
+            // FP32), or approx retrieval asked for but the shards have no
+            // centroid index (scanned exactly — rare, the registry's
+            // policy builds it, but a recall dial that silently reads 4×
+            // the bytes must be visible). Only item-side scans read those
+            // artifacts.
+            let scans = group.count(|s| s.plan != Endpoint::SimilarUsers) as u64;
             if self.cfg.score.use_fp16 && scans > 0 && !group.snapshot.full().has_fp16() {
-                group.entry.metrics.fp16_fallback.add(scans);
+                metrics.fp16_fallback.add(scans);
             }
-            if approx && scans > 0 && !group.snapshot.has_ann() {
-                group.entry.metrics.ann_fallback.add(scans);
+            if !self.cfg.score.retrieval.is_exact() && scans > 0 && !group.snapshot.has_ann() {
+                metrics.ann_fallback.add(scans);
             }
         }
         if let Some(default) = table.entries.get(table.router.default_model()) {
@@ -1191,44 +1130,30 @@ impl ServeEngine {
             let ep = req.query.endpoint();
             let handles = m.endpoint(ep);
             handles.requests.inc();
-            handles.latency.observe_secs(t5 - t0);
-            let idx = Endpoint::ALL
-                .iter()
-                .position(|e| *e == ep)
-                .expect("endpoint in ALL");
-            if !self.endpoint_journaled[idx].swap(true, Ordering::Relaxed) {
-                self.obs.journal().record(
-                    t5,
-                    None,
-                    EventKind::EndpointFirstServed {
-                        endpoint: ep.name(),
-                    },
-                );
+            handles.latency.observe_secs(trace.end - trace.start);
+            if !self.endpoint_journaled[ep.index()].swap(true, Ordering::Relaxed) {
+                let kind = EventKind::EndpointFirstServed {
+                    endpoint: ep.name(),
+                };
+                self.obs.journal().record(trace.end, None, kind);
             }
         }
-        m.observe_batch_stages(&trace);
+        m.observe_batch_stages(trace);
         for t in &trace.shard_timings {
             if let Some(sm) = self.shard_metrics.get(t.shard) {
                 sm.scored.add(t.scored);
                 sm.pass_seconds.observe_secs(t.secs);
             }
         }
-
-        // Event-stream spans for Chrome traces (each model's scatter
-        // already emitted its per-shard spans inside [t2, t3]).
         if recorder.enabled() {
+            let (t0, t1, t2) = (trace.start, trace.cache_done, trace.foldin_done);
+            let (t3, t4, t5) = (trace.score_done, trace.merge_done, trace.end);
             recorder.phase(PhaseSpan::new("serve.batch", t0, t5));
             recorder.phase(PhaseSpan::new("serve.batch.cache", t0, t1));
             recorder.phase(PhaseSpan::new("serve.batch.foldin", t1, t2));
             recorder.phase(PhaseSpan::new("serve.batch.merge", t3, t4));
             recorder.phase(PhaseSpan::new("serve.batch.respond", t4, t5));
         }
-
-        let out = responses
-            .into_iter()
-            .map(|r| r.expect("every request answered"))
-            .collect();
-        (out, trace)
     }
 }
 

@@ -55,9 +55,9 @@
 //!   [`cumf_telemetry::MemoryFootprint`], rolled up by
 //!   [`engine::ServeEngine::memory_report`] into a tree whose children
 //!   provably sum to the total (`serve_mem_bytes` gauges), and the
-//!   scorer's analytic scan-byte model flows through
-//!   [`BatchTrace`]/[`RequestSpan`] into `serve_scan_bytes_total` and the
-//!   admission report's effective GB/s.
+//!   factor bytes every scan counts as it reads them ([`ScanStats`]) flow
+//!   through [`BatchTrace`]/[`RequestSpan`] into `serve_scan_bytes_total`
+//!   and the admission report's effective GB/s.
 //!
 //! ## Round-trip: fold a cold user in, then recommend
 //!
@@ -91,6 +91,7 @@
 //! `serve_bench` in `cumf-bench`.
 
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod admission;
@@ -124,8 +125,8 @@ pub use obs::{
 pub use query::{Endpoint, Explanation, Query};
 pub use registry::{canary_unit, CanaryPolicy, ModelId, ModelRegistry, RouteKey, Router};
 pub use scorer::{
-    explain_one, scan_bytes, score_one, top_k_batch, top_k_batch_stats, top_k_one, QuantMode,
-    Retrieval, ScanStats, ScoreConfig,
+    explain_one, score_one, top_k_batch, top_k_batch_stats, top_k_one, QuantMode, Retrieval,
+    ScanStats, ScoreConfig,
 };
 pub use shard::{
     rank_slate_sharded, top_k_batch_sharded, top_k_batch_sharded_timed, Shard, ShardTiming,

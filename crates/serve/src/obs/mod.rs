@@ -271,14 +271,7 @@ impl ServeMetrics {
     /// Handles for one serving endpoint (pre-registered at construction,
     /// so the lookup is an array index, never a label resolve).
     pub fn endpoint(&self, e: Endpoint) -> &EndpointMetrics {
-        let idx = match e {
-            Endpoint::TopK => 0,
-            Endpoint::SimilarItems => 1,
-            Endpoint::SimilarUsers => 2,
-            Endpoint::RankItems => 3,
-            Endpoint::Explain => 4,
-        };
-        &self.endpoints[idx]
+        &self.endpoints[e.index()]
     }
 
     /// The registry behind the handles.

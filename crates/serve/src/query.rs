@@ -25,6 +25,7 @@
 //! `endpoint=` dimension on serving metrics.
 
 use crate::engine::UserRef;
+use crate::registry::RouteKey;
 
 /// What a [`Request`](crate::engine::Request) asks the engine to score.
 ///
@@ -73,6 +74,20 @@ impl Query {
             Query::Explain { .. } => Endpoint::Explain,
         }
     }
+
+    /// The key the canary split hashes: user-keyed queries by their user,
+    /// similar-items by the *item* id (deterministic per item, so canary
+    /// arms cache consistently), cold starts by the request id.
+    pub(crate) fn route_key(&self, request_id: u64) -> RouteKey {
+        match self {
+            Query::User(UserRef::Known(id))
+            | Query::SimilarItems(id)
+            | Query::SimilarUsers(id)
+            | Query::RankItems { user: id, .. }
+            | Query::Explain { user: id, .. } => RouteKey::User(*id),
+            Query::User(UserRef::Cold(_)) => RouteKey::Cold(request_id),
+        }
+    }
 }
 
 /// The serving endpoint family — one label per [`Query`] shape.
@@ -105,6 +120,12 @@ impl Endpoint {
         Endpoint::RankItems,
         Endpoint::Explain,
     ];
+
+    /// Position in [`Endpoint::ALL`], which lists the variants in
+    /// declaration order.
+    pub(crate) fn index(self) -> usize {
+        self as usize
+    }
 
     /// Stable snake_case token used as the `endpoint=` metric label and
     /// in bench output.
@@ -160,6 +181,13 @@ mod tests {
                 "explain"
             ]
         );
+    }
+
+    #[test]
+    fn endpoint_index_is_the_position_in_all() {
+        for (i, e) in Endpoint::ALL.iter().enumerate() {
+            assert_eq!(e.index(), i);
+        }
     }
 
     #[test]

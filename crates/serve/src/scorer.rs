@@ -75,16 +75,19 @@ impl Retrieval {
     }
 }
 
-/// Measured work of one scoring pass. The exact path fills only `bytes`
-/// (from the closed-form [`scan_bytes`] model); the approximate path
-/// counts its actual data-dependent traffic, which is what flows into
+/// Measured work of one scoring pass. Both paths count the factor bytes
+/// they read where they read them — the exact scan at each
+/// `score_tile`/`score_tile_f16` call, the approximate one at each probe,
+/// member scan and rescore — and that count is what flows into
 /// `serve_scan_bytes_total`, the `serve_ann_*` counters, and
 /// `AdmissionReport::effective_gbps`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScanStats {
     /// Factor bytes the pass streamed (centroids + member rows + rescore
-    /// rows on the approximate path; the blocked Θ walk on the exact
-    /// path).
+    /// rows on the approximate path; every Θ tile at its stored width —
+    /// 2 bytes per element from the FP16 copy, 4 from FP32 — once per
+    /// user chunk on the exact path). Priors and user rows are not
+    /// counted.
     pub bytes: u64,
     /// Clusters probed, summed over users (0 on the exact path).
     pub probed_clusters: u64,
@@ -162,45 +165,6 @@ impl ScoreConfig {
     }
 }
 
-/// Factor bytes one [`top_k_batch`] call streams from the snapshot — the
-/// analytic mirror of the blocked loop, kept out of the hot path so
-/// byte accounting costs nothing per score.
-///
-/// Each user chunk re-reads every Θ-block once, so the scan traffic is
-/// `⌈users / user_chunk⌉ × n_items × f × width`, where `width` is 2 bytes
-/// when the FP16 copy is actually read (`use_fp16` set *and* the snapshot
-/// carries a copy — the same effective-precision rule the loop applies)
-/// and 4 bytes otherwise. Priors and user rows are negligible next to Θ
-/// and are not counted.
-///
-/// ```
-/// use cumf_numeric::dense::DenseMatrix;
-/// use cumf_serve::scorer::{scan_bytes, ScoreConfig};
-/// use cumf_serve::store::ModelSnapshot;
-///
-/// let snap = ModelSnapshot::new(0, DenseMatrix::zeros(1000, 16), vec![]);
-/// let cfg = ScoreConfig { user_chunk: 32, ..ScoreConfig::default() };
-/// // 40 users = 2 chunks, each streaming 1000 × 16 × 4 bytes.
-/// assert_eq!(scan_bytes(&snap, 40, &cfg), 2 * 1000 * 16 * 4);
-/// ```
-pub fn scan_bytes(snapshot: &ModelSnapshot, users: usize, cfg: &ScoreConfig) -> u64 {
-    view_scan_bytes(
-        &snapshot.view(0..snapshot.n_items(), None, None),
-        users,
-        cfg,
-    )
-}
-
-fn view_scan_bytes(view: &SnapshotView<'_>, users: usize, cfg: &ScoreConfig) -> u64 {
-    let chunks = users.div_ceil(cfg.user_chunk.max(1)) as u64;
-    let width = if cfg.use_fp16 && view.f16_rows.is_some() {
-        2
-    } else {
-        4
-    };
-    chunks * view.n_items as u64 * view.f as u64 * width
-}
-
 /// Score every row of `user_factors` against the snapshot's items and
 /// return each user's top `k` items, best first.
 ///
@@ -222,10 +186,9 @@ pub fn top_k_batch(
     top_k_batch_stats(snapshot, user_factors, k, cfg).0
 }
 
-/// [`top_k_batch`] plus the measured [`ScanStats`] of the pass — the
-/// entry point the shard scatter-gather uses so byte accounting reflects
-/// what the approximate path actually read rather than the closed-form
-/// full-scan model.
+/// [`top_k_batch`] plus the [`ScanStats`] of the pass: the bytes, rows
+/// and FLOPs it counted as it read them — the entry point the shard
+/// scatter-gather uses.
 pub fn top_k_batch_stats(
     snapshot: &ModelSnapshot,
     user_factors: &DenseMatrix,
@@ -254,11 +217,10 @@ pub(crate) fn scan_view(
             return top_k_batch_approx(view, index, user_factors, k, n_probe, quant, cfg);
         }
     }
-    let users = user_factors.rows();
-    let rows = top_k_batch_exact(view, user_factors, k, cfg);
-    let candidates = view.n_items as u64 * users as u64;
+    let (rows, bytes) = top_k_batch_exact(view, user_factors, k, cfg);
+    let candidates = view.n_items as u64 * user_factors.rows() as u64;
     let stats = ScanStats {
-        bytes: view_scan_bytes(&view, users, cfg),
+        bytes,
         probed_clusters: 0,
         candidates,
         rescored: 0,
@@ -368,28 +330,32 @@ fn top_k_batch_approx(
     (heaps.into_iter().map(TopK::into_sorted).collect(), stats)
 }
 
-/// The exact blocked full-scan kernel behind [`top_k_batch`].
+/// The exact blocked full-scan kernel behind [`top_k_batch`]; returns the
+/// rankings and the factor bytes the tiles read.
 ///
 /// Each worker owns one `chunk × block` score tile that
 /// [`kernel::score_tile`] (or, on the FP16 path,
 /// [`kernel::score_tile_f16`] with the widen fused into the loop — no
 /// scratch widening pass) fills per Θ-block; priors are then added from a
 /// slice borrowed once per tile while the scores drain into the per-user
-/// heaps.
+/// heaps. Each chunk sums the `len·f·width` bytes of the tiles it scores
+/// and publishes its total once.
 fn top_k_batch_exact(
     view: SnapshotView<'_>,
     user_factors: &DenseMatrix,
     k: usize,
     cfg: &ScoreConfig,
-) -> Vec<Vec<ScoredItem>> {
+) -> (Vec<Vec<ScoredItem>>, u64) {
     let n = view.n_items;
     let f = view.f;
     let users = user_factors.rows();
     let block = cfg.effective_block_items(f);
     let chunk = cfg.user_chunk.max(1);
     let fp16_rows = if cfg.use_fp16 { view.f16_rows } else { None };
+    let width = if fp16_rows.is_some() { 2 } else { 4 };
     let (theta, priors) = (view.rows, view.priors);
     let x = user_factors.as_slice();
+    let bytes = AtomicU64::new(0);
 
     let tile_len = chunk.min(users.max(1)) * block;
     let mut heaps: Vec<TopK> = (0..users).map(|_| TopK::new(k)).collect();
@@ -400,8 +366,10 @@ fn top_k_batch_exact(
             let cu = chunk_heaps.len();
             let xs = &x[user0 * f..(user0 + cu) * f];
             let mut start = 0;
+            let mut read = 0u64;
             while start < n {
                 let len = block.min(n - start);
+                read += (len * f * width) as u64;
                 match fp16_rows {
                     Some(q) => kernel::score_tile_f16(
                         xs,
@@ -445,9 +413,11 @@ fn top_k_batch_exact(
                 }
                 start += len;
             }
+            bytes.fetch_add(read, Ordering::Relaxed);
         },
     );
-    heaps.into_iter().map(TopK::into_sorted).collect()
+    let rows = heaps.into_iter().map(TopK::into_sorted).collect();
+    (rows, bytes.into_inner())
 }
 
 /// Unblocked reference: the full score row for one user (`n` entries, in
@@ -602,20 +572,25 @@ mod tests {
 
     #[test]
     fn scan_bytes_halves_on_the_effective_fp16_path() {
+        let bytes = |snap: &ModelSnapshot, users: usize, cfg: &ScoreConfig| {
+            top_k_batch_stats(snap, &random_users(users, 8, 19), 5, cfg)
+                .1
+                .bytes
+        };
         let plain = random_snapshot(100, 8, 9);
         let cfg32 = ScoreConfig::default();
         // 33 users at user_chunk=32 ⇒ 2 chunks over 100×8 f32 rows.
-        assert_eq!(scan_bytes(&plain, 33, &cfg32), 2 * 100 * 8 * 4);
-        assert_eq!(scan_bytes(&plain, 0, &cfg32), 0, "no users, no scan");
+        assert_eq!(bytes(&plain, 33, &cfg32), 2 * 100 * 8 * 4);
+        assert_eq!(bytes(&plain, 0, &cfg32), 0, "no users, no scan");
         let cfg16 = ScoreConfig {
             use_fp16: true,
             ..cfg32
         };
         // FP16 requested but absent: the loop falls back to FP32 reads and
         // the accounting must agree.
-        assert_eq!(scan_bytes(&plain, 33, &cfg16), 2 * 100 * 8 * 4);
+        assert_eq!(bytes(&plain, 33, &cfg16), 2 * 100 * 8 * 4);
         let quant = random_snapshot(100, 8, 9).with_fp16();
-        assert_eq!(scan_bytes(&quant, 33, &cfg16), 2 * 100 * 8 * 2);
+        assert_eq!(bytes(&quant, 33, &cfg16), 2 * 100 * 8 * 2);
     }
 
     #[test]
@@ -671,7 +646,8 @@ mod tests {
         assert_eq!(rows, top_k_batch(&snap, &users, 5, &ScoreConfig::default()));
         assert_eq!(stats.probed_clusters, 0, "fallback never probes");
         assert_eq!(stats.candidates, 60 * 4);
-        assert_eq!(stats.bytes, scan_bytes(&snap, 4, &cfg));
+        // One chunk of 4 users reads all 60 × 5 FP32 rows once.
+        assert_eq!(stats.bytes, 60 * 5 * 4);
     }
 
     #[test]
@@ -693,7 +669,13 @@ mod tests {
         let want = 5 * 10 * 6 * 4 + stats.candidates * 6 + stats.rescored * 6 * 4;
         assert_eq!(stats.bytes, want);
         // The whole point: far fewer bytes than the exact FP32 scan.
-        let exact = scan_bytes(&snap, 5, &ScoreConfig::default());
+        let exact = top_k_batch_stats(&snap, &users, 4, &ScoreConfig::default()).1;
+        assert_eq!(
+            exact.bytes,
+            1000 * 6 * 4,
+            "one chunk over 1000 × 6 FP32 rows"
+        );
+        let exact = exact.bytes;
         assert!(
             stats.bytes < exact,
             "approx {} vs exact {exact}",

@@ -227,12 +227,11 @@ pub struct ShardTiming {
     /// Stage-2 score evaluations the shard performed: `items × users` on
     /// the exact path, the pruned candidate count on the approximate one.
     pub scored: u64,
-    /// Factor bytes the pass streamed from the shard's snapshot. Exact
-    /// scans use [`scan_bytes`](crate::scorer::scan_bytes)'s analytic
-    /// count (FP16 blocks 2 bytes per element, FP32 blocks 4, once per
-    /// user chunk); approximate scans report the measured centroid +
-    /// member + rescore traffic from
-    /// [`ScanStats`](crate::scorer::ScanStats).
+    /// Factor bytes the pass read from the shard's rows, counted where it
+    /// read them ([`ScanStats::bytes`](crate::scorer::ScanStats::bytes)):
+    /// exact scans count every tile at its stored width (FP16 2 bytes per
+    /// element, FP32 4) once per user chunk; approximate scans count the
+    /// centroid + member + rescore traffic.
     pub bytes: u64,
     /// Clusters the shard's pass probed, summed over users (0 on the
     /// exact path).
@@ -895,7 +894,9 @@ mod tests {
         // traffic must undercut the exact FP32 scan.
         let single = ShardedSnapshot::build(full.clone(), 1);
         let (_, timings) = top_k_batch_sharded_timed(&single, &x, 3, &cfg);
-        let exact_bytes = crate::scorer::scan_bytes(&full, 5, &ScoreConfig::default());
+        let (_, exact) = top_k_batch_sharded_timed(&single, &x, 3, &ScoreConfig::default());
+        let exact_bytes = exact[0].bytes;
+        assert_eq!(exact_bytes, 400 * 4 * 4, "one chunk over 400 × 4 FP32 rows");
         assert!(
             timings[0].bytes < exact_bytes,
             "{} vs {exact_bytes}",

@@ -13,9 +13,9 @@ use cumf_gpu_sim::GpuSpec;
 use cumf_numeric::dense::DenseMatrix;
 use cumf_serve::{
     admission_queue, canary_unit, merge_top_k, naive_top_k, ndcg_at_k, overlap_at_k, score_one,
-    top_k_batch, top_k_batch_sharded, AdmissionConfig, AnnParams, CanaryPolicy, ModelSnapshot,
-    QuantMode, QuantizedFactors, Request, Retrieval, ScoreConfig, ScoredItem, ServeConfig,
-    ServeEngine, ShardedSnapshot, SubmitError,
+    top_k_batch, top_k_batch_sharded, AdmissionConfig, AnnParams, CanaryPolicy, Endpoint,
+    ModelSnapshot, QuantMode, QuantizedFactors, Query, Request, Retrieval, ScoreConfig, ScoredItem,
+    ServeConfig, ServeEngine, ShardedSnapshot, SubmitError, UserRef,
 };
 use cumf_telemetry::{FootprintReport, NOOP};
 use proptest::prelude::*;
@@ -824,4 +824,177 @@ fn publish_races_readers_without_tearing_a_batch() {
         "a stale epoch is still pinned"
     );
     assert_eq!(superseded.total_bytes(), 0);
+}
+
+/// One generated request for [`mixed_batches_equal_each_request_served_alone`],
+/// whose arms are "a" (9 users × 37 items) and "b" (6 users × 50 items):
+/// `kind` picks the endpoint (or an unknown model) and `a`/`b` pick ids,
+/// ranging a little past both arms so unknown users and items occur.
+/// Cold histories stay within the smaller catalog, valid on both arms.
+fn mixed_request(id: u64, kind: u8, a: u32, b: u32) -> Request {
+    let (n_min, n_max, users_max) = (37, 50, 9);
+    match kind {
+        0 => Request::known(id, a % (users_max + 2)),
+        1 => Request::cold(
+            id,
+            (0..1 + b % 4)
+                .map(|j| ((a + 11 * j) % n_min, 1.0 + j as f32))
+                .collect(),
+        ),
+        2 => Request::similar_items(id, a % (n_max + 1)),
+        3 => Request::similar_users(id, a % (users_max + 1)),
+        4 => Request::rank_items(
+            id,
+            a % (users_max + 1),
+            (0..b % 5).map(|j| (b / 5 + 13 * j) % (n_max + 1)).collect(),
+        ),
+        5 => Request::explain(id, a % (users_max + 1), b % (n_max + 1)),
+        6 => Request::known(id, a % users_max).for_model("ghost"),
+        _ => Request::known(id, a % users_max).for_model(["a", "b"][b as usize % 2]),
+    }
+}
+
+/// The cache identity of a cacheable request: (endpoint, id).
+fn cacheable(req: &Request) -> Option<(Endpoint, u32)> {
+    match &req.query {
+        Query::User(UserRef::Known(u)) => Some((Endpoint::TopK, *u)),
+        Query::SimilarItems(v) => Some((Endpoint::SimilarItems, *v)),
+        _ => None,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A batch mixing all five endpoints, cold users, cache hits, unknown
+    /// users and items, empty slates and an unknown model, over a canary
+    /// split of two models, answers every slot exactly as the same request
+    /// served alone on a fresh engine: same items bit for bit, model,
+    /// epoch, explanation and error. Checked at 1, 2 and 3 shards, exact
+    /// and int8-approximate; the batch trace counts match the batch's
+    /// composition.
+    #[test]
+    fn mixed_batches_equal_each_request_served_alone(
+        seed in any::<u64>(),
+        ops in prop::collection::vec((0u8..8, any::<u32>(), any::<u32>(), any::<bool>()), 0..16),
+    ) {
+        let f = 5usize;
+        let mut state = seed | 1;
+        let mut matrix = |rows: usize| {
+            let values = (0..rows * f)
+                .map(|_| {
+                    state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                    ((state >> 40) as f32 / (1u64 << 24) as f32) * 2.0 - 1.0
+                })
+                .collect();
+            DenseMatrix::from_vec(rows, f, values)
+        };
+        // Arm "a": 9 users × 37 items; arm "b": 6 users × 50 items with priors.
+        let (xa, ta, xb, tb) = (matrix(9), matrix(37), matrix(6), matrix(50));
+        let priors_b: Vec<f32> = (0..50).map(|i| (i % 7) as f32 * 0.03).collect();
+        let build = |config: &ServeConfig| {
+            ServeEngine::builder()
+                .config(config.clone())
+                .model("a", xa.clone(), ModelSnapshot::new(1, ta.clone(), vec![]))
+                .model("b", xb.clone(), ModelSnapshot::new(4, tb.clone(), priors_b.clone()))
+                .canary("b", 0.5)
+                .build()
+                .unwrap()
+        };
+        // Each op is (kind, a, b, warm): a warm request is served once on
+        // the batch's engine first, so a cacheable one hits inside the
+        // batch. Every batch also carries one of each case, at random
+        // positions: warmed top-k and similar-items hits, a cold user,
+        // similar users, a slate, an explain, an empty slate, an unknown
+        // model, user and item.
+        let (u, v) = ((seed % 6) as u32, (seed % 37) as u32);
+        let mut ops = ops;
+        for (j, op) in [
+            (0, u, 0, true),
+            (2, v, 0, true),
+            (1, v, 2, false),
+            (3, u, 0, false),
+            (4, u, 8, false),
+            (5, u, v, false),
+            (4, 0, 0, false),
+            (6, u, 0, false),
+            (0, 9, 0, false),
+            (2, 50, 0, false),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let at = (seed >> (3 * j)) as usize % (ops.len() + 1);
+            ops.insert(at, op);
+        }
+        let requests: Vec<Request> = ops
+            .iter()
+            .enumerate()
+            .map(|(i, &(kind, a, b, _))| mixed_request(i as u64, kind, a, b))
+            .collect();
+        let approx = ScoreConfig {
+            retrieval: Retrieval::Approx { n_probe: 2, quant: QuantMode::Int8 },
+            ..ScoreConfig::default()
+        };
+        for score in [ScoreConfig::default(), approx] {
+            for shards in [1usize, 2, 3] {
+                let config = ServeConfig::default()
+                    .with_k(4)
+                    .with_shards(shards)
+                    .with_score(score)
+                    .with_ann(AnnParams { k_clusters: 6, ..AnnParams::default() });
+                let alone: Vec<_> = requests
+                    .iter()
+                    .map(|r| build(&config).recommend_batch(std::slice::from_ref(r), &NOOP).pop().unwrap())
+                    .collect();
+                let engine = build(&config);
+                let mut warmed = std::collections::HashSet::new();
+                for (req, &(.., warm)) in requests.iter().zip(&ops) {
+                    if warm {
+                        let rec = engine.recommend_batch(std::slice::from_ref(req), &NOOP).pop().unwrap();
+                        if let (Ok(rec), Some(key)) = (rec, cacheable(req)) {
+                            warmed.insert((rec.model, key));
+                        }
+                    }
+                }
+                let (got, trace) = engine.recommend_batch_traced(&requests, &NOOP);
+                prop_assert_eq!(got.len(), requests.len());
+                let (mut hits, mut cold, mut scored, mut errors) = (0, 0, 0, 0);
+                for (i, (got, want)) in got.iter().zip(&alone).enumerate() {
+                    let ctx = format!("slot {i} {:?}, {shards} shards, {:?}", requests[i].query, score.retrieval);
+                    match (got, want) {
+                        (Ok(g), Ok(w)) => {
+                            prop_assert_eq!(g.request_id, i as u64);
+                            prop_assert_eq!(&g.model, &w.model, "{}", ctx);
+                            prop_assert_eq!(g.epoch, w.epoch, "{}", ctx);
+                            prop_assert_eq!(&g.items, &w.items, "{}", ctx);
+                            prop_assert_eq!(&g.explanation, &w.explanation, "{}", ctx);
+                            let hit = cacheable(&requests[i])
+                                .is_some_and(|key| warmed.contains(&(w.model.clone(), key)));
+                            prop_assert_eq!(g.from_cache, hit, "{}", ctx);
+                            let is_cold = matches!(requests[i].query, Query::User(UserRef::Cold(_)));
+                            if hit {
+                                hits += 1;
+                            } else if is_cold {
+                                cold += 1;
+                            } else {
+                                scored += 1;
+                            }
+                        }
+                        (Err(g), Err(w)) => {
+                            prop_assert_eq!(g.reason(), w.reason(), "{}", ctx);
+                            prop_assert_eq!(g, w, "{}", ctx);
+                            errors += 1;
+                        }
+                        (g, w) => prop_assert!(false, "{}: batch {:?} vs alone {:?}", ctx, g, w),
+                    }
+                }
+                prop_assert_eq!(
+                    (trace.requests, trace.cache_hits, trace.cold_users, trace.scored_users, trace.errors),
+                    (requests.len(), hits, cold, scored, errors),
+                    "{} shards, {:?}", shards, score.retrieval
+                );
+            }
+        }
+    }
 }
