@@ -660,8 +660,9 @@ fn main() {
     engine.refresh_memory_gauges();
     report(&engine, &flags, &summary, recall.as_ref(), kernels.as_ref());
 
-    // Final aggregates into the JSONL stream alongside the engine's
-    // per-batch counters.
+    // Final aggregates into the JSONL stream, next to the engine's phase
+    // spans: the replay's own latency/QPS/hit-ratio figures plus every
+    // engine metric under its `/metrics` name (`serve_*`).
     if rec.enabled() {
         let t = engine.now();
         for c in summary.latency.to_counters("serve.latency", t) {
@@ -677,7 +678,10 @@ fn main() {
             t,
             engine.cache_stats().hit_ratio(),
         ));
-        summary.admission.emit(rec, t);
+        engine.obs().refresh_slo_gauges(t);
+        for c in engine.obs().metrics().registry().to_counter_samples(t) {
+            rec.counter(c);
+        }
     }
     if let Some(path) = &flags.json {
         let json = json_summary(&engine, &flags, &summary, recall.as_ref(), kernels.as_ref());

@@ -23,7 +23,9 @@
 //! * **Completions out-of-band.** Each served request is reported as a
 //!   [`Completion`] carrying submit/admit/finish stamps on the engine's
 //!   wall clock, so callers can split total latency into queueing delay
-//!   and service time.
+//!   and service time. The admit and finish stamps are the batch trace's
+//!   start and end, so the split is the request span's `queue` stage
+//!   against the rest.
 //!
 //! Shutdown is by channel disconnect: drop every [`AdmissionQueue`] clone
 //! and the worker drains what is buffered, then returns its
@@ -58,7 +60,7 @@
 use crate::engine::{Query, Recommendation, Request, ServeEngine, UserRef};
 use crate::error::ServeError;
 use crate::obs::{RequestSpan, ServeObs, SloReport};
-use cumf_telemetry::{CounterSample, FootprintReport, LatencyHistogram, MemoryFootprint, Recorder};
+use cumf_telemetry::{FootprintReport, LatencyHistogram, MemoryFootprint, Recorder};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{
     channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError,
@@ -187,7 +189,8 @@ pub struct Completion {
     pub response: Result<Recommendation, ServeError>,
     /// When the producer submitted the request.
     pub submitted_at: f64,
-    /// When the worker closed the batch containing it.
+    /// When the engine began the batch containing it (its trace's start,
+    /// so `admitted_at - submitted_at` is `span.stages.queue`).
     pub admitted_at: f64,
     /// When the engine finished the batch.
     pub finished_at: f64,
@@ -245,7 +248,6 @@ impl AdmissionWorker {
                 }
             };
 
-            let admitted_at = engine.now();
             let mut stamps = Vec::with_capacity(batch.len());
             let mut reqs = Vec::with_capacity(batch.len());
             for s in batch {
@@ -253,23 +255,21 @@ impl AdmissionWorker {
                 reqs.push(s.req);
             }
             let (out, trace) = engine.recommend_batch_traced(&reqs, recorder);
-            let finished_at = trace.end;
+            let (admitted_at, finished_at) = (trace.start, trace.end);
+            let [_, _, (_, score_start, score_end), _, _] = trace.stages();
 
             let n = out.len();
             report.batches += 1;
             report.admitted += n as u64;
             report.scan_bytes += trace.scan_bytes;
             report.score_flops += trace.score_flops;
-            report.score_secs += (trace.score_done - trace.foldin_done).max(0.0);
+            report.score_secs += (score_end - score_start).max(0.0);
             match close {
                 Close::Size => report.closed_by_size += 1,
                 Close::Age => report.closed_by_age += 1,
                 Close::Drain => report.closed_by_drain += 1,
             }
             for ((submitted_at, response), req) in stamps.into_iter().zip(out).zip(&reqs) {
-                report
-                    .queue_delay
-                    .record_secs((admitted_at - submitted_at).max(0.0));
                 let from_cache = response.as_ref().map(|r| r.from_cache).unwrap_or(false);
                 if response.is_err() {
                     report.failed += 1;
@@ -281,6 +281,7 @@ impl AdmissionWorker {
                     from_cache,
                     matches!(req.query, Query::User(UserRef::Cold(_))),
                 );
+                report.queue_delay.record_secs(span.stages.queue.max(0.0));
                 engine.obs().observe_completion(&span);
                 let _ = self.done.send(Completion {
                     response,
@@ -329,7 +330,7 @@ pub struct AdmissionReport {
     /// denominator of [`AdmissionReport::effective_gbps`] and
     /// [`AdmissionReport::effective_gflops`]).
     pub score_secs: f64,
-    /// Queueing delay (submit → batch close) distribution.
+    /// Queueing delay (submit → batch start) distribution.
     pub queue_delay: LatencyHistogram,
     /// SLO summary at worker exit (compliance, breaches, sheds, windowed
     /// burn rates), from the engine's [`crate::obs::SloTracker`].
@@ -388,34 +389,6 @@ impl AdmissionReport {
             0.0
         } else {
             self.admitted as f64 / self.batches as f64
-        }
-    }
-
-    /// Export the report as telemetry counters stamped at `time`:
-    /// `serve.admission.{admitted,rejected,batches,closed_by_size,
-    /// closed_by_age}` plus the `serve.admission.queue_delay.*` histogram
-    /// summary.
-    pub fn emit(&self, recorder: &dyn Recorder, time: f64) {
-        if !recorder.enabled() {
-            return;
-        }
-        for (name, value) in [
-            ("serve.admission.admitted", self.admitted as f64),
-            ("serve.admission.rejected", self.rejected as f64),
-            ("serve.admission.batches", self.batches as f64),
-            ("serve.admission.closed_by_size", self.closed_by_size as f64),
-            ("serve.admission.closed_by_age", self.closed_by_age as f64),
-            ("serve.admission.failed", self.failed as f64),
-            ("serve.admission.scan_bytes", self.scan_bytes as f64),
-            ("serve.admission.score_flops", self.score_flops as f64),
-        ] {
-            recorder.counter(CounterSample::new(name, time, value));
-        }
-        for c in self
-            .queue_delay
-            .to_counters("serve.admission.queue_delay", time)
-        {
-            recorder.counter(c);
         }
     }
 }
@@ -489,6 +462,7 @@ mod tests {
         assert_eq!(report.batches, 2);
         assert_eq!(report.closed_by_size, 2);
         assert_eq!(report.rejected, 0);
+        assert_eq!(report.mean_batch(), 4.0);
         let completions: Vec<Completion> = done.iter().collect();
         assert_eq!(completions.len(), 8);
         assert!(completions.iter().all(|c| c.batch_size == 4));
@@ -724,31 +698,5 @@ mod tests {
         let r = queue.footprint();
         assert!(r.verify());
         assert_eq!(r.total_bytes(), 7 * std::mem::size_of::<Submitted>() as u64);
-    }
-
-    #[test]
-    fn report_emits_admission_counters() {
-        let engine = tiny_engine(4);
-        let (queue, worker, _done) = admission_queue(AdmissionConfig {
-            max_batch: 2,
-            queue_depth: 8,
-            batch_age: Duration::from_secs(60),
-        });
-        for u in 0..4 {
-            queue.submit(req(u), engine.now()).unwrap();
-        }
-        drop(queue);
-        let report = worker.run(&engine, &NOOP);
-        assert_eq!(report.mean_batch(), 2.0);
-        let rec = cumf_telemetry::MemoryRecorder::new();
-        report.emit(&rec, 1.0);
-        let names: Vec<String> = rec
-            .counter_samples()
-            .iter()
-            .map(|c| c.name.to_string())
-            .collect();
-        assert!(names.contains(&"serve.admission.admitted".to_string()));
-        assert!(names.contains(&"serve.admission.rejected".to_string()));
-        assert!(names.contains(&"serve.admission.queue_delay.p99".to_string()));
     }
 }

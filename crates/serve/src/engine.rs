@@ -73,6 +73,9 @@ use std::sync::Arc;
 
 pub use crate::query::{Endpoint, Explanation, Query};
 
+/// Lock stripes the result cache is split into.
+const CACHE_STRIPES: usize = 8;
+
 /// Engine-level configuration.
 ///
 /// Construct via [`ServeConfig::default`] and the `with_*` builder methods
@@ -98,8 +101,6 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Result-cache capacity in entries (0 disables caching).
     pub cache_capacity: usize,
-    /// Lock stripes the result cache is split into (floored at 1).
-    pub cache_stripes: usize,
     /// Regularization for cold-start fold-in solves.
     pub lambda: f32,
     /// Solver for cold-start fold-in systems.
@@ -129,7 +130,6 @@ impl Default for ServeConfig {
             score: ScoreConfig::default(),
             shards: 1,
             cache_capacity: 4096,
-            cache_stripes: 8,
             lambda: 0.05,
             solver: SolverKind::cumf_default(),
             obs: ObsConfig::default(),
@@ -161,12 +161,6 @@ impl ServeConfig {
     /// Result-cache capacity in entries (0 disables caching).
     pub fn with_cache_capacity(mut self, capacity: usize) -> ServeConfig {
         self.cache_capacity = capacity;
-        self
-    }
-
-    /// Lock stripes for the result cache.
-    pub fn with_cache_stripes(mut self, stripes: usize) -> ServeConfig {
-        self.cache_stripes = stripes;
         self
     }
 
@@ -445,7 +439,7 @@ impl ServeEngineBuilder {
             .map(|i| obs.metrics().shard(i))
             .collect();
         Ok(ServeEngine {
-            cache: StripedCache::new(cfg.cache_capacity, cfg.cache_stripes),
+            cache: StripedCache::new(cfg.cache_capacity, CACHE_STRIPES),
             registry,
             cfg,
             obs,
@@ -747,7 +741,8 @@ impl ServeEngine {
     /// routed model and scan plan, responses in request order.
     ///
     /// Failures are *per request*: a request that routes to an unknown or
-    /// retired model, or names a user the routed model does not know,
+    /// retired model, or names a user or item (a cold history's
+    /// included) the routed model does not know,
     /// gets an `Err` in its slot while the rest of the batch is served
     /// normally (each failure also increments
     /// `serve_errors_total{reason=…}`).
@@ -768,8 +763,8 @@ impl ServeEngine {
     /// end-to-end latency.
     ///
     /// Always updates the engine's [`ServeObs`] metrics; additionally
-    /// emits `serve.batch` / `serve.batch.*` phase spans (and per-shard
-    /// `serve.shard{i}.score` spans from every scan) when `recorder` is
+    /// renders the trace as `serve.batch`, `serve.batch.{stage}` and
+    /// per-shard `serve.shard{i}.score` phase spans when `recorder` is
     /// enabled.
     pub fn recommend_batch_traced(
         &self,
@@ -784,7 +779,7 @@ impl ServeEngine {
         let t2 = self.now();
         let mut shard_timings = Vec::new();
         let scanned: Vec<_> = zip(&groups, queries)
-            .map(|(g, q)| self.scan(g, q, recorder, &mut shard_timings))
+            .map(|(g, q)| self.scan(g, q, &mut shard_timings))
             .collect();
         let t3 = self.now();
         let ranked: Vec<_> = zip(&groups, scanned)
@@ -912,7 +907,10 @@ impl ServeEngine {
         };
         Ok(match query {
             Query::User(UserRef::Known(u)) => scan(Endpoint::TopK, Row::User(user(*u)?), Some(*u)),
-            Query::User(UserRef::Cold(history)) => scan(Endpoint::TopK, Row::Cold(history), None),
+            Query::User(UserRef::Cold(history)) => {
+                history.iter().try_for_each(|&(v, _)| item(v).map(drop))?;
+                scan(Endpoint::TopK, Row::Cold(history), None)
+            }
             Query::SimilarItems(v) => scan(Endpoint::SimilarItems, Row::Item(item(*v)?), Some(*v)),
             Query::SimilarUsers(_) if n_users == 0 => {
                 return Err(ServeError::NoUserFactors(model()))
@@ -988,15 +986,13 @@ impl ServeEngine {
     }
 
     /// Stage 3 (scan): one scatter per query matrix across its target's
-    /// shards (each emitting its per-shard `serve.shard{i}.score` spans),
-    /// plus the slates and explains, which score their few rows directly
-    /// and are ranked here. Returns the scatters and one ranking slot per
-    /// job.
+    /// shards, plus the slates and explains, which score their few rows
+    /// directly and are ranked here. Returns the scatters and one ranking
+    /// slot per job; slate passes add their shard timings to `timings`.
     fn scan(
         &self,
         group: &ModelGroup,
         queries: Vec<(Endpoint, DenseMatrix)>,
-        recorder: &dyn Recorder,
         timings: &mut Vec<ShardTiming>,
     ) -> (Vec<(Endpoint, usize, ShardScatter)>, Vec<Ranked>) {
         let mut scatters = Vec::new();
@@ -1006,7 +1002,7 @@ impl ServeEngine {
             // more often than not, and one spare guarantees k survivors
             // after self-exclusion.
             let fetch = self.cfg.k + usize::from(plan != Endpoint::TopK);
-            let scatter = scatter_top_k(&target, &q, fetch, &cfg, recorder, self.now());
+            let scatter = scatter_top_k(&target, &q, fetch, &cfg, self.now());
             scatters.push((plan, fetch, scatter));
         }
         let mut ranked = vec![(Vec::new(), None); group.jobs.len()];
@@ -1015,7 +1011,8 @@ impl ServeEngine {
                 Job::Scan(_) => {}
                 Job::Slate { user, slate } => {
                     let query = group.user_factors.row(user as usize);
-                    let (items, t) = rank_slate_sharded(&group.snapshot, query, slate, self.cfg.k);
+                    let (items, t) =
+                        rank_slate_sharded(&group.snapshot, query, slate, self.cfg.k, self.now());
                     timings.extend(t);
                     slot.0 = items;
                 }
@@ -1072,9 +1069,10 @@ impl ServeEngine {
 
     /// Publish a finished batch: the typed metrics (engine-wide, per
     /// model, per endpoint, per shard), the fallback counters, the
-    /// once-per-engine journal records, and the `serve.batch*` phase
-    /// spans (every scan already emitted its per-shard spans inside
-    /// [t2, t3]).
+    /// once-per-engine journal records, and — the one place the serve
+    /// path emits phase spans — the trace rendered as `serve.batch`, one
+    /// `serve.batch.{stage}` per stage and one `serve.shard{i}.score` per
+    /// shard pass.
     fn record(
         &self,
         requests: &[Request],
@@ -1130,7 +1128,7 @@ impl ServeEngine {
             let ep = req.query.endpoint();
             let handles = m.endpoint(ep);
             handles.requests.inc();
-            handles.latency.observe_secs(trace.end - trace.start);
+            handles.latency.observe_secs(trace.service_secs());
             if !self.endpoint_journaled[ep.index()].swap(true, Ordering::Relaxed) {
                 let kind = EventKind::EndpointFirstServed {
                     endpoint: ep.name(),
@@ -1146,13 +1144,14 @@ impl ServeEngine {
             }
         }
         if recorder.enabled() {
-            let (t0, t1, t2) = (trace.start, trace.cache_done, trace.foldin_done);
-            let (t3, t4, t5) = (trace.score_done, trace.merge_done, trace.end);
-            recorder.phase(PhaseSpan::new("serve.batch", t0, t5));
-            recorder.phase(PhaseSpan::new("serve.batch.cache", t0, t1));
-            recorder.phase(PhaseSpan::new("serve.batch.foldin", t1, t2));
-            recorder.phase(PhaseSpan::new("serve.batch.merge", t3, t4));
-            recorder.phase(PhaseSpan::new("serve.batch.respond", t4, t5));
+            recorder.phase(PhaseSpan::new("serve.batch", trace.start, trace.end));
+            for (name, start, end) in trace.stages() {
+                recorder.phase(PhaseSpan::new(format!("serve.batch.{name}"), start, end));
+            }
+            for t in &trace.shard_timings {
+                let name = format!("serve.shard{}.score", t.shard);
+                recorder.phase(PhaseSpan::new(name, t.start, t.start + t.secs));
+            }
         }
     }
 }

@@ -34,7 +34,8 @@
 //! * [`engine`] — [`ServeEngine`]: micro-batching, per-request model
 //!   routing, cold-start fold-in via [`cumf_als::fold_in_batch`], a
 //!   `(model, epoch, user)`-keyed lock-striped LRU result [`cache`], and
-//!   telemetry counters through [`cumf_telemetry::Recorder`]. Built with
+//!   one [`BatchTrace`] per batch from which the metrics and the
+//!   [`cumf_telemetry::Recorder`] phase spans are rendered. Built with
 //!   [`ServeEngineBuilder`]; fallible paths return [`ServeError`] instead
 //!   of panicking, per request.
 //! * [`admission`] — a bounded request queue in front of the engine:

@@ -54,29 +54,29 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Spans retained in the flight recorder's ring.
+const FLIGHT_RING_CAPACITY: usize = 256;
+
+/// Lifecycle records retained in the event journal's ring.
+const JOURNAL_CAPACITY: usize = 1024;
+
 /// Configuration for the serving observability layer.
 #[derive(Clone, Copy, Debug)]
 pub struct ObsConfig {
-    /// Spans retained in the flight recorder's ring.
-    pub ring_capacity: usize,
     /// Slow-request exemplars retained (slowest first).
     pub exemplar_capacity: usize,
     /// End-to-end latency at which a request becomes a slow exemplar.
     pub slow_threshold: Duration,
     /// The service-level objective to track.
     pub slo: SloConfig,
-    /// Lifecycle records retained in the event journal's ring.
-    pub journal_capacity: usize,
 }
 
 impl Default for ObsConfig {
     fn default() -> ObsConfig {
         ObsConfig {
-            ring_capacity: 256,
             exemplar_capacity: 16,
             slow_threshold: Duration::from_millis(50),
             slo: SloConfig::default(),
-            journal_capacity: 1024,
         }
     }
 }
@@ -192,9 +192,8 @@ impl ServeMetrics {
     /// Register every serving metric on `registry` (idempotent — two
     /// `ServeMetrics` on one registry share all handles).
     pub fn new(registry: Arc<MetricsRegistry>) -> ServeMetrics {
-        let stages = STAGES
+        let stages = STAGES[1..]
             .iter()
-            .filter(|&&s| s != "queue")
             .map(|&s| {
                 (
                     s,
@@ -358,16 +357,8 @@ impl ServeMetrics {
 
     /// Record one batch's stage durations from its trace.
     pub fn observe_batch_stages(&self, trace: &BatchTrace) {
-        for (name, h) in &self.stages {
-            let dur = match *name {
-                "cache" => trace.cache_done - trace.start,
-                "foldin" => trace.foldin_done - trace.cache_done,
-                "score" => trace.score_done - trace.foldin_done,
-                "merge" => trace.merge_done - trace.score_done,
-                "respond" => trace.end - trace.merge_done,
-                _ => unreachable!("queue is excluded at construction"),
-            };
-            h.observe_secs(dur.max(0.0));
+        for ((_, h), (_, start, end)) in self.stages.iter().zip(trace.stages()) {
+            h.observe_secs((end - start).max(0.0));
         }
     }
 }
@@ -404,12 +395,12 @@ impl ServeObs {
         ServeObs {
             metrics: ServeMetrics::new(Arc::clone(&registry)),
             flight: FlightRecorder::new(
-                cfg.ring_capacity,
+                FLIGHT_RING_CAPACITY,
                 cfg.exemplar_capacity,
                 cfg.slow_threshold.as_secs_f64(),
             ),
             slo: SloTracker::new(cfg.slo),
-            journal: EventJournal::new(cfg.journal_capacity, registry),
+            journal: EventJournal::new(JOURNAL_CAPACITY, registry),
             started: Instant::now(),
             burn_firing: AtomicBool::new(false),
             shed_burst: Mutex::new((f64::NEG_INFINITY, 0)),

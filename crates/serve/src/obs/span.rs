@@ -10,6 +10,10 @@
 //! *telescope*: they sum exactly (up to floating-point rounding) to the
 //! request's end-to-end latency — test-enforced here and again through
 //! the full admission path.
+//!
+//! The trace is the batch's only record: [`BatchTrace::stages`] maps its
+//! boundaries to stages once, and the request spans, the stage
+//! histograms and the recorder's phase spans are all rendered from it.
 
 use crate::registry::ModelId;
 use crate::shard::ShardTiming;
@@ -79,6 +83,22 @@ impl BatchTrace {
     /// Wall-clock seconds the engine spent on the batch.
     pub fn service_secs(&self) -> f64 {
         self.end - self.start
+    }
+
+    /// The five engine stages as `(name, start, end)` intervals, in
+    /// [`STAGES`] order after `queue` (which precedes the batch and is
+    /// per request). The one place boundaries map to stages: request
+    /// spans, stage histograms and recorder phases all read it.
+    pub fn stages(&self) -> [(&'static str, f64, f64); 5] {
+        let bounds = [
+            self.start,
+            self.cache_done,
+            self.foldin_done,
+            self.score_done,
+            self.merge_done,
+            self.end,
+        ];
+        std::array::from_fn(|i| (STAGES[i + 1], bounds[i], bounds[i + 1]))
     }
 }
 
@@ -168,6 +188,7 @@ impl RequestSpan {
         from_cache: bool,
         cold: bool,
     ) -> RequestSpan {
+        let [cache, foldin, score, merge, respond] = trace.stages().map(|(_, s, e)| e - s);
         RequestSpan {
             request_id,
             submitted_at,
@@ -178,11 +199,11 @@ impl RequestSpan {
             scan_bytes: trace.scan_bytes,
             stages: StageBreakdown {
                 queue: trace.start - submitted_at,
-                cache: trace.cache_done - trace.start,
-                foldin: trace.foldin_done - trace.cache_done,
-                score: trace.score_done - trace.foldin_done,
-                merge: trace.merge_done - trace.score_done,
-                respond: trace.end - trace.merge_done,
+                cache,
+                foldin,
+                score,
+                merge,
+                respond,
             },
         }
     }

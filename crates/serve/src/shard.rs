@@ -30,7 +30,7 @@ use crate::store::{ModelSnapshot, SnapshotView};
 use crate::topk::{merge_top_k, ScoredItem};
 use cumf_numeric::dense::DenseMatrix;
 use cumf_numeric::kernel;
-use cumf_telemetry::{FootprintReport, MemoryFootprint, PhaseSpan, Recorder, NOOP};
+use cumf_telemetry::{FootprintReport, MemoryFootprint};
 use parking_lot::{Mutex, RwLock};
 use std::sync::{Arc, Weak};
 use std::time::Instant;
@@ -218,12 +218,16 @@ impl MemoryFootprint for ShardedSnapshot {
     }
 }
 
-/// Wall-clock accounting for one shard's scoring pass, for per-shard
-/// telemetry counters.
+/// Wall-clock accounting for one shard's scoring pass: the per-shard
+/// counters and the `serve.shard{i}.score` span the engine renders from
+/// its batch trace.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardTiming {
     /// Shard index.
     pub shard: usize,
+    /// When the pass began: the caller's `t_base` (the engine clock, in a
+    /// batch) plus the pass's offset within the call.
+    pub start: f64,
     /// Stage-2 score evaluations the shard performed: `items × users` on
     /// the exact path, the pruned candidate count on the approximate one.
     pub scored: u64,
@@ -288,94 +292,67 @@ impl ShardScatter {
 /// Scatter: one blocked scoring pass per shard over its item range, on
 /// scoped threads when the host has more than one core.
 ///
-/// When `recorder` is enabled, each shard buffers a
-/// `serve.shard{i}.score` [`PhaseSpan`] *locally on its own thread* —
-/// stamped on the engine clock as `t_base` plus the shard's offset within
-/// the scatter — and the buffered spans are flushed to the recorder in
-/// shard-index order after all threads join. Recording therefore never
-/// takes a lock inside the scoring loop and the event order is
-/// deterministic regardless of thread schedule; scores are bit-identical
-/// with the recorder on or off (test-enforced).
+/// Each shard's [`ShardTiming::start`] is `t_base` plus the pass's offset
+/// from the call, so a caller passing its clock's current reading gets
+/// starts on that clock. Timings come back in shard-index order whatever
+/// order the threads finished in.
 pub fn scatter_top_k(
     sharded: &ShardedSnapshot,
     user_factors: &DenseMatrix,
     k: usize,
     cfg: &ScoreConfig,
-    recorder: &dyn Recorder,
     t_base: f64,
 ) -> ShardScatter {
     let users = user_factors.rows();
-    let tracing = recorder.enabled();
     let anchor = Instant::now();
-    // One shard's pass: rankings shifted to global ids, timing, and the
-    // locally buffered span (None when tracing is off).
+    // One shard's pass: rankings shifted to global ids, plus its timing.
     let full = sharded.full();
-    let score_shard =
-        |idx: usize, shard: &Shard| -> (Vec<Vec<ScoredItem>>, ShardTiming, Option<PhaseSpan>) {
-            let s0 = anchor.elapsed().as_secs_f64();
-            let t0 = Instant::now();
-            let (mut local, stats) = scan_view(shard.view(full), user_factors, k, cfg);
-            for user_ranking in &mut local {
-                for item in user_ranking.iter_mut() {
-                    item.item += shard.start as u32;
-                }
+    let score_shard = |idx: usize, shard: &Shard| -> (Vec<Vec<ScoredItem>>, ShardTiming) {
+        let start = t_base + anchor.elapsed().as_secs_f64();
+        let t0 = Instant::now();
+        let (mut local, stats) = scan_view(shard.view(full), user_factors, k, cfg);
+        for user_ranking in &mut local {
+            for item in user_ranking.iter_mut() {
+                item.item += shard.start as u32;
             }
-            let secs = t0.elapsed().as_secs_f64();
-            let timing = ShardTiming {
-                shard: idx,
-                scored: stats.candidates,
-                bytes: stats.bytes,
-                probed_clusters: stats.probed_clusters,
-                rescored: stats.rescored,
-                flops: stats.flops,
-                secs,
-            };
-            let span = tracing.then(|| {
-                PhaseSpan::new(
-                    format!("serve.shard{idx}.score"),
-                    t_base + s0,
-                    t_base + s0 + secs,
-                )
-            });
-            (local, timing, span)
+        }
+        let timing = ShardTiming {
+            shard: idx,
+            start,
+            scored: stats.candidates,
+            bytes: stats.bytes,
+            probed_clusters: stats.probed_clusters,
+            rescored: stats.rescored,
+            flops: stats.flops,
+            secs: t0.elapsed().as_secs_f64(),
         };
+        (local, timing)
+    };
     let multicore = std::thread::available_parallelism()
         .map(|p| p.get() > 1)
         .unwrap_or(false);
-    let per_shard: Vec<(Vec<Vec<ScoredItem>>, ShardTiming, Option<PhaseSpan>)> =
-        if multicore && sharded.n_shards() > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = sharded
-                    .shards()
-                    .iter()
-                    .enumerate()
-                    .map(|(idx, shard)| scope.spawn(move || score_shard(idx, shard)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard scoring panicked"))
-                    .collect()
-            })
-        } else {
-            sharded
+    let per_shard: Vec<_> = if multicore && sharded.n_shards() > 1 {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = sharded
                 .shards()
                 .iter()
                 .enumerate()
-                .map(|(idx, shard)| score_shard(idx, shard))
+                .map(|(idx, shard)| scope.spawn(move || score_shard(idx, shard)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("shard scoring panicked"))
                 .collect()
-        };
-
-    // Deterministic merge of the per-thread buffers: shard-index order,
-    // whatever order the threads actually finished in.
-    let mut rankings = Vec::with_capacity(per_shard.len());
-    let mut timings = Vec::with_capacity(per_shard.len());
-    for (local, timing, span) in per_shard {
-        rankings.push(local);
-        timings.push(timing);
-        if let Some(span) = span {
-            recorder.phase(span);
-        }
-    }
+        })
+    } else {
+        sharded
+            .shards()
+            .iter()
+            .enumerate()
+            .map(|(idx, shard)| score_shard(idx, shard))
+            .collect()
+    };
+    let (rankings, timings) = per_shard.into_iter().unzip();
     ShardScatter {
         rankings,
         timings,
@@ -385,7 +362,8 @@ pub fn scatter_top_k(
 
 /// Scatter-gather scoring: every shard runs the blocked kernel over its
 /// item range, then per-user heaps are merged into global rankings.
-/// Returns the rankings plus per-shard timings.
+/// Returns the rankings plus per-shard timings, whose starts count from
+/// the call.
 ///
 /// Bit-identical to [`top_k_batch`](crate::scorer::top_k_batch) over the unsharded snapshot: shard
 /// slices preserve row layout so each item's dot product is the same
@@ -397,7 +375,7 @@ pub fn top_k_batch_sharded_timed(
     k: usize,
     cfg: &ScoreConfig,
 ) -> (Vec<Vec<ScoredItem>>, Vec<ShardTiming>) {
-    scatter_top_k(sharded, user_factors, k, cfg, &NOOP, 0.0).gather(k)
+    scatter_top_k(sharded, user_factors, k, cfg, 0.0).gather(k)
 }
 
 /// Score only a caller-supplied candidate slate against one query vector
@@ -411,12 +389,14 @@ pub fn top_k_batch_sharded_timed(
 /// result is bit-identical to the full sharded top-k ranking restricted
 /// to the slate (test-enforced). Duplicate slate entries rank
 /// independently. Slate ids must be `< n_items()` (the engine validates
-/// and rejects out-of-range ids before calling).
+/// and rejects out-of-range ids before calling). Timing starts count from
+/// `t_base`, as in [`scatter_top_k`].
 pub fn rank_slate_sharded(
     sharded: &ShardedSnapshot,
     query: &[f32],
     slate: &[u32],
     k: usize,
+    t_base: f64,
 ) -> (Vec<ScoredItem>, Vec<ShardTiming>) {
     let f = sharded.f();
     assert_eq!(query.len(), f, "query dimension must match the model");
@@ -434,10 +414,12 @@ pub fn rank_slate_sharded(
     }
     let mut all: Vec<ScoredItem> = Vec::with_capacity(slate.len());
     let mut timings = Vec::new();
+    let anchor = Instant::now();
     for (idx, group) in groups.iter().enumerate() {
         if group.is_empty() {
             continue;
         }
+        let start = t_base + anchor.elapsed().as_secs_f64();
         let t0 = Instant::now();
         for &item in group {
             let v = item as usize;
@@ -447,6 +429,7 @@ pub fn rank_slate_sharded(
         let scored = group.len() as u64;
         timings.push(ShardTiming {
             shard: idx,
+            start,
             scored,
             bytes: scored * f as u64 * 4,
             probed_clusters: 0,
@@ -724,36 +707,6 @@ mod tests {
     }
 
     #[test]
-    fn recorder_enabled_scatter_is_bit_identical_and_ordered() {
-        let full = snap(41, 4, true);
-        let x = users(5, 4);
-        let cfg = ScoreConfig::default();
-        for s in [1, 3, 8] {
-            let sharded = ShardedSnapshot::build(full.clone(), s);
-            // Recorder off (the production fast path)…
-            let (want, _) =
-                scatter_top_k(&sharded, &x, 7, &cfg, &cumf_telemetry::NOOP, 0.0).gather(7);
-            // …vs recorder on: scores must be bit-identical (the PR 1
-            // guarantee: telemetry never branches the math).
-            let rec = cumf_telemetry::MemoryRecorder::new();
-            let (got, timings) = scatter_top_k(&sharded, &x, 7, &cfg, &rec, 100.0).gather(7);
-            assert_eq!(got, want, "{s} shards");
-            // Per-thread span buffers merge deterministically: one span
-            // per shard, in shard-index order, on the engine time base.
-            let spans = rec.phase_spans();
-            assert_eq!(spans.len(), sharded.n_shards());
-            for (i, span) in spans.iter().enumerate() {
-                assert_eq!(span.name.as_ref(), format!("serve.shard{i}.score"));
-                assert!(span.start >= 100.0 && span.end >= span.start);
-            }
-            // And the spans agree with the reported timings.
-            for (span, t) in spans.iter().zip(&timings) {
-                assert!((span.duration() - t.secs).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
     fn rank_slate_matches_the_full_ranking_restricted_to_the_slate() {
         let full = snap(37, 5, true);
         let x = users(1, 5);
@@ -771,7 +724,7 @@ mod tests {
             .collect();
         for s in [1, 3, 8] {
             let sharded = ShardedSnapshot::build(full.clone(), s);
-            let (got, timings) = rank_slate_sharded(&sharded, q, &slate, 4);
+            let (got, timings) = rank_slate_sharded(&sharded, q, &slate, 4, 0.0);
             assert_eq!(got, want, "{s} shards");
             let scored: u64 = timings.iter().map(|t| t.scored).sum();
             assert_eq!(scored, slate.len() as u64, "{s} shards");
@@ -786,7 +739,7 @@ mod tests {
         let full = snap(12, 3, false);
         let x = users(1, 3);
         let sharded = ShardedSnapshot::build(full, 3);
-        let (got, _) = rank_slate_sharded(&sharded, x.row(0), &[5, 5, 2], 3);
+        let (got, _) = rank_slate_sharded(&sharded, x.row(0), &[5, 5, 2], 3, 0.0);
         assert_eq!(got.len(), 3);
         assert!(got[0].score >= got[1].score && got[1].score >= got[2].score);
         let fives = got.iter().filter(|s| s.item == 5).count();

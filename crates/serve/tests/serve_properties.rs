@@ -11,13 +11,14 @@ use cumf_als::{AlsConfig, AlsTrainer};
 use cumf_datasets::{MfDataset, SizeClass};
 use cumf_gpu_sim::GpuSpec;
 use cumf_numeric::dense::DenseMatrix;
+use cumf_serve::obs::STAGES;
 use cumf_serve::{
     admission_queue, canary_unit, merge_top_k, naive_top_k, ndcg_at_k, overlap_at_k, score_one,
     top_k_batch, top_k_batch_sharded, AdmissionConfig, AnnParams, CanaryPolicy, Endpoint,
     ModelSnapshot, QuantMode, QuantizedFactors, Query, Request, Retrieval, ScoreConfig, ScoredItem,
     ServeConfig, ServeEngine, ShardedSnapshot, SubmitError, UserRef,
 };
-use cumf_telemetry::{FootprintReport, NOOP};
+use cumf_telemetry::{FootprintReport, MemoryRecorder, NOOP};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
@@ -850,8 +851,82 @@ fn mixed_request(id: u64, kind: u8, a: u32, b: u32) -> Request {
         ),
         5 => Request::explain(id, a % (users_max + 1), b % (n_max + 1)),
         6 => Request::known(id, a % users_max).for_model("ghost"),
+        8 => Request::cold(id, vec![(a % n_min, 4.0), (b, 5.0)]),
         _ => Request::known(id, a % users_max).for_model(["a", "b"][b as usize % 2]),
     }
+}
+
+/// The two-arm canary engine the mixed-batch tests serve from, f = 5,
+/// factors drawn from `seed`: arm "a" has 9 users × 37 items, arm "b" 6
+/// users × 50 items with priors, and "b" takes half the unaddressed
+/// traffic.
+fn two_arm_engine(seed: u64, config: &ServeConfig) -> ServeEngine {
+    let f = 5usize;
+    let mut state = seed | 1;
+    let mut matrix = |rows: usize| {
+        let values = (0..rows * f)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                ((state >> 40) as f32 / (1u64 << 24) as f32) * 2.0 - 1.0
+            })
+            .collect();
+        DenseMatrix::from_vec(rows, f, values)
+    };
+    let (xa, ta, xb, tb) = (matrix(9), matrix(37), matrix(6), matrix(50));
+    let priors_b: Vec<f32> = (0..50).map(|i| (i % 7) as f32 * 0.03).collect();
+    ServeEngine::builder()
+        .config(config.clone())
+        .model("a", xa, ModelSnapshot::new(1, ta, vec![]))
+        .model("b", xb, ModelSnapshot::new(4, tb, priors_b))
+        .canary("b", 0.5)
+        .build()
+        .unwrap()
+}
+
+/// The engine configurations the mixed-batch tests sweep: 1, 2 and 3
+/// shards, each under exact and int8-approximate retrieval.
+fn mixed_configs() -> Vec<ServeConfig> {
+    let approx = ScoreConfig {
+        retrieval: Retrieval::Approx {
+            n_probe: 2,
+            quant: QuantMode::Int8,
+        },
+        ..ScoreConfig::default()
+    };
+    let mut configs = Vec::new();
+    for score in [ScoreConfig::default(), approx] {
+        for shards in [1usize, 2, 3] {
+            configs.push(
+                ServeConfig::default()
+                    .with_k(4)
+                    .with_shards(shards)
+                    .with_score(score)
+                    .with_ann(AnnParams {
+                        k_clusters: 6,
+                        ..AnnParams::default()
+                    }),
+            );
+        }
+    }
+    configs
+}
+
+/// The `serve_stage_seconds` observation count of each engine stage, read
+/// through the registry's JSONL bridge.
+fn stage_counts(engine: &ServeEngine) -> Vec<f64> {
+    let samples = engine.obs().metrics().registry().to_counter_samples(0.0);
+    STAGES[1..]
+        .iter()
+        .map(|stage| {
+            let name = format!("serve_stage_seconds{{stage=\"{stage}\"}}.count");
+            samples
+                .iter()
+                .find(|c| c.name == name)
+                .map_or(0.0, |c| c.value)
+        })
+        .collect()
 }
 
 /// The cache identity of a cacheable request: (endpoint, id).
@@ -878,35 +953,13 @@ proptest! {
         seed in any::<u64>(),
         ops in prop::collection::vec((0u8..8, any::<u32>(), any::<u32>(), any::<bool>()), 0..16),
     ) {
-        let f = 5usize;
-        let mut state = seed | 1;
-        let mut matrix = |rows: usize| {
-            let values = (0..rows * f)
-                .map(|_| {
-                    state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
-                    ((state >> 40) as f32 / (1u64 << 24) as f32) * 2.0 - 1.0
-                })
-                .collect();
-            DenseMatrix::from_vec(rows, f, values)
-        };
-        // Arm "a": 9 users × 37 items; arm "b": 6 users × 50 items with priors.
-        let (xa, ta, xb, tb) = (matrix(9), matrix(37), matrix(6), matrix(50));
-        let priors_b: Vec<f32> = (0..50).map(|i| (i % 7) as f32 * 0.03).collect();
-        let build = |config: &ServeConfig| {
-            ServeEngine::builder()
-                .config(config.clone())
-                .model("a", xa.clone(), ModelSnapshot::new(1, ta.clone(), vec![]))
-                .model("b", xb.clone(), ModelSnapshot::new(4, tb.clone(), priors_b.clone()))
-                .canary("b", 0.5)
-                .build()
-                .unwrap()
-        };
+        let build = |config: &ServeConfig| two_arm_engine(seed, config);
         // Each op is (kind, a, b, warm): a warm request is served once on
         // the batch's engine first, so a cacheable one hits inside the
         // batch. Every batch also carries one of each case, at random
         // positions: warmed top-k and similar-items hits, a cold user,
         // similar users, a slate, an explain, an empty slate, an unknown
-        // model, user and item.
+        // model, user and item, and a cold history naming an unknown item.
         let (u, v) = ((seed % 6) as u32, (seed % 37) as u32);
         let mut ops = ops;
         for (j, op) in [
@@ -920,6 +973,7 @@ proptest! {
             (6, u, 0, false),
             (0, 9, 0, false),
             (2, 50, 0, false),
+            (8, u, 99, false),
         ]
         .into_iter()
         .enumerate()
@@ -932,69 +986,151 @@ proptest! {
             .enumerate()
             .map(|(i, &(kind, a, b, _))| mixed_request(i as u64, kind, a, b))
             .collect();
-        let approx = ScoreConfig {
-            retrieval: Retrieval::Approx { n_probe: 2, quant: QuantMode::Int8 },
-            ..ScoreConfig::default()
-        };
-        for score in [ScoreConfig::default(), approx] {
-            for shards in [1usize, 2, 3] {
-                let config = ServeConfig::default()
-                    .with_k(4)
-                    .with_shards(shards)
-                    .with_score(score)
-                    .with_ann(AnnParams { k_clusters: 6, ..AnnParams::default() });
-                let alone: Vec<_> = requests
-                    .iter()
-                    .map(|r| build(&config).recommend_batch(std::slice::from_ref(r), &NOOP).pop().unwrap())
-                    .collect();
-                let engine = build(&config);
-                let mut warmed = std::collections::HashSet::new();
-                for (req, &(.., warm)) in requests.iter().zip(&ops) {
-                    if warm {
-                        let rec = engine.recommend_batch(std::slice::from_ref(req), &NOOP).pop().unwrap();
-                        if let (Ok(rec), Some(key)) = (rec, cacheable(req)) {
-                            warmed.insert((rec.model, key));
-                        }
+        for config in mixed_configs() {
+            let (shards, score) = (config.shards, config.score);
+            let alone: Vec<_> = requests
+                .iter()
+                .map(|r| build(&config).recommend_batch(std::slice::from_ref(r), &NOOP).pop().unwrap())
+                .collect();
+            let engine = build(&config);
+            let mut warmed = std::collections::HashSet::new();
+            for (req, &(.., warm)) in requests.iter().zip(&ops) {
+                if warm {
+                    let rec = engine.recommend_batch(std::slice::from_ref(req), &NOOP).pop().unwrap();
+                    if let (Ok(rec), Some(key)) = (rec, cacheable(req)) {
+                        warmed.insert((rec.model, key));
                     }
                 }
-                let (got, trace) = engine.recommend_batch_traced(&requests, &NOOP);
-                prop_assert_eq!(got.len(), requests.len());
-                let (mut hits, mut cold, mut scored, mut errors) = (0, 0, 0, 0);
-                for (i, (got, want)) in got.iter().zip(&alone).enumerate() {
-                    let ctx = format!("slot {i} {:?}, {shards} shards, {:?}", requests[i].query, score.retrieval);
-                    match (got, want) {
-                        (Ok(g), Ok(w)) => {
-                            prop_assert_eq!(g.request_id, i as u64);
-                            prop_assert_eq!(&g.model, &w.model, "{}", ctx);
-                            prop_assert_eq!(g.epoch, w.epoch, "{}", ctx);
-                            prop_assert_eq!(&g.items, &w.items, "{}", ctx);
-                            prop_assert_eq!(&g.explanation, &w.explanation, "{}", ctx);
-                            let hit = cacheable(&requests[i])
-                                .is_some_and(|key| warmed.contains(&(w.model.clone(), key)));
-                            prop_assert_eq!(g.from_cache, hit, "{}", ctx);
-                            let is_cold = matches!(requests[i].query, Query::User(UserRef::Cold(_)));
-                            if hit {
-                                hits += 1;
-                            } else if is_cold {
-                                cold += 1;
-                            } else {
-                                scored += 1;
-                            }
-                        }
-                        (Err(g), Err(w)) => {
-                            prop_assert_eq!(g.reason(), w.reason(), "{}", ctx);
-                            prop_assert_eq!(g, w, "{}", ctx);
-                            errors += 1;
-                        }
-                        (g, w) => prop_assert!(false, "{}: batch {:?} vs alone {:?}", ctx, g, w),
-                    }
-                }
-                prop_assert_eq!(
-                    (trace.requests, trace.cache_hits, trace.cold_users, trace.scored_users, trace.errors),
-                    (requests.len(), hits, cold, scored, errors),
-                    "{} shards, {:?}", shards, score.retrieval
-                );
             }
+            let (got, trace) = engine.recommend_batch_traced(&requests, &NOOP);
+            prop_assert_eq!(got.len(), requests.len());
+            let (mut hits, mut cold, mut scored, mut errors) = (0, 0, 0, 0);
+            for (i, (got, want)) in got.iter().zip(&alone).enumerate() {
+                let ctx = format!("slot {i} {:?}, {shards} shards, {:?}", requests[i].query, score.retrieval);
+                match (got, want) {
+                    (Ok(g), Ok(w)) => {
+                        prop_assert_eq!(g.request_id, i as u64);
+                        prop_assert_eq!(&g.model, &w.model, "{}", ctx);
+                        prop_assert_eq!(g.epoch, w.epoch, "{}", ctx);
+                        prop_assert_eq!(&g.items, &w.items, "{}", ctx);
+                        prop_assert_eq!(&g.explanation, &w.explanation, "{}", ctx);
+                        let hit = cacheable(&requests[i])
+                            .is_some_and(|key| warmed.contains(&(w.model.clone(), key)));
+                        prop_assert_eq!(g.from_cache, hit, "{}", ctx);
+                        let is_cold = matches!(requests[i].query, Query::User(UserRef::Cold(_)));
+                        if hit {
+                            hits += 1;
+                        } else if is_cold {
+                            cold += 1;
+                        } else {
+                            scored += 1;
+                        }
+                    }
+                    (Err(g), Err(w)) => {
+                        prop_assert_eq!(g.reason(), w.reason(), "{}", ctx);
+                        prop_assert_eq!(g, w, "{}", ctx);
+                        errors += 1;
+                    }
+                    (g, w) => prop_assert!(false, "{}: batch {:?} vs alone {:?}", ctx, g, w),
+                }
+            }
+            prop_assert_eq!(
+                (trace.requests, trace.cache_hits, trace.cold_users, trace.scored_users, trace.errors),
+                (requests.len(), hits, cold, scored, errors),
+                "{} shards, {:?}", shards, score.retrieval
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Every view of a batch is rendered from its one `BatchTrace`. A
+    /// batch mixing all five endpoints (plus hits, cold users and
+    /// failures), over 1–3 shards and exact or int8-approximate
+    /// retrieval, must show the same stages to every consumer:
+    ///
+    /// * the recorder's `serve.batch` and `serve.batch.{stage}` spans are
+    ///   the trace's boundaries and `stages()`;
+    /// * each `ShardTiming` — scatter passes and slate passes alike — has
+    ///   exactly one `serve.shard{i}.score` span, in trace order, of the
+    ///   same duration and inside the score stage;
+    /// * each `serve_stage_seconds` histogram counts the batch once;
+    /// * through admission, a completion's `admitted_at` is where its
+    ///   span's queue stage ends.
+    ///
+    /// Rankings are bit-identical with the recorder on or off.
+    #[test]
+    fn batch_views_agree_with_the_trace(
+        seed in any::<u64>(),
+        ops in prop::collection::vec((0u8..9, any::<u32>(), any::<u32>()), 0..10),
+    ) {
+        let (u, v) = ((seed % 6) as u32, (seed % 37) as u32);
+        let mut ops = ops;
+        // One of each endpoint; the slate [0, 13, 26] is valid on both arms
+        // and touches every shard.
+        ops.extend([(0, u, 0), (2, v, 0), (3, u, 0), (4, u, 3), (5, u, v)]);
+        let requests: Vec<Request> = ops
+            .iter()
+            .enumerate()
+            .map(|(i, &(kind, a, b))| mixed_request(i as u64, kind, a, b))
+            .collect();
+        for config in mixed_configs() {
+            let ctx = format!("{} shards, {:?}", config.shards, config.score.retrieval);
+            let (want, _) = two_arm_engine(seed, &config).recommend_batch_traced(&requests, &NOOP);
+            let engine = two_arm_engine(seed, &config);
+            let before = stage_counts(&engine);
+            let rec = MemoryRecorder::new();
+            let (got, trace) = engine.recommend_batch_traced(&requests, &rec);
+            for (g, w) in got.iter().zip(&want) {
+                let items = |r: &Result<cumf_serve::Recommendation, _>| r.as_ref().ok().map(|r| r.items.clone());
+                prop_assert_eq!(items(g), items(w), "{}", ctx);
+            }
+            let spans = rec.phase_spans();
+            let batch: Vec<_> = spans
+                .iter()
+                .filter(|s| s.name.starts_with("serve.batch"))
+                .map(|s| (s.name.to_string(), s.start, s.end))
+                .collect();
+            let mut expected = vec![("serve.batch".to_string(), trace.start, trace.end)];
+            for (name, start, end) in trace.stages() {
+                expected.push((format!("serve.batch.{name}"), start, end));
+            }
+            prop_assert_eq!(batch, expected, "{}", ctx);
+
+            let [_, _, (_, score_start, score_end), _, _] = trace.stages();
+            let shard_spans: Vec<_> = spans.iter().filter(|s| s.name.starts_with("serve.shard")).collect();
+            prop_assert_eq!(shard_spans.len(), trace.shard_timings.len(), "{}", ctx);
+            prop_assert!(!trace.shard_timings.is_empty(), "{}", ctx);
+            for (span, t) in shard_spans.iter().zip(&trace.shard_timings) {
+                prop_assert_eq!(span.name.to_string(), format!("serve.shard{}.score", t.shard), "{}", ctx);
+                prop_assert!((span.duration() - t.secs).abs() < 1e-9, "{}: {:?} vs {}", ctx, span, t.secs);
+                prop_assert!(span.start >= score_start - 1e-9 && span.end <= score_end + 1e-9, "{}: {:?}", ctx, span);
+            }
+
+            let after = stage_counts(&engine);
+            let advanced: Vec<f64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
+            prop_assert_eq!(advanced, vec![1.0; 5], "{}", ctx);
+
+            let (queue, worker, done) = admission_queue(AdmissionConfig {
+                max_batch: requests.len(),
+                queue_depth: requests.len(),
+                batch_age: Duration::from_secs(60),
+            });
+            for req in &requests {
+                queue.submit(req.clone(), engine.now()).unwrap();
+            }
+            drop(queue);
+            let report = worker.run(&engine, &rec);
+            prop_assert_eq!(report.batches, 1, "{}", ctx);
+            for c in done.iter() {
+                let queue_end = c.span.submitted_at + c.span.stages.queue;
+                prop_assert!((c.admitted_at - queue_end).abs() < 1e-12, "{}: {} vs {}", ctx, c.admitted_at, queue_end);
+                prop_assert_eq!(c.finished_at, c.span.finished_at, "{}", ctx);
+            }
+            let served = rec.phase_spans().iter().filter(|s| s.name == "serve.batch").count();
+            prop_assert_eq!(served as u64, engine.obs().metrics().batches.get(), "{}", ctx);
         }
     }
 }

@@ -58,7 +58,6 @@ fn main() {
             target: Duration::from_millis(2),
             ..SloConfig::default()
         },
-        ..ObsConfig::default()
     };
     let engine = Arc::new(
         ServeEngine::builder()
