@@ -1,7 +1,7 @@
 //! Criterion microbenchmarks of the solve step: exact Cholesky/LU vs.
-//! truncated CG (FP32 and FP16 storage) at the paper's f=100, and the
-//! trainer's whole per-row solve (`solve_row` with the default solver:
-//! narrow `A_u` to FP16, then six CG iterations).
+//! truncated FP32 CG at the paper's f=100, and the trainer's whole
+//! per-row solve (`solve_row` with the default solver: narrow `A_u` to
+//! FP16, widen it once, then six CG iterations) — the FP16-storage CG.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use cumf_als::kernels::solve::solve_row;
@@ -27,7 +27,6 @@ fn spd(f: usize, seed: u64) -> SymPacked {
 fn bench_solvers(c: &mut Criterion) {
     let f = 100usize;
     let a = spd(f, 3);
-    let a16 = a.to_f16();
     let dense = a.to_dense();
     let b: Vec<f32> = (0..f).map(|i| (i as f32 - 50.0) * 0.01).collect();
 
@@ -42,12 +41,6 @@ fn bench_solvers(c: &mut Criterion) {
         bch.iter(|| {
             let mut x = vec![0.0f32; f];
             black_box(cg_solve(black_box(&a), &mut x, &b, 6, 1e-4))
-        })
-    });
-    group.bench_function(BenchmarkId::new("cg6_fp16", f), |bch| {
-        bch.iter(|| {
-            let mut x = vec![0.0f32; f];
-            black_box(cg_solve(black_box(&a16), &mut x, &b, 6, 1e-4))
         })
     });
     let solver = SolverKind::cumf_default();

@@ -4,7 +4,8 @@
 //!
 //! The generator paces request *arrivals* at the target QPS and submits
 //! each into the engine's bounded admission queue; a worker thread drains
-//! the queue into micro-batches that close on size or age. In the default
+//! the queue into micro-batches: each takes what is queued (up to
+//! `--batch`) and closes as soon as the queue is empty. In the default
 //! closed loop a full queue blocks the submitter (backpressure), so
 //! queueing delay shows up in the latencies the moment the engine can't
 //! keep up. With `--open-loop` the submitter never blocks: a full queue
@@ -19,11 +20,11 @@
 //! ```
 //!
 //! Extra flags on top of the common set: `--qps F`, `--requests N`,
-//! `--k N`, `--batch N` (max micro-batch), `--batch-age-us N` (batch close
-//! deadline), `--queue-depth N` (admission queue capacity), `--shards N`
-//! (item-range shards), `--open-loop` (shed instead of blocking when the
-//! queue is full), `--cache N` (entries), `--cold-frac F` (fraction served
-//! as cold-start fold-ins), `--fp16` (score from the FP16 factor copy),
+//! `--k N`, `--batch N` (max micro-batch), `--queue-depth N` (admission
+//! queue capacity), `--shards N` (item-range shards), `--open-loop` (shed
+//! instead of blocking when the queue is full), `--cache N` (entries),
+//! `--cold-frac F` (fraction served as cold-start fold-ins), `--fp16`
+//! (score from the FP16 factor copy),
 //! `--models N` (register N arms `m0…m{N-1}` in the model registry; 1
 //! registers a single `default` model), `--canary-fraction F` (route that
 //! fraction of traffic to the last arm as a canary candidate),
@@ -98,7 +99,6 @@ struct ServeFlags {
     requests: usize,
     k: usize,
     batch: usize,
-    batch_age_us: u64,
     queue_depth: usize,
     shards: usize,
     open_loop: bool,
@@ -153,7 +153,6 @@ fn parse_flags() -> (HarnessArgs, ServeFlags) {
         requests: if args.quick { 4000 } else { 20000 },
         k: 10,
         batch: 64,
-        batch_age_us: 500,
         queue_depth: 256,
         shards: 1,
         open_loop: false,
@@ -190,7 +189,6 @@ fn parse_flags() -> (HarnessArgs, ServeFlags) {
             "--requests" => flags.requests = val(20000.0) as usize,
             "--k" => flags.k = val(10.0) as usize,
             "--batch" => flags.batch = (val(64.0) as usize).max(1),
-            "--batch-age-us" => flags.batch_age_us = val(500.0) as u64,
             "--queue-depth" => flags.queue_depth = (val(256.0) as usize).max(1),
             "--shards" => flags.shards = (val(1.0) as usize).max(1),
             "--open-loop" => flags.open_loop = true,
@@ -237,7 +235,7 @@ fn parse_flags() -> (HarnessArgs, ServeFlags) {
             "--help" | "-h" => {
                 eprintln!(
                     "serve_bench flags: --qps F, --requests N, --k N, --batch N, \
-                     --batch-age-us N, --queue-depth N, --shards N, --open-loop, \
+                     --queue-depth N, --shards N, --open-loop, \
                      --cache N, --cold-frac F, --fp16, --models N, --canary-fraction F, \
                      --republish, --retrieval exact|approx, --n-probe N, --clusters N, \
                      --quant int8|none, --items N, --kernels, \
@@ -512,14 +510,13 @@ fn main() {
     };
 
     eprintln!(
-        "replaying {} {} requests at {} QPS ({} loop, batch ≤ {} or {} µs, queue {}, \
+        "replaying {} {} requests at {} QPS ({} loop, batch ≤ {}, queue {}, \
          {} shard{}, cache {}, k {}, {} model{}{}, {}{})",
         flags.requests,
         flags.endpoint.name(),
         flags.qps,
         if flags.open_loop { "open" } else { "closed" },
         flags.batch,
-        flags.batch_age_us,
         flags.queue_depth,
         flags.shards,
         if flags.shards == 1 { "" } else { "s" },
@@ -543,7 +540,6 @@ fn main() {
     let (queue, worker, done) = admission_queue(AdmissionConfig {
         max_batch: flags.batch,
         queue_depth: flags.queue_depth,
-        batch_age: Duration::from_micros(flags.batch_age_us),
     });
     // Shed requests must spend SLO budget, so the queue needs the obs hook.
     let queue = queue.with_obs(engine.obs_arc());
@@ -758,7 +754,7 @@ fn report(
         s.failed
     );
     println!(
-        "admission: {} batches (mean {:.1} req/batch; {} closed by size, {} by age)",
+        "admission: {} batches (mean {:.1} req/batch; {} closed full, {} on an empty queue)",
         s.admission.batches,
         s.admission.mean_batch(),
         s.admission.closed_by_size,
@@ -1003,7 +999,6 @@ fn json_summary(
                 ("rejected", Value::Num(s.admission.rejected as f64)),
                 ("queue_depth", Value::Num(flags.queue_depth as f64)),
                 ("max_batch", Value::Num(flags.batch as f64)),
-                ("batch_age_us", Value::Num(flags.batch_age_us as f64)),
             ]),
         ),
         (

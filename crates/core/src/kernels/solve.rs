@@ -13,6 +13,7 @@ use cumf_gpu_sim::memory::STREAM_READ_EFFICIENCY;
 use cumf_gpu_sim::GpuSpec;
 use cumf_numeric::cg::{cg_solve_in, CgOutcome, CgScratch};
 use cumf_numeric::cholesky::cholesky_solve;
+use cumf_numeric::f16::widen_slice;
 use cumf_numeric::lu::{lu_flops, lu_solve};
 use cumf_numeric::sym::{SymPacked, SymPackedF16};
 
@@ -43,7 +44,8 @@ pub struct SolveTrace {
 }
 
 /// Per-row solve buffers kept across rows: the FP16 copy of `A_u`, the
-/// rescaled system of the FP16 overflow guard, and the CG work vectors.
+/// FP32 matrix the FP16 CG runs on (first the rescaled system of the
+/// overflow guard, then the widened FP16 copy), and the CG work vectors.
 /// A sweep holds one per worker (the trainer's and the fold-in's
 /// per-worker state), so the solve allocates nothing per row. Every
 /// buffer is overwritten before it is read: reuse never changes a bit.
@@ -206,8 +208,12 @@ fn solve_row_impl(
                 if let Some(t) = trace.as_deref_mut() {
                     fp16_roundtrip_stats(narrowed, a16, t);
                 }
+                // Widen once and run the FP32 CG: widening is exact, so
+                // these are the FP16 matrix's bits. The device re-reads
+                // FP16 every iteration, which `solve_cost` prices.
+                widen_slice(a16.as_slice(), scaled.as_mut_slice());
                 stats(cg_solve_in(
-                    &*a16,
+                    &*scaled,
                     x,
                     rhs,
                     *fs,
@@ -485,6 +491,52 @@ mod tests {
                 assert_eq!(fresh.iterations, reused.iterations);
                 assert_eq!(fresh.converged, reused.converged);
             }
+        }
+    }
+
+    /// The FP16 arm is FP32 CG on the widened narrowed matrix, bit for
+    /// bit, with and without the overflow rescale.
+    #[test]
+    fn fp16_solve_is_fp32_cg_on_the_widened_matrix() {
+        let f = 13;
+        let mut big = spd(f, 14);
+        for v in big.as_mut_slice() {
+            *v *= 1.0e6;
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (fs, tolerance) = (6, 1e-4);
+        let solver = SolverKind::Cg {
+            fs,
+            tolerance,
+            precision: Precision::Fp16,
+        };
+        let mut scratch = SolveScratch::new(f);
+        for (a, rescaled) in [(spd(f, 13), false), (big, true)] {
+            let b: Vec<f32> = (0..f).map(|i| i as f32 * 0.4 - 2.0).collect();
+            // The solver's overflow rule: divide by amax/1e4 above 3e4.
+            let amax = a.as_slice().iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+            assert_eq!(amax > 3.0e4, rescaled);
+            let (mut scaled, mut rhs) = (a.clone(), b.clone());
+            if rescaled {
+                let s = amax / 1.0e4;
+                scaled.as_mut_slice().iter_mut().for_each(|v| *v /= s);
+                rhs.iter_mut().for_each(|v| *v /= s);
+            }
+            let widened = scaled.to_f16().to_f32();
+            let mut want = vec![0.2f32; f];
+            let outcome = cg_solve_in(
+                &widened,
+                &mut want,
+                &rhs,
+                fs,
+                tolerance,
+                None,
+                &mut CgScratch::default(),
+            );
+            let mut got = vec![0.2f32; f];
+            let stats = solve_row_with(&solver, &a, &mut got, &b, &mut scratch);
+            assert_eq!(bits(&got), bits(&want), "rescaled: {rescaled}");
+            assert_eq!(stats.iterations, outcome.iterations);
         }
     }
 

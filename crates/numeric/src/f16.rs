@@ -206,11 +206,13 @@ unsafe fn narrow_slice_avx2(src: &[f32], dst: &mut [F16]) {
     narrow_slice_impl(src, dst)
 }
 
-/// Widen a whole `F16` slice into a pre-allocated `f32` buffer.
+/// Widen a whole `F16` slice into a pre-allocated `f32` buffer, through
+/// the branch-light [`crate::kernel::decode_f16`] (bit-identical to
+/// [`F16::to_f32`] for every pattern), so the loop vectorizes.
 pub fn widen_slice(src: &[F16], dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len(), "widen_slice: length mismatch");
     for (d, &s) in dst.iter_mut().zip(src) {
-        *d = s.to_f32();
+        *d = crate::kernel::decode_f16(s);
     }
 }
 

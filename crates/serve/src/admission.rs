@@ -14,12 +14,13 @@
 //!   immediately, handed back to the caller, and counted. The queue can
 //!   therefore never grow without bound; overload turns into an explicit,
 //!   measured rejection rate instead of silent latency collapse.
-//! * **Adaptive batch close.** The worker opens a batch on the first
-//!   queued request and closes it when either `max_batch` requests have
-//!   accumulated **or** the oldest queued request has waited `batch_age`
-//!   — whichever comes first. Under load, batches fill and the engine
-//!   amortizes its scoring pass; when traffic is sparse the age deadline
-//!   bounds the latency a lone request pays for batching.
+//! * **Work-conserving batch close.** The worker blocks for a batch's
+//!   first request, takes whatever else is already queued (up to
+//!   `max_batch`), and closes the batch the moment the queue is empty —
+//!   there is no timer. Requests that arrive while a batch is being
+//!   scored make up the next one, so under load batches fill by
+//!   themselves and the engine amortizes its scoring pass, while a lone
+//!   request waits for nothing but the batch ahead of it.
 //! * **Completions out-of-band.** Each served request is reported as a
 //!   [`Completion`] carrying submit/admit/finish stamps on the engine's
 //!   wall clock, so callers can split total latency into queueing delay
@@ -63,12 +64,11 @@ use crate::obs::{RequestSpan, ServeObs, SloReport};
 use cumf_telemetry::{FootprintReport, LatencyHistogram, MemoryFootprint, Recorder};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{
-    channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError,
+    channel, sync_channel, Receiver, Sender, SyncSender, TryRecvError, TrySendError,
 };
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-/// Queue depth and batch-close policy.
+/// Queue depth and batch size cap.
 #[derive(Clone, Copy, Debug)]
 pub struct AdmissionConfig {
     /// Requests per micro-batch at most; a batch closes as soon as it
@@ -77,9 +77,6 @@ pub struct AdmissionConfig {
     /// Bounded queue capacity. `try_submit` sheds beyond this; `submit`
     /// blocks.
     pub queue_depth: usize,
-    /// Maximum time the first request of a batch waits for company before
-    /// the batch closes anyway.
-    pub batch_age: Duration,
 }
 
 impl Default for AdmissionConfig {
@@ -87,7 +84,6 @@ impl Default for AdmissionConfig {
         AdmissionConfig {
             max_batch: 64,
             queue_depth: 256,
-            batch_age: Duration::from_micros(500),
         }
     }
 }
@@ -204,8 +200,11 @@ pub struct Completion {
 
 /// Why a batch closed.
 enum Close {
-    Size,
-    Age,
+    /// It reached `max_batch`.
+    Full,
+    /// Nothing else was queued.
+    Empty,
+    /// Every producer is gone.
     Drain,
 }
 
@@ -231,20 +230,15 @@ impl AdmissionWorker {
         // Each iteration blocks for the first request of the next batch;
         // a recv error means every producer handle is gone and we're done.
         while let Ok(first) = self.rx.recv() {
-            let deadline = Instant::now() + self.cfg.batch_age;
             let mut batch = vec![first];
             let close = loop {
                 if batch.len() >= max_batch {
-                    break Close::Size;
+                    break Close::Full;
                 }
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    break Close::Age;
-                }
-                match self.rx.recv_timeout(remaining) {
+                match self.rx.try_recv() {
                     Ok(s) => batch.push(s),
-                    Err(RecvTimeoutError::Timeout) => break Close::Age,
-                    Err(RecvTimeoutError::Disconnected) => break Close::Drain,
+                    Err(TryRecvError::Empty) => break Close::Empty,
+                    Err(TryRecvError::Disconnected) => break Close::Drain,
                 }
             };
 
@@ -265,8 +259,8 @@ impl AdmissionWorker {
             report.score_flops += trace.score_flops;
             report.score_secs += (score_end - score_start).max(0.0);
             match close {
-                Close::Size => report.closed_by_size += 1,
-                Close::Age => report.closed_by_age += 1,
+                Close::Full => report.closed_by_size += 1,
+                Close::Empty => report.closed_by_age += 1,
                 Close::Drain => report.closed_by_drain += 1,
             }
             for ((submitted_at, response), req) in stamps.into_iter().zip(out).zip(&reqs) {
@@ -310,7 +304,8 @@ pub struct AdmissionReport {
     pub admitted: u64,
     /// Batches closed by reaching `max_batch`.
     pub closed_by_size: u64,
-    /// Batches closed by the age deadline.
+    /// Batches closed before reaching `max_batch` because nothing else
+    /// was queued.
     pub closed_by_age: u64,
     /// Batches closed by queue disconnect during shutdown drain.
     pub closed_by_drain: u64,
@@ -427,6 +422,7 @@ mod tests {
     use crate::store::ModelSnapshot;
     use cumf_numeric::dense::DenseMatrix;
     use cumf_telemetry::NOOP;
+    use std::time::Duration;
 
     fn tiny_engine(users: usize) -> ServeEngine {
         let f = 3;
@@ -451,7 +447,6 @@ mod tests {
         let (queue, worker, done) = admission_queue(AdmissionConfig {
             max_batch: 4,
             queue_depth: 16,
-            batch_age: Duration::from_secs(60), // never fires
         });
         for u in 0..8 {
             queue.submit(req(u), engine.now()).unwrap();
@@ -480,28 +475,37 @@ mod tests {
     }
 
     #[test]
-    fn lone_request_closes_on_age() {
-        let engine = tiny_engine(2);
+    fn batches_close_when_the_queue_is_empty() {
+        let engine = tiny_engine(4);
         let (queue, worker, done) = admission_queue(AdmissionConfig {
-            max_batch: 1000,
+            max_batch: 64,
             queue_depth: 16,
-            batch_age: Duration::from_millis(5),
         });
+        // Three requests wait before the worker starts; the producer stays
+        // connected, so only an empty queue can close the first batch.
+        for u in 0..3 {
+            queue.submit(req(u), engine.now()).unwrap();
+        }
         std::thread::scope(|scope| {
             let engine = &engine;
             let handle = scope.spawn(move || worker.run(engine, &NOOP));
-            queue.submit(req(0), engine.now()).unwrap();
-            // The worker must answer without the queue disconnecting:
-            // batch size 1000 is unreachable, only the age deadline fires.
-            let c = done
-                .recv_timeout(Duration::from_secs(10))
-                .expect("age deadline must close the batch");
-            assert_eq!(c.response.as_ref().unwrap().request_id, 0);
-            assert_eq!(c.batch_size, 1);
+            let next = || {
+                done.recv_timeout(Duration::from_secs(10))
+                    .expect("an empty queue must close the batch")
+            };
+            let mut sizes: Vec<usize> = (0..3).map(|_| next().batch_size).collect();
+            queue.submit(req(3), engine.now()).unwrap();
+            let last = next();
+            assert_eq!(last.response.as_ref().unwrap().request_id, 3);
+            sizes.push(last.batch_size);
+            assert_eq!(sizes, [3, 3, 3, 1]);
             drop(queue);
             let report = handle.join().unwrap();
-            assert_eq!(report.closed_by_age, 1);
-            assert_eq!(report.admitted, 1);
+            assert_eq!(report.batches, 2);
+            assert_eq!(report.closed_by_age, 2);
+            assert_eq!(report.closed_by_size, 0);
+            assert_eq!(report.closed_by_drain, 0);
+            assert_eq!(report.admitted, 4);
         });
     }
 
@@ -512,7 +516,6 @@ mod tests {
         let (queue, worker, done) = admission_queue(AdmissionConfig {
             max_batch: 64,
             queue_depth: depth,
-            batch_age: Duration::from_millis(1),
         });
         // No worker running: the queue fills to exactly `depth`, then
         // every further try_submit is shed and counted.
@@ -570,7 +573,6 @@ mod tests {
         let (queue, worker, done) = admission_queue(AdmissionConfig {
             max_batch: 4,
             queue_depth: 16,
-            batch_age: Duration::from_millis(2),
         });
         for u in 0..8 {
             queue.submit(req(u), engine.now()).unwrap();
@@ -610,7 +612,6 @@ mod tests {
         let (queue, worker, _done) = admission_queue(AdmissionConfig {
             max_batch: 64,
             queue_depth: 2,
-            batch_age: Duration::from_millis(1),
         });
         let queue = queue.with_obs(engine.obs_arc());
         // No worker running: fill the queue, then shed twice.
@@ -638,7 +639,6 @@ mod tests {
         let (queue, worker, done) = admission_queue(AdmissionConfig {
             max_batch: 3,
             queue_depth: 8,
-            batch_age: Duration::from_secs(60),
         });
         queue.submit(req(0), engine.now()).unwrap();
         queue.submit(req(99), engine.now()).unwrap(); // only 4 users exist
@@ -667,7 +667,6 @@ mod tests {
         let (queue, worker, _done) = admission_queue(AdmissionConfig {
             max_batch: 4,
             queue_depth: 16,
-            batch_age: Duration::from_secs(60),
         });
         for u in 0..8 {
             queue.submit(req(u), engine.now()).unwrap();

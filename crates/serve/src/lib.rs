@@ -39,8 +39,9 @@
 //!   [`ServeEngineBuilder`]; fallible paths return [`ServeError`] instead
 //!   of panicking, per request.
 //! * [`admission`] — a bounded request queue in front of the engine:
-//!   batches close on size or age, overload sheds with a counted
-//!   rejection instead of unbounded queueing.
+//!   each batch is whatever is queued (up to `max_batch`), closed the
+//!   moment the queue is empty; overload sheds with a counted rejection
+//!   instead of unbounded queueing.
 //! * [`metrics`] — NDCG@k, the ranking-quality yardstick used to bound the
 //!   FP16 path's approximation error, plus overlap@k for comparing two
 //!   rankers.

@@ -14,13 +14,13 @@
 //! ranking is bit-identical to the unsharded scorer's — test-enforced for
 //! shard counts 1–8 including tied scores straddling shard boundaries.
 //!
-//! Shards score on scoped OS threads when the host has more than one core
-//! (the rayon shim is sequential, so parallelism across shards comes from
-//! `std::thread`); on a single-core host they run inline in shard order.
-//! Either way the merge order is fixed, so results never depend on the
-//! schedule. Beyond parallel scoring, contiguous range shards are the
-//! on-ramp to multi-node serving: each range could live in a different
-//! process and the gather step would not change.
+//! Shard 0 scores on the calling thread and shards 1.. on scoped OS
+//! threads, one each (the rayon shim is sequential, so parallelism across
+//! shards comes from `std::thread`); a 1-shard snapshot spawns nothing.
+//! The merge order is fixed, so results never depend on the schedule.
+//! Beyond parallel scoring, contiguous range shards are the on-ramp to
+//! multi-node serving: each range could live in a different process and
+//! the gather step would not change.
 
 use crate::ann::{AnnParams, AnnPolicy, CentroidIndex, QuantizedFactors};
 use crate::error::ServeError;
@@ -271,10 +271,9 @@ impl ShardScatter {
     /// ascending). Consumes the scatter; returns rankings in user order
     /// plus the per-shard timings.
     pub fn gather(mut self, k: usize) -> (Vec<Vec<ScoredItem>>, Vec<ShardTiming>) {
-        if self.rankings.len() == 1 {
+        if let [only] = &mut self.rankings[..] {
             // Single shard: its local order is already the global order.
-            let only = self.rankings.pop().expect("one shard");
-            return (only, self.timings);
+            return (std::mem::take(only), self.timings);
         }
         let mut scratch: Vec<Vec<ScoredItem>> = vec![Vec::new(); self.rankings.len()];
         let merged = (0..self.users)
@@ -289,8 +288,8 @@ impl ShardScatter {
     }
 }
 
-/// Scatter: one blocked scoring pass per shard over its item range, on
-/// scoped threads when the host has more than one core.
+/// Scatter: one blocked scoring pass per shard over its item range —
+/// shard 0 on the calling thread, each further shard on a scoped thread.
 ///
 /// Each shard's [`ShardTiming::start`] is `t_base` plus the pass's offset
 /// from the call, so a caller passing its clock's current reading gets
@@ -328,30 +327,26 @@ pub fn scatter_top_k(
         };
         (local, timing)
     };
-    let multicore = std::thread::available_parallelism()
-        .map(|p| p.get() > 1)
-        .unwrap_or(false);
-    let per_shard: Vec<_> = if multicore && sharded.n_shards() > 1 {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = sharded
-                .shards()
-                .iter()
-                .enumerate()
-                .map(|(idx, shard)| scope.spawn(move || score_shard(idx, shard)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard scoring panicked"))
-                .collect()
-        })
-    } else {
-        sharded
-            .shards()
+    // Shard 0 scores on this thread while shards 1.. score on scoped
+    // threads; collecting in index order keeps the timings in shard order.
+    // `build_with` clamps the shard count to at least 1, so shard 0 exists.
+    let per_shard: Vec<_> = std::thread::scope(|scope| {
+        let shards = sharded.shards();
+        let handles: Vec<_> = shards
             .iter()
             .enumerate()
-            .map(|(idx, shard)| score_shard(idx, shard))
-            .collect()
-    };
+            .skip(1)
+            .map(|(idx, shard)| scope.spawn(move || score_shard(idx, shard)))
+            .collect();
+        let first = score_shard(0, &shards[0]);
+        // A shard pass panics only on a scorer bug (its rows are a range
+        // of the snapshot, and the engine validates every query first);
+        // such a panic is re-raised here with its own payload.
+        let rest = handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        std::iter::once(first).chain(rest).collect()
+    });
     let (rankings, timings) = per_shard.into_iter().unzip();
     ShardScatter {
         rankings,
@@ -388,9 +383,15 @@ pub fn top_k_batch_sharded_timed(
 /// `kernel::dot_lanes + prior` arithmetic as every other surface, so the
 /// result is bit-identical to the full sharded top-k ranking restricted
 /// to the slate (test-enforced). Duplicate slate entries rank
-/// independently. Slate ids must be `< n_items()` (the engine validates
-/// and rejects out-of-range ids before calling). Timing starts count from
-/// `t_base`, as in [`scatter_top_k`].
+/// independently. Timing starts count from `t_base`, as in
+/// [`scatter_top_k`].
+///
+/// # Panics
+///
+/// If `query.len()` is not the model's `f` or a slate id is
+/// `>= n_items()`. The engine never passes either: its query is a row of
+/// the model's own user factors, and it answers an out-of-range slate id
+/// with [`ServeError::UnknownItem`] before scoring.
 pub fn rank_slate_sharded(
     sharded: &ShardedSnapshot,
     query: &[f32],
@@ -401,7 +402,8 @@ pub fn rank_slate_sharded(
     let f = sharded.f();
     assert_eq!(query.len(), f, "query dimension must match the model");
     // Group candidates by owning shard: ranges are contiguous, so the
-    // owner is the last shard starting at or before the id.
+    // owner is the last shard starting at or before the id (shard 0
+    // starts at 0, so there always is one).
     let (full, shards) = (sharded.full(), sharded.shards());
     let mut groups: Vec<Vec<u32>> = vec![Vec::new(); shards.len()];
     for &item in slate {

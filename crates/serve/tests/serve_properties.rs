@@ -14,14 +14,13 @@ use cumf_numeric::dense::DenseMatrix;
 use cumf_serve::obs::STAGES;
 use cumf_serve::{
     admission_queue, canary_unit, merge_top_k, naive_top_k, ndcg_at_k, overlap_at_k, score_one,
-    top_k_batch, top_k_batch_sharded, AdmissionConfig, AnnParams, CanaryPolicy, Endpoint,
-    ModelSnapshot, QuantMode, QuantizedFactors, Query, Request, Retrieval, ScoreConfig, ScoredItem,
-    ServeConfig, ServeEngine, ShardedSnapshot, SubmitError, UserRef,
+    top_k_batch, top_k_batch_sharded, top_k_batch_sharded_timed, AdmissionConfig, AnnParams,
+    CanaryPolicy, Endpoint, ModelSnapshot, QuantMode, QuantizedFactors, Query, Request, Retrieval,
+    ScoreConfig, ScoredItem, ServeConfig, ServeEngine, ShardedSnapshot, SubmitError, UserRef,
 };
 use cumf_telemetry::{FootprintReport, MemoryRecorder, NOOP};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Duration;
 
 /// A random (snapshot, user batch) pair: n items × f features plus u user
 /// rows, entries in [-1, 1], and random popularity priors.
@@ -90,8 +89,12 @@ proptest! {
         let want = top_k_batch(&snapshot, &users, k, &cfg);
         for shards in [1usize, 2, 3, 7, 8] {
             let sharded = ShardedSnapshot::build(snapshot.clone(), shards);
-            let got = top_k_batch_sharded(&sharded, &users, k, &cfg);
+            let (got, timings) = top_k_batch_sharded_timed(&sharded, &users, k, &cfg);
             prop_assert_eq!(&got, &want, "{} shards", shards);
+            // Shard 0 scores inline and the rest on threads, yet timings
+            // come back in shard-index order.
+            let order: Vec<usize> = timings.iter().map(|t| t.shard).collect();
+            prop_assert_eq!(order, (0..sharded.n_shards()).collect::<Vec<_>>(), "{} shards", shards);
         }
     }
 
@@ -379,7 +382,6 @@ fn overloaded_admission_queue_rejects_rather_than_grows() {
         let (queue, worker, done) = admission_queue(AdmissionConfig {
             max_batch: 8,
             queue_depth: depth,
-            batch_age: Duration::from_millis(1),
         });
         let total = depth + 13;
         let mut accepted = 0usize;
@@ -1116,7 +1118,6 @@ proptest! {
             let (queue, worker, done) = admission_queue(AdmissionConfig {
                 max_batch: requests.len(),
                 queue_depth: requests.len(),
-                batch_age: Duration::from_secs(60),
             });
             for req in &requests {
                 queue.submit(req.clone(), engine.now()).unwrap();

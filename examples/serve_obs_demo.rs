@@ -80,7 +80,6 @@ fn main() {
     let (queue, worker, done) = admission_queue(AdmissionConfig {
         max_batch: 32,
         queue_depth: 128,
-        batch_age: Duration::from_micros(300),
     });
     let queue = queue.with_obs(engine.obs_arc());
 
