@@ -48,6 +48,15 @@
 //! whatever the tile. The tile is a host constant; the paper's `T × T`
 //! register tile is device geometry that only the GPU cost model prices.
 //!
+//! # The k-means distance kernel
+//!
+//! [`sq_dists_transposed`] is the publish side's kernel: the assign step
+//! of the k-means behind every centroid index. It has no reduction
+//! either. Each lane is one (row, centroid) pair's own accumulator and
+//! runs the scalar `d += e·e` chain in ascending `j`, against centroids
+//! stored transposed so that [`LANES`] centroids sit side by side, and
+//! the distances are the scalar loop's bits.
+//!
 //! # Vector-width multiversioning
 //!
 //! The lane order fixes *what* is computed, not how wide the machine
@@ -530,6 +539,108 @@ fn gram_tile<const R: usize>(
     }
 }
 
+/// Centroid chunks of [`LANES`] held in one [`sq_dists_transposed`]
+/// register tile: four independent accumulator vectors, enough to hide
+/// the `add` latency of each lane's chain behind the other three.
+pub const DIST_CHUNKS: usize = 4;
+
+/// Squared Euclidean distances from one row to every centroid of a
+/// transposed centroid block — the assign step of k-means:
+/// `out[c] = Σ_j (row[j] − cen_t[j·k_pad + c])²`.
+///
+/// `cen_t` is `f × k_pad` (`f = row.len()`): line `j` holds element `j`
+/// of every centroid, one centroid per column, and `k_pad` is a multiple
+/// of [`LANES`]. Padding columns are computed like the rest; their
+/// contents do not matter, and callers must not read their outputs.
+///
+/// Each output is its own accumulator, one centroid per lane, so there is
+/// no reduction tree: lane `c` starts from `0.0` and, for `j` ascending,
+/// computes `e = row[j] − cen_t[j·k_pad + c]` then `d += e·e` as a `mul`
+/// followed by an `add`. That is exactly the scalar loop over one
+/// (row, centroid) pair, so every distance is bit-identical to it,
+/// non-finite values included. The kernel walks the columns in
+/// [`DIST_CHUNKS`]` × `[`LANES`] register tiles, each held in registers
+/// while the whole row streams through it; the tile changes only which
+/// independent chains run side by side.
+///
+/// Panics if `k_pad` is not a positive multiple of [`LANES`], `cen_t` is
+/// not `f × k_pad` long, or `out` is not `k_pad` long.
+pub fn sq_dists_transposed(row: &[f32], cen_t: &[f32], k_pad: usize, out: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the AVX2 requirement was just probed on this host.
+        return unsafe { avx2::sq_dists_transposed(row, cen_t, k_pad, out) };
+    }
+    sq_dists_transposed_impl(row, cen_t, k_pad, out)
+}
+
+/// Signature shared by the compilations of [`sq_dists_transposed`].
+pub type SqDistsFn = fn(&[f32], &[f32], usize, &mut [f32]);
+
+/// Every compilation of [`sq_dists_transposed`] this host can run, by
+/// name: the portable body, and its AVX2 compilation where the host has
+/// AVX2. Tests iterate it to pin each compilation to a reference; code
+/// outside tests calls [`sq_dists_transposed`].
+#[doc(hidden)]
+pub fn sq_dists_compilations() -> Vec<(&'static str, SqDistsFn)> {
+    let mut all: Vec<(&'static str, SqDistsFn)> = vec![("portable", sq_dists_transposed_impl)];
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        all.push(("avx2", |row, cen_t, k_pad, out| {
+            // SAFETY: this entry is only listed after the AVX2 probe above.
+            unsafe { avx2::sq_dists_transposed(row, cen_t, k_pad, out) }
+        }));
+    }
+    all
+}
+
+#[inline(always)]
+fn sq_dists_transposed_impl(row: &[f32], cen_t: &[f32], k_pad: usize, out: &mut [f32]) {
+    assert!(
+        k_pad > 0 && k_pad.is_multiple_of(LANES),
+        "sq_dists_transposed: k_pad {k_pad} is not a positive multiple of {LANES}"
+    );
+    assert_eq!(
+        cen_t.len(),
+        row.len() * k_pad,
+        "sq_dists_transposed: bad centroid block"
+    );
+    assert_eq!(out.len(), k_pad, "sq_dists_transposed: bad output length");
+    let mut c0 = 0;
+    while c0 + DIST_CHUNKS * LANES <= k_pad {
+        dist_tile::<DIST_CHUNKS>(row, cen_t, k_pad, c0, out);
+        c0 += DIST_CHUNKS * LANES;
+    }
+    match (k_pad - c0) / LANES {
+        1 => dist_tile::<1>(row, cen_t, k_pad, c0, out),
+        2 => dist_tile::<2>(row, cen_t, k_pad, c0, out),
+        3 => dist_tile::<3>(row, cen_t, k_pad, c0, out),
+        _ => {}
+    }
+}
+
+/// Columns `c0..c0 + B·LANES`: `B` accumulator vectors, one `sub`, `mul`
+/// and `add` per lane per row element, in ascending `j`.
+#[inline(always)]
+fn dist_tile<const B: usize>(row: &[f32], cen_t: &[f32], k_pad: usize, c0: usize, out: &mut [f32]) {
+    let mut acc = [[0.0f32; LANES]; B];
+    for (&x, line) in row.iter().zip(cen_t.chunks_exact(k_pad)) {
+        let cols = &line[c0..c0 + B * LANES];
+        for (a, c) in acc.iter_mut().zip(cols.chunks_exact(LANES)) {
+            for l in 0..LANES {
+                let e = x - c[l];
+                a[l] += e * e;
+            }
+        }
+    }
+    for (a, o) in acc
+        .iter()
+        .zip(out[c0..c0 + B * LANES].chunks_exact_mut(LANES))
+    {
+        o.copy_from_slice(a);
+    }
+}
+
 /// AVX2 compilations of the portable kernel bodies. Each function simply
 /// inlines the matching `*_impl` under `#[target_feature(enable =
 /// "avx2")]`, so the evaluation order — and therefore every bit of the
@@ -607,6 +718,11 @@ mod avx2 {
     #[target_feature(enable = "avx2")]
     pub unsafe fn syrk_packed(acc: &mut [f32], f: usize, staged: &[f32], ld: usize) {
         syrk_packed_impl(acc, f, staged, ld)
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn sq_dists_transposed(row: &[f32], cen_t: &[f32], k_pad: usize, out: &mut [f32]) {
+        sq_dists_transposed_impl(row, cen_t, k_pad, out)
     }
 
     #[target_feature(enable = "avx2")]
@@ -925,6 +1041,59 @@ mod tests {
     fn syrk_packed_rejects_an_unpadded_stride() {
         let mut acc = vec![0.0f32; 55];
         syrk_packed(&mut acc, 10, &[0.0; 10], 10);
+    }
+
+    /// Every compilation of the distance kernel against one spelled-out
+    /// scalar chain per (row, centroid) pair: `f` from empty to past
+    /// several chunks, `k` from one lane to past a full register tile, a
+    /// finite row (where any reordering shows in the bits), a row with
+    /// +∞ against a last centroid holding +∞ (∞ − ∞ is NaN in that lane
+    /// only), a row with NaN, and NaN in every padding column, whose
+    /// outputs are not compared.
+    #[test]
+    fn sq_dists_transposed_is_bit_identical_to_the_scalar_chain() {
+        for (name, sq_dists) in sq_dists_compilations() {
+            for f in [0usize, 1, 3, 7, 8, 9, 17, 100] {
+                for k in [1usize, 3, 8, 9, 31, 32, 33, 64, 70] {
+                    let k_pad = k.next_multiple_of(LANES);
+                    let (finite, cen) = vecs(f * k.max(2), (31 * f + k) as u64);
+                    let finite = &finite[..f];
+                    let mut cen_t = vec![f32::NAN; f * k_pad];
+                    for c in 0..k {
+                        for j in 0..f {
+                            cen_t[j * k_pad + c] = cen[c * f + j];
+                        }
+                    }
+                    let mut rows = vec![finite.to_vec()];
+                    if f > 0 {
+                        let mut inf = finite.to_vec();
+                        inf[0] = f32::INFINITY;
+                        cen_t[k - 1] = f32::INFINITY; // line 0, last centroid
+                        let mut nan = finite.to_vec();
+                        nan[f / 2] = f32::NAN;
+                        rows.extend([inf, nan]);
+                    }
+                    for row in &rows {
+                        let mut got = vec![0.0f32; k_pad];
+                        sq_dists(row, &cen_t, k_pad, &mut got);
+                        for c in 0..k {
+                            let mut d = 0.0f32;
+                            for j in 0..f {
+                                let e = row[j] - cen_t[j * k_pad + c];
+                                d += e * e;
+                            }
+                            assert_eq!(got[c].to_bits(), d.to_bits(), "{name}: f={f} k={k} c={c}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not a positive multiple")]
+    fn sq_dists_transposed_rejects_an_unpadded_block() {
+        sq_dists_transposed(&[1.0], &[0.0; 7], 7, &mut [0.0; 7]);
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //!    exactly in FP32 before the final merge.
 //!
 //! Both structures are immutable once built; a published epoch holds one
-//! of each per shard, over the shard's rows. Everything is deterministic: k-means uses a fixed seed and iteration cap, ties break
-//! toward lower indices, and member lists are in ascending item order —
-//! so the approximate path is as reproducible as the exact one.
+//! of each per shard, over the shard's rows. Everything is deterministic:
+//! k-means uses a fixed seed and iteration cap, ties break toward lower
+//! indices, and member lists are in ascending item order — so the
+//! approximate path is as reproducible as the exact one.
 
 use crate::topk::TopK;
 use cumf_numeric::dense::DenseMatrix;
@@ -123,17 +124,51 @@ impl CentroidIndex {
     /// `params.max_iters` or a fixed point. A cluster that empties keeps
     /// its previous centroid, so `k` never silently shrinks below the
     /// clamped value.
+    ///
+    /// Non-finite factors are not rejected. A row with a NaN or ±∞
+    /// element is NaN or +∞ away from every centroid, so the strict `<`
+    /// against the initial +∞ never fires and the row stays in cluster 0.
+    /// Cluster 0's mean then takes NaN (or ±∞) in those elements, so
+    /// every row is NaN or +∞ away from it, and a finite row stays in it
+    /// only when no centroid is a finite distance away. The partition
+    /// still covers every item exactly once.
     pub fn build(items: &DenseMatrix, params: AnnParams) -> CentroidIndex {
         CentroidIndex::build_rows(items.as_slice(), items.rows(), items.cols(), params)
     }
 
     /// [`CentroidIndex::build`] over `n` borrowed row-major `f`-long rows
     /// (a shard's range); member ids are range-local.
+    ///
+    /// The assign step is lane-parallel: once per Lloyd iteration the
+    /// `k × f` centroids are transposed into an `f × k_pad` scratch (`k`
+    /// padded to a multiple of [`kernel::LANES`]), and
+    /// [`kernel::sq_dists_transposed`] computes one item's distances to
+    /// [`kernel::LANES`] centroids at a time, one centroid per lane. Each
+    /// lane runs the scalar chain over one (item, centroid) pair — from
+    /// `0.0`, `j` ascending, `e = row[j] − cen[j]` then `d += e·e` with no
+    /// FMA — so every distance is the same bits as the scalar loop, and
+    /// the argmin below sweeps them in ascending centroid order with the
+    /// strict `<`. Padding lanes are computed but never compared. The
+    /// assignments, the f64 update and the member lists are therefore
+    /// bit-identical to one scalar distance loop per pair (pinned by the
+    /// reference in this module's tests).
     pub(crate) fn build_rows(
         theta: &[f32],
         n: usize,
         f: usize,
         params: AnnParams,
+    ) -> CentroidIndex {
+        CentroidIndex::build_rows_with(theta, n, f, params, kernel::sq_dists_transposed)
+    }
+
+    /// [`CentroidIndex::build_rows`] with the assign step's distance
+    /// kernel passed in, so tests can pin each of its compilations.
+    fn build_rows_with(
+        theta: &[f32],
+        n: usize,
+        f: usize,
+        params: AnnParams,
+        sq_dists: kernel::SqDistsFn,
     ) -> CentroidIndex {
         let k = params.k_clusters.clamp(1, n.max(1));
 
@@ -148,21 +183,23 @@ impl CentroidIndex {
             centroids[c * f..(c + 1) * f].copy_from_slice(&theta[item * f..(item + 1) * f]);
         }
 
+        let k_pad = k.next_multiple_of(kernel::LANES);
+        let mut cen_t = vec![0.0f32; f * k_pad];
+        let mut dists = vec![0.0f32; k_pad];
         let mut assignment = vec![0usize; n];
         for _ in 0..params.max_iters.max(1) {
+            for c in 0..k {
+                for j in 0..f {
+                    cen_t[j * k_pad + c] = centroids[c * f + j];
+                }
+            }
             // Assign: nearest centroid by squared L2, ties to the lower id.
             let mut changed = false;
             for (v, slot) in assignment.iter_mut().enumerate() {
-                let row = &theta[v * f..(v + 1) * f];
+                sq_dists(&theta[v * f..(v + 1) * f], &cen_t, k_pad, &mut dists);
                 let mut best = 0usize;
                 let mut best_d = f32::INFINITY;
-                for c in 0..k {
-                    let cen = &centroids[c * f..(c + 1) * f];
-                    let mut d = 0.0f32;
-                    for j in 0..f {
-                        let e = row[j] - cen[j];
-                        d += e * e;
-                    }
+                for (c, &d) in dists[..k].iter().enumerate() {
                     if d < best_d {
                         best_d = d;
                         best = c;
@@ -371,6 +408,7 @@ impl QuantizedFactors {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn theta(n: usize, f: usize, seed: u64) -> DenseMatrix {
         let mut m = DenseMatrix::zeros(n, f);
@@ -397,6 +435,169 @@ mod tests {
         // A different seed permutes the initialization.
         let c = CentroidIndex::build(&t, AnnParams { seed: 999, ..p });
         assert!(a.centroids != c.centroids || a.members != c.members);
+    }
+
+    /// The scalar k-means the lane-parallel assign step replaced, kept
+    /// verbatim as the reference: one `d += e·e` chain per (item,
+    /// centroid) pair, swept in ascending centroid order.
+    fn build_rows_scalar(theta: &[f32], n: usize, f: usize, params: AnnParams) -> CentroidIndex {
+        let k = params.k_clusters.clamp(1, n.max(1));
+
+        // Deterministic init: shuffle item ids, take the first k as seeds.
+        let mut order: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            let j = (splitmix64(params.seed ^ i as u64) % (i as u64 + 1)) as usize;
+            order.swap(i, j);
+        }
+        let mut centroids = vec![0.0f32; k * f];
+        for (c, &item) in order.iter().take(k).enumerate() {
+            centroids[c * f..(c + 1) * f].copy_from_slice(&theta[item * f..(item + 1) * f]);
+        }
+
+        let mut assignment = vec![0usize; n];
+        for _ in 0..params.max_iters.max(1) {
+            // Assign: nearest centroid by squared L2, ties to the lower id.
+            let mut changed = false;
+            for (v, slot) in assignment.iter_mut().enumerate() {
+                let row = &theta[v * f..(v + 1) * f];
+                let mut best = 0usize;
+                let mut best_d = f32::INFINITY;
+                for c in 0..k {
+                    let cen = &centroids[c * f..(c + 1) * f];
+                    let mut d = 0.0f32;
+                    for j in 0..f {
+                        let e = row[j] - cen[j];
+                        d += e * e;
+                    }
+                    if d < best_d {
+                        best_d = d;
+                        best = c;
+                    }
+                }
+                if *slot != best {
+                    *slot = best;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+            // Update: mean of each cluster's members; empty clusters keep
+            // their previous centroid.
+            let mut sums = vec![0.0f64; k * f];
+            let mut counts = vec![0usize; k];
+            for (v, &c) in assignment.iter().enumerate() {
+                counts[c] += 1;
+                for j in 0..f {
+                    sums[c * f + j] += theta[v * f + j] as f64;
+                }
+            }
+            for c in 0..k {
+                if counts[c] > 0 {
+                    for j in 0..f {
+                        centroids[c * f + j] = (sums[c * f + j] / counts[c] as f64) as f32;
+                    }
+                }
+            }
+        }
+
+        // Group members by cluster, ascending item id within each (items
+        // are walked in id order, so the grouping is already sorted).
+        let mut offsets = vec![0usize; k + 1];
+        for &c in &assignment {
+            offsets[c + 1] += 1;
+        }
+        for c in 0..k {
+            offsets[c + 1] += offsets[c];
+        }
+        let mut cursor = offsets.clone();
+        let mut members = vec![0u32; n];
+        for (v, &c) in assignment.iter().enumerate() {
+            members[cursor[c]] = v as u32;
+            cursor[c] += 1;
+        }
+
+        CentroidIndex {
+            params: AnnParams {
+                k_clusters: k,
+                ..params
+            },
+            f,
+            n_items: n,
+            centroids,
+            members,
+            offsets,
+        }
+    }
+
+    /// A catalog drawn from a pool of `n / 4 + 1` distinct rows, so
+    /// seeds and members repeat and distances tie exactly; with
+    /// `nonfinite`, about one row in eight gets a NaN, +∞ or −∞ element.
+    fn generated_catalog(n: usize, f: usize, seed: u64, nonfinite: bool) -> Vec<f32> {
+        let mut state = seed;
+        let mut next = || {
+            state = splitmix64(state);
+            state
+        };
+        let pool = n / 4 + 1;
+        // Awkward magnitudes, so a reordered chain changes the bits.
+        let distinct: Vec<f32> = (0..pool * f)
+            .map(|_| ((next() >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * 3.7)
+            .collect();
+        let mut theta = Vec::with_capacity(n * f);
+        for _ in 0..n {
+            let src = (next() % pool as u64) as usize;
+            theta.extend_from_slice(&distinct[src * f..(src + 1) * f]);
+        }
+        if nonfinite && f > 0 {
+            for v in 0..n {
+                let r = next();
+                if r % 8 == 0 {
+                    let special =
+                        [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][(r >> 8) as usize % 3];
+                    theta[v * f + (r >> 16) as usize % f] = special;
+                }
+            }
+        }
+        theta
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every compilation of the lane-parallel assign step builds the
+        /// same index as the scalar reference, bit for bit: unpadded and
+        /// lane-multiple `k` and `f`, `k > n` (the clamp), duplicated rows
+        /// (exact ties go to the lower id) and non-finite rows (which land
+        /// in cluster 0 while the members still partition the catalog).
+        #[test]
+        fn lane_parallel_kmeans_matches_the_scalar_reference(
+            n in 1usize..300,
+            f in prop::sample::select(vec![1usize, 3, 7, 8, 9, 17, 100]),
+            k in prop::sample::select(vec![1usize, 2, 3, 7, 8, 9, 31, 32, 33, 64]),
+            seed in any::<u64>(),
+            nonfinite in any::<bool>(),
+        ) {
+            let theta = generated_catalog(n, f, seed, nonfinite);
+            let params = AnnParams { k_clusters: k, seed, ..AnnParams::default() };
+            let want = build_rows_scalar(&theta, n, f, params);
+            let bits = |c: &[f32]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            for (name, sq_dists) in kernel::sq_dists_compilations() {
+                let got = CentroidIndex::build_rows_with(&theta, n, f, params, sq_dists);
+                prop_assert_eq!(got.params, want.params, "{}", name);
+                prop_assert_eq!(bits(&got.centroids), bits(&want.centroids), "{}", name);
+                prop_assert_eq!(&got.members, &want.members, "{}", name);
+                prop_assert_eq!(&got.offsets, &want.offsets, "{}", name);
+            }
+            let mut all = want.members.clone();
+            all.sort_unstable();
+            prop_assert_eq!(all, (0..n as u32).collect::<Vec<_>>());
+            for v in 0..n {
+                if theta[v * f..(v + 1) * f].iter().any(|x| !x.is_finite()) {
+                    prop_assert!(want.members(0).contains(&(v as u32)), "row {}", v);
+                }
+            }
+        }
     }
 
     #[test]

@@ -117,6 +117,11 @@ pub struct ModelMetrics {
     pub cache_hits: Counter,
     /// The epoch this model is currently serving.
     pub epoch: Gauge,
+    /// Wall-clock seconds per snapshot publish of this model — the one
+    /// `register` makes and each `publish` — from the start of the shard
+    /// and retrieval-index build to the swap. One observation per
+    /// journaled `SnapshotPublished`.
+    pub publish_seconds: Histogram,
     /// Requests scored for this model in FP32 because `use_fp16` was set
     /// but the published snapshot carries no FP16 copy. A nonzero rate
     /// means the bandwidth halving you configured is silently not
@@ -295,6 +300,11 @@ impl ServeMetrics {
             epoch: self.registry.gauge_with(
                 "serve_model_epoch_current",
                 "Epoch currently served, per model",
+                &[("model", name)],
+            ),
+            publish_seconds: self.registry.histogram_with(
+                "serve_publish_seconds",
+                "Snapshot publish duration (shard and index build to swap), per model",
                 &[("model", name)],
             ),
             fp16_fallback: self.registry.counter_with(

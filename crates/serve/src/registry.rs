@@ -43,6 +43,7 @@ use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// A model's name: cheap to clone, hash, and compare — the key of the
 /// registry and the routing target carried by requests and responses.
@@ -468,6 +469,7 @@ impl ModelRegistry {
         }
         // Shard and build the retrieval artifacts before taking the write
         // lock that every batch's routing read waits on.
+        let start = Instant::now();
         let sharded = ShardedSnapshot::build_with(snapshot, self.shards, self.ann);
         let (f, epoch) = (sharded.f(), sharded.epoch());
         let bytes = sharded.footprint().total_bytes();
@@ -489,8 +491,12 @@ impl ModelRegistry {
             retired: AtomicBool::new(false),
             metrics,
         });
-        inner.models.insert(id.clone(), entry);
+        inner.models.insert(id.clone(), Arc::clone(&entry));
         drop(inner);
+        entry
+            .metrics
+            .publish_seconds
+            .observe_duration(start.elapsed());
         self.refresh_memory_gauges();
         // Registration is also the model's first publish: journal both so
         // the audit trail always opens register → publish.
@@ -516,9 +522,14 @@ impl ModelRegistry {
             });
         }
         // Shard and build the retrieval artifacts off the store's lock.
+        let start = Instant::now();
         let sharded = ShardedSnapshot::build_with(snapshot, entry.store.n_shards(), self.ann);
         let bytes = sharded.footprint().total_bytes();
         let epoch = entry.store.swap(sharded);
+        entry
+            .metrics
+            .publish_seconds
+            .observe_duration(start.elapsed());
         entry.metrics.epoch.set(epoch as f64);
         self.journal(Some(id), EventKind::SnapshotPublished { epoch, bytes });
         let report = self.refresh_memory_gauges();
@@ -1229,6 +1240,12 @@ mod tests {
             recs[4].kind,
             EventKind::SnapshotPublished { epoch: 1, bytes } if bytes > 0
         ));
+        // One publish-duration observation per journaled publish, per
+        // model: register's and each publish's.
+        for (model, publishes) in [("champion", 1), ("challenger", 2)] {
+            let timed = o.metrics().model(model).publish_seconds.snapshot().count();
+            assert_eq!(timed, publishes, "{model}");
+        }
     }
 
     #[test]

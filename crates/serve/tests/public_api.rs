@@ -33,13 +33,14 @@ fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
 }
 
 /// True for lines that declare crate-external API: `pub` but not
-/// `pub(crate)` / `pub(super)` / `pub(in …)`.
+/// `pub(crate)` / `pub(super)` / `pub(in …)`, and not a line that merely
+/// starts with an identifier such as `publish_seconds`.
 fn is_public_decl(line: &str) -> bool {
     let rest = match line.strip_prefix("pub") {
         Some(rest) => rest,
         None => return false,
     };
-    !rest.trim_start().starts_with('(')
+    rest.starts_with(char::is_whitespace) && !rest.trim_start().starts_with('(')
 }
 
 /// Normalize a declaration line into a stable one-line signature: strip
