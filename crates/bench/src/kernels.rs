@@ -24,6 +24,12 @@
 //! legitimately exceed DRAM bandwidth — register reuse is the point.
 //! GFLOP/s uses the nominal `2·f` per scored row throughout.
 //!
+//! The `score_tile_batch` row runs the same FP32 kernel at the exact
+//! scorer's shape instead: `ScoreConfig::default()`'s `user_chunk` (32)
+//! users per call against each auto-sized Θ block (256 rows at f=100),
+//! so Θ streams from memory once per 32 users and the kernel's compute
+//! rate, not DRAM, sets the time — the regime of a batched exact scan.
+//!
 //! The default [`KernelBenchConfig::reference`] shape is sized so the
 //! FP32 matrix cannot live in any plausible last-level cache
 //! (768 Ki items × f=100 ≈ 307 MB), because the FP16-beats-FP32 claim is
@@ -35,6 +41,7 @@ use cumf_numeric::dense;
 use cumf_numeric::f16::F16;
 use cumf_numeric::kernel;
 use cumf_numeric::stats::XorShift64;
+use cumf_serve::ScoreConfig;
 use serde::Value;
 use std::time::Instant;
 
@@ -89,7 +96,7 @@ impl KernelBenchConfig {
 #[derive(Clone, Debug)]
 pub struct KernelMeasurement {
     /// Kernel name (`scalar_dot`, `dot_lanes`, `score_tile`,
-    /// `score_tile_f16`, `dot_i8_scaled`).
+    /// `score_tile_batch`, `score_tile_f16`, `dot_i8_scaled`).
     pub kernel: &'static str,
     /// Factor precision the kernel streams (`fp32`, `fp16`, `int8`).
     pub precision: &'static str,
@@ -261,18 +268,19 @@ pub fn run_kernel_bench(cfg: &KernelBenchConfig) -> KernelReport {
         }
     }
 
-    let rows_per_pass = (cfg.users * n) as f64;
-    let measure = |kernel: &'static str, precision: &'static str, width: usize, secs: f64| {
-        KernelMeasurement {
-            kernel,
-            precision,
-            f,
-            secs,
-            items_per_sec: rows_per_pass / secs,
-            gbps: rows_per_pass * (f * width) as f64 / secs / 1e9,
-            gflops: rows_per_pass * (2 * f) as f64 / secs / 1e9,
-        }
-    };
+    let measure =
+        |kernel: &'static str, precision: &'static str, width: usize, users: usize, secs: f64| {
+            let rows_per_pass = (users * n) as f64;
+            KernelMeasurement {
+                kernel,
+                precision,
+                f,
+                secs,
+                items_per_sec: rows_per_pass / secs,
+                gbps: rows_per_pass * (f * width) as f64 / secs / 1e9,
+                gflops: rows_per_pass * (2 * f) as f64 / secs / 1e9,
+            }
+        };
 
     let mut sink = vec![0.0f32; kernel::TILE_USERS * BLOCK_ITEMS];
     let mut rows = Vec::new();
@@ -288,7 +296,7 @@ pub fn run_kernel_bench(cfg: &KernelBenchConfig) -> KernelReport {
         }
         std::hint::black_box(acc);
     });
-    rows.push(measure("scalar_dot", "fp32", 4, secs));
+    rows.push(measure("scalar_dot", "fp32", 4, cfg.users, secs));
 
     // Lane-blocked dot, one row pair at a time (the reference-path form).
     let secs = fastest(cfg.reps, || {
@@ -301,7 +309,7 @@ pub fn run_kernel_bench(cfg: &KernelBenchConfig) -> KernelReport {
         }
         std::hint::black_box(acc);
     });
-    rows.push(measure("dot_lanes", "fp32", 4, secs));
+    rows.push(measure("dot_lanes", "fp32", 4, cfg.users, secs));
 
     // Register-tiled FP32: TILE_USERS users share each Θ block, walked in
     // the scorer's block order.
@@ -327,7 +335,28 @@ pub fn run_kernel_bench(cfg: &KernelBenchConfig) -> KernelReport {
         }
         std::hint::black_box(sink[0]);
     });
-    rows.push(measure("score_tile", "fp32", 4, secs));
+    rows.push(measure("score_tile", "fp32", 4, cfg.users, secs));
+
+    // The exact scorer's tiling: one chunk of `user_chunk` users against
+    // each auto-sized Θ block, so a Θ block is read once per chunk.
+    let scorer = ScoreConfig::default();
+    let (chunk, block) = (scorer.user_chunk, scorer.effective_block_items(f));
+    let batch_users = gen(chunk * f);
+    let mut batch_sink = vec![0.0f32; chunk * block];
+    let secs = fastest(cfg.reps, || {
+        for rows in theta.chunks(block * f) {
+            kernel::score_tile(
+                &batch_users,
+                chunk,
+                rows,
+                rows.len() / f,
+                f,
+                &mut batch_sink,
+            );
+            std::hint::black_box(&batch_sink);
+        }
+    });
+    rows.push(measure("score_tile_batch", "fp32", 4, chunk, secs));
 
     // Fused-decode FP16 tile: half the bytes, widen in registers.
     let secs = fastest(cfg.reps, || {
@@ -352,7 +381,7 @@ pub fn run_kernel_bench(cfg: &KernelBenchConfig) -> KernelReport {
         }
         std::hint::black_box(sink[0]);
     });
-    rows.push(measure("score_tile_f16", "fp16", 2, secs));
+    rows.push(measure("score_tile_f16", "fp16", 2, cfg.users, secs));
 
     // Fused-dequant int8 scan (the approximate path's stage-2 kernel).
     let secs = fastest(cfg.reps, || {
@@ -365,7 +394,7 @@ pub fn run_kernel_bench(cfg: &KernelBenchConfig) -> KernelReport {
         }
         std::hint::black_box(acc);
     });
-    rows.push(measure("dot_i8_scaled", "int8", 1, secs));
+    rows.push(measure("dot_i8_scaled", "int8", 1, cfg.users, secs));
 
     KernelReport { config: *cfg, rows }
 }
@@ -387,6 +416,7 @@ mod tests {
                 "scalar_dot",
                 "dot_lanes",
                 "score_tile",
+                "score_tile_batch",
                 "score_tile_f16",
                 "dot_i8_scaled"
             ]
@@ -410,7 +440,7 @@ mod tests {
         assert_eq!(v.get("f").and_then(Value::as_f64), Some(100.0));
         assert_eq!(v.get("items").and_then(Value::as_f64), Some(256.0));
         let rows = v.get("rows").and_then(Value::as_array).expect("rows");
-        assert_eq!(rows.len(), 5);
+        assert_eq!(rows.len(), 6);
         for row in rows {
             for key in [
                 "kernel",

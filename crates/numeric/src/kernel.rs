@@ -30,10 +30,34 @@
 //! (half-width loads feeding full-width arithmetic) and the
 //! decode-in-the-kernel structure of low-precision GEMMs.
 //!
-//! [`score_tile`] adds the second classic GEMM trick, register tiling
-//! over users: each Θ row is loaded (and, for f16, decoded) once per
-//! [`TILE_USERS`] users instead of once per user, quartering the Θ
-//! traffic of a batched scan.
+//! [`score_tile`] adds the second classic GEMM trick, register tiling:
+//! the AVX2 compilation holds a [`TILE_USERS`]` × 2` tile — four users
+//! by two Θ rows, eight accumulator vectors — in registers, so each
+//! Θ chunk is loaded (and, for f16, decoded) once per four users and
+//! each user chunk once per two Θ rows. Every accumulator vector is
+//! exactly one pair's lane array, so the tile keeps the lane order, and
+//! two more arguments keep the bits:
+//!
+//! * **The masked tail.** The last `f % LANES` elements are read with
+//!   one masked load of the user row and of the Θ row under the same
+//!   mask; the masked-off lanes read `+0.0` on both sides, so their
+//!   lanes add `+0.0·+0.0 = +0.0`. A lane accumulator starts at `+0.0`
+//!   and, under round-to-nearest, a sum is `−0.0` only when both addends
+//!   are, so it is never `−0.0`; adding `+0.0` to any other value,
+//!   NaN and ±∞ included, leaves it unchanged.
+//! * **The `hadd` tree.** Four pairs reduce at once:
+//!   `hadd(hadd(a, b), hadd(c, d))` puts `(l0+l1)+(l2+l3)` of each pair
+//!   in the low 128 bits and `(l4+l5)+(l6+l7)` in the high 128 bits, and
+//!   one add of the two halves finishes [`reduce_lanes`]' tree
+//!   `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`. The only difference is
+//!   that `hadd` adds each pair of lanes in the other operand order,
+//!   which IEEE addition does not see, apart from which payload a NaN
+//!   result carries when both addends are NaN (the order does not pin
+//!   that either in the portable body, which the compiler may commute).
+//!
+//! Remainder users and a trailing odd Θ row run narrower tiles of the
+//! same code (`1 × 4` and `4 × 1`), so a single-user scan is tiled too.
+//! The portable body keeps the plain four-user loop as the reference.
 //!
 //! # The Gram kernel
 //!
@@ -64,11 +88,14 @@
 //! well at SSE2 (two 128-bit registers) and AVX2 (one 256-bit register),
 //! and IEEE lane arithmetic is width-independent — the bits cannot
 //! change. On x86-64 each public kernel therefore dispatches, via the
-//! cached `is_x86_feature_detected!` probe, to an AVX2 compilation of
-//! the *same* portable body when the host supports it. FMA contraction
-//! stays off in both versions (Rust never contracts `mul` + `add`
-//! without explicit fast-math), so this is purely a throughput switch —
-//! the property tests cover both compilations on AVX2 hosts.
+//! cached `is_x86_feature_detected!` probe, to an AVX2 compilation when
+//! the host supports it: the *same* portable body, or, for the f16 dot
+//! and the scoring tiles, an intrinsic transcription of it (on the
+//! batched scan the autovectorizer reached about a fifth of the host's
+//! `mul`+`add` peak). FMA contraction stays off in both versions (Rust
+//! never contracts `mul` + `add` without explicit fast-math, and the
+//! intrinsics name `mul` and `add`), so this is purely a throughput
+//! switch — the property tests cover both compilations on AVX2 hosts.
 
 use crate::f16::F16;
 
@@ -77,9 +104,12 @@ use crate::f16::F16;
 /// crate's determinism contract, not a tuning knob.
 pub const LANES: usize = 8;
 
-/// Users scored per register tile in [`score_tile`]: small enough that
-/// `TILE_USERS` accumulator arrays plus one Θ chunk stay in registers,
-/// large enough to amortize each Θ load across several users.
+/// Users scored per register tile in [`score_tile`]. The AVX2
+/// compilation pairs them with two Θ rows: `TILE_USERS × 2 = 8`
+/// accumulator vectors plus the two Θ chunks and one user chunk fit the
+/// sixteen vector registers, each Θ load is shared by four users and
+/// each user load by two Θ rows, and eight independent `add` chains
+/// cover the `add` latency.
 pub const TILE_USERS: usize = 4;
 
 /// Combine the [`LANES`] accumulators in the documented fixed order:
@@ -243,14 +273,16 @@ fn dot_i8_scaled_impl(a: &[f32], q: &[i8], scale: f32) -> f32 {
 
 /// Score an `n_users × n_items` tile: `out[u * n_items + v] =
 /// users_row(u) · theta_row(v)`, register-tiled so each Θ chunk is loaded
-/// once per [`TILE_USERS`] users.
+/// once per [`TILE_USERS`] users (and, in the AVX2 compilation, each
+/// user chunk once per two Θ rows).
 ///
 /// `users` is `n_users` contiguous `f`-long rows; `theta` is `n_items`
 /// contiguous `f`-long rows. Every entry is bit-identical to
 /// [`dot_lanes`] on the corresponding row pair — the tile walks `f` in
-/// the same chunk order with a private lane array per user, so the
+/// the same chunk order with a private lane array per pair, so the
 /// per-pair evaluation order is unchanged; tiling only reorders work
-/// *across* independent pairs.
+/// *across* independent pairs. Entries of `out` past
+/// `n_users * n_items` are not written.
 ///
 /// Panics if the slice lengths are inconsistent with the given shape or
 /// `out` is shorter than `n_users * n_items`.
@@ -333,6 +365,38 @@ fn score_tile_impl(
             out[u * n_items + v] = dot_lanes_impl(xu, &theta[v * f..(v + 1) * f]);
         }
     }
+}
+
+/// Signature shared by the compilations of [`score_tile`].
+pub type ScoreTileFn = fn(&[f32], usize, &[f32], usize, usize, &mut [f32]);
+
+/// Signature shared by the compilations of [`score_tile_f16`].
+pub type ScoreTileF16Fn = fn(&[f32], usize, &[F16], usize, usize, &mut [f32]);
+
+/// Every compilation of [`score_tile`] and [`score_tile_f16`] this host
+/// can run, by name: the portable bodies, and the explicit AVX2 tile
+/// where the host has AVX2. Tests iterate it to pin each compilation to
+/// [`dot_lanes`] and [`dot_f16`]; code outside tests calls the
+/// dispatching kernels.
+#[doc(hidden)]
+pub fn score_tile_compilations() -> Vec<(&'static str, ScoreTileFn, ScoreTileF16Fn)> {
+    let mut all: Vec<(&'static str, ScoreTileFn, ScoreTileF16Fn)> =
+        vec![("portable", score_tile_impl, score_tile_f16_impl)];
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        all.push((
+            "avx2",
+            |users, n_users, theta, n_items, f, out| {
+                // SAFETY: this entry is only listed after the AVX2 probe above.
+                unsafe { avx2::score_tile(users, n_users, theta, n_items, f, out) }
+            },
+            |users, n_users, theta, n_items, f, out| {
+                // SAFETY: this entry is only listed after the AVX2 probe above.
+                unsafe { avx2::score_tile_f16(users, n_users, theta, n_items, f, out) }
+            },
+        ));
+    }
+    all
 }
 
 /// [`score_tile`] against an `F16` Θ-block with the widen fused into the
@@ -641,12 +705,15 @@ fn dist_tile<const B: usize>(row: &[f32], cen_t: &[f32], k_pad: usize, c0: usize
     }
 }
 
-/// AVX2 compilations of the portable kernel bodies. Each function simply
-/// inlines the matching `*_impl` under `#[target_feature(enable =
+/// AVX2 compilations of the portable kernel bodies. Most functions
+/// simply inline the matching `*_impl` under `#[target_feature(enable =
 /// "avx2")]`, so the evaluation order — and therefore every bit of the
 /// result — is identical to the portable build; only the vector width
-/// the autovectorizer may use changes. Callers must have verified AVX2
-/// support (the public wrappers probe `is_x86_feature_detected!`).
+/// the autovectorizer may use changes. `dot_f16`, `score_tile` and
+/// `score_tile_f16` are written in intrinsics instead, one vector per
+/// portable lane array, under the same order. Callers must have
+/// verified AVX2 support (the public wrappers probe
+/// `is_x86_feature_detected!`).
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::*;
@@ -739,14 +806,9 @@ mod avx2 {
         f: usize,
         out: &mut [f32],
     ) {
-        score_tile_impl(users, n_users, theta, n_items, f, out)
+        score_tiles("score_tile", users, n_users, theta, n_items, f, out)
     }
 
-    /// Explicit-vector [`score_tile_f16`]: each Θ chunk is decoded once
-    /// by [`decode8`] and multiplied into [`TILE_USERS`] accumulator
-    /// vectors whose lane `l` is exactly `acc[u][l]` of the portable
-    /// loop; remainder users, remainder features, and the reduction
-    /// reuse the scalar code verbatim.
     #[target_feature(enable = "avx2")]
     pub unsafe fn score_tile_f16(
         users: &[f32],
@@ -756,56 +818,200 @@ mod avx2 {
         f: usize,
         out: &mut [f32],
     ) {
-        assert_eq!(users.len(), n_users * f, "score_tile_f16: bad user slice");
-        assert_eq!(theta.len(), n_items * f, "score_tile_f16: bad theta slice");
+        score_tiles("score_tile_f16", users, n_users, theta, n_items, f, out)
+    }
+
+    /// Θ rows per register tile; with [`TILE_USERS`] users that is eight
+    /// accumulator vectors.
+    const TILE_ITEMS: usize = 2;
+
+    /// A Θ element type the explicit-vector tile can stream, as `f32`
+    /// lanes.
+    trait Lanes: Sized {
+        /// `row[i..i + LANES]` as one vector.
+        ///
+        /// # Safety
+        /// `i + LANES <= row.len()`, and the host has AVX2.
+        unsafe fn load(row: &[Self], i: usize) -> __m256;
+
+        /// `row[i..]`, which is shorter than [`LANES`], in the low lanes
+        /// and `+0.0` in the rest; `mask` selects the low lanes.
+        ///
+        /// # Safety
+        /// `mask` selects exactly `row.len() - i < LANES` lanes, and the
+        /// host has AVX2.
+        unsafe fn load_tail(row: &[Self], i: usize, mask: __m256i) -> __m256;
+    }
+
+    impl Lanes for f32 {
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn load(row: &[f32], i: usize) -> __m256 {
+            _mm256_loadu_ps(row.as_ptr().add(i))
+        }
+
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn load_tail(row: &[f32], i: usize, mask: __m256i) -> __m256 {
+            _mm256_maskload_ps(row.as_ptr().add(i), mask)
+        }
+    }
+
+    impl Lanes for F16 {
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn load(row: &[F16], i: usize) -> __m256 {
+            decode8(row.as_ptr().add(i))
+        }
+
+        /// Zero-padded copy, then the full decode: a `+0.0` half widens
+        /// to `+0.0`.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn load_tail(row: &[F16], i: usize, _mask: __m256i) -> __m256 {
+            let mut padded = [F16::ZERO; LANES];
+            padded[..row.len() - i].copy_from_slice(&row[i..]);
+            decode8(padded.as_ptr())
+        }
+    }
+
+    /// Reduce four accumulator vectors at once: lane `k` of the result
+    /// is [`reduce_lanes`] of the `k`-th argument. The inner `hadd`s
+    /// form `l0+l1`, `l2+l3`, … of each argument, the outer one
+    /// `(l0+l1)+(l2+l3)` in the low half and `(l4+l5)+(l6+l7)` in the
+    /// high half, and the final add joins the halves — the same tree.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn reduce4(a: __m256, b: __m256, c: __m256, d: __m256) -> __m128 {
+        let q = _mm256_hadd_ps(_mm256_hadd_ps(a, b), _mm256_hadd_ps(c, d));
+        _mm_add_ps(_mm256_castps256_ps128(q), _mm256_extractf128_ps::<1>(q))
+    }
+
+    /// The explicit-vector body of [`score_tile`] and [`score_tile_f16`]:
+    /// users in [`TILE_USERS`]` × `[`TILE_ITEMS`] tiles, then each
+    /// remainder user in `1 × 4` tiles.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn score_tiles<T: Lanes>(
+        name: &str,
+        users: &[f32],
+        n_users: usize,
+        theta: &[T],
+        n_items: usize,
+        f: usize,
+        out: &mut [f32],
+    ) {
+        assert_eq!(users.len(), n_users * f, "{name}: bad user slice");
+        assert_eq!(theta.len(), n_items * f, "{name}: bad theta slice");
         assert!(
             out.len() >= n_users * n_items,
-            "score_tile_f16: out too short ({} < {})",
+            "{name}: out too short ({} < {})",
             out.len(),
             n_users * n_items
         );
-        let full = f / LANES * LANES;
+        let tail = _mm256_cmpgt_epi32(
+            _mm256_set1_epi32((f % LANES) as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        );
         let mut u0 = 0;
         while u0 + TILE_USERS <= n_users {
-            let xs: [&[f32]; TILE_USERS] = [
-                &users[u0 * f..(u0 + 1) * f],
-                &users[(u0 + 1) * f..(u0 + 2) * f],
-                &users[(u0 + 2) * f..(u0 + 3) * f],
-                &users[(u0 + 3) * f..(u0 + 4) * f],
-            ];
-            for v in 0..n_items {
-                let tv = &theta[v * f..(v + 1) * f];
-                let mut vacc = [_mm256_setzero_ps(); TILE_USERS];
-                let mut i = 0;
-                while i < full {
-                    let t = decode8(tv.as_ptr().add(i));
-                    for (k, a) in vacc.iter_mut().enumerate() {
-                        let x = _mm256_loadu_ps(xs[k].as_ptr().add(i));
-                        *a = _mm256_add_ps(*a, _mm256_mul_ps(x, t));
-                    }
-                    i += LANES;
-                }
-                let mut acc = [[0.0f32; LANES]; TILE_USERS];
-                for (k, va) in vacc.iter().enumerate() {
-                    _mm256_storeu_ps(acc[k].as_mut_ptr(), *va);
-                }
-                for (l, j) in (full..f).enumerate() {
-                    let tl = decode_f16(tv[j]);
-                    for (k, xk) in xs.iter().enumerate() {
-                        acc[k][l] += xk[j] * tl;
-                    }
-                }
-                for (k, lanes) in acc.iter().enumerate() {
-                    out[(u0 + k) * n_items + v] = reduce_lanes(*lanes);
-                }
-            }
+            tile_rows::<T, TILE_USERS, TILE_ITEMS>(users, u0, theta, n_items, f, tail, out);
             u0 += TILE_USERS;
         }
         for u in u0..n_users {
-            let xu = &users[u * f..(u + 1) * f];
-            for v in 0..n_items {
-                out[u * n_items + v] = dot_f16(xu, &theta[v * f..(v + 1) * f]);
+            tile_rows::<T, 1, 4>(users, u, theta, n_items, f, tail, out);
+        }
+    }
+
+    /// Users `u0..u0 + U` against every Θ row: `U × V` tiles, then one
+    /// `U × 1` tile per Θ row left over.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn tile_rows<T: Lanes, const U: usize, const V: usize>(
+        users: &[f32],
+        u0: usize,
+        theta: &[T],
+        n_items: usize,
+        f: usize,
+        tail: __m256i,
+        out: &mut [f32],
+    ) {
+        let xs: [&[f32]; U] = std::array::from_fn(|u| &users[(u0 + u) * f..][..f]);
+        let mut v0 = 0;
+        while v0 + V <= n_items {
+            tile::<T, U, V>(xs, theta, v0, n_items, f, tail, out, u0);
+            v0 += V;
+        }
+        for v in v0..n_items {
+            tile::<T, U, 1>(xs, theta, v, n_items, f, tail, out, u0);
+        }
+    }
+
+    /// One `U × V` register tile: users `xs` (rows `u0..u0 + U`) against
+    /// Θ rows `v0..v0 + V`. Accumulator `acc[u][v]` is the portable
+    /// loop's lane array of that pair — one `mul` then `add` per full
+    /// chunk in ascending order, then the masked tail — and the pairs
+    /// reduce four at a time through [`reduce4`].
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn tile<T: Lanes, const U: usize, const V: usize>(
+        xs: [&[f32]; U],
+        theta: &[T],
+        v0: usize,
+        n_items: usize,
+        f: usize,
+        tail: __m256i,
+        out: &mut [f32],
+        u0: usize,
+    ) {
+        const { assert!(U * V <= 8, "a tile holds at most eight accumulators") };
+        let ts: [&[T]; V] = std::array::from_fn(|v| &theta[(v0 + v) * f..][..f]);
+        let full = f / LANES * LANES;
+        let mut acc = [[_mm256_setzero_ps(); V]; U];
+        let mut t = [_mm256_setzero_ps(); V];
+        let mut i = 0;
+        while i < full {
+            for (tv, row) in t.iter_mut().zip(ts) {
+                *tv = T::load(row, i);
             }
+            for (au, xu) in acc.iter_mut().zip(xs) {
+                let x = f32::load(xu, i);
+                for (a, &tv) in au.iter_mut().zip(&t) {
+                    *a = _mm256_add_ps(*a, _mm256_mul_ps(x, tv));
+                }
+            }
+            i += LANES;
+        }
+        if full < f {
+            for (tv, row) in t.iter_mut().zip(ts) {
+                *tv = T::load_tail(row, full, tail);
+            }
+            for (au, xu) in acc.iter_mut().zip(xs) {
+                let x = f32::load_tail(xu, full, tail);
+                for (a, &tv) in au.iter_mut().zip(&t) {
+                    *a = _mm256_add_ps(*a, _mm256_mul_ps(x, tv));
+                }
+            }
+        }
+        let mut flat = [_mm256_setzero_ps(); 8];
+        for (u, au) in acc.iter().enumerate() {
+            flat[u * V..(u + 1) * V].copy_from_slice(au);
+        }
+        let mut sums = [0.0f32; 8];
+        _mm_storeu_ps(
+            sums.as_mut_ptr(),
+            reduce4(flat[0], flat[1], flat[2], flat[3]),
+        );
+        if U * V > 4 {
+            _mm_storeu_ps(
+                sums.as_mut_ptr().add(4),
+                reduce4(flat[4], flat[5], flat[6], flat[7]),
+            );
+        }
+        for u in 0..U {
+            let row = (u0 + u) * n_items + v0;
+            out[row..row + V].copy_from_slice(&sums[u * V..(u + 1) * V]);
         }
     }
 }
@@ -813,6 +1019,7 @@ mod avx2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// The lane-order contract, spelled out element by element with no
     /// shared code: element `i` into lane `i % LANES`, then the fixed
@@ -917,6 +1124,89 @@ mod tests {
                         want.to_bits(),
                         "u={u} v={v} f={f}"
                     );
+                }
+            }
+        }
+    }
+
+    /// `len` operand elements with awkward magnitudes; with `specials`,
+    /// about one in six is NaN, ±∞, −0.0, an f32 subnormal or a value
+    /// that narrows to an f16 subnormal.
+    fn operand(len: usize, seed: u64, specials: bool) -> Vec<f32> {
+        let mut state = seed | 1;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        (0..len)
+            .map(|_| {
+                let r = next();
+                if specials && r % 6 == 0 {
+                    let all = [
+                        f32::NAN,
+                        f32::INFINITY,
+                        f32::NEG_INFINITY,
+                        -0.0,
+                        1.0e-40,
+                        3.0e-6,
+                    ];
+                    all[(r >> 8) as usize % all.len()]
+                } else {
+                    ((r >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * 3.7
+                }
+            })
+            .collect()
+    }
+
+    /// Equal bits, or both NaN. Which payload a NaN sum carries when
+    /// both addends are NaN depends on the operand order, which IEEE
+    /// 754 leaves open and no compilation — the portable one included,
+    /// whose `fadd` the compiler may commute — pins.
+    fn same(a: f32, b: f32) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every compilation of both scoring tiles against the per-pair
+        /// dots: every shape up to 9 × 9 (remainder users and odd item
+        /// counts included), `f` below, at and past the lane width,
+        /// special values, and an `out` longer than the tile whose tail
+        /// must stay as it was.
+        #[test]
+        fn every_score_tile_compilation_matches_the_per_pair_dots(
+            n_users in 0usize..=9,
+            n_items in 0usize..=9,
+            f in prop::sample::select(vec![1usize, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 100]),
+            seed in any::<u64>(),
+            specials in any::<bool>(),
+        ) {
+            let users = operand(n_users * f, seed, specials);
+            let theta = operand(n_items * f, seed.rotate_left(32) ^ 0x9E37_79B9, specials);
+            let theta_f16: Vec<F16> = theta.iter().map(|&x| F16::from_f32(x)).collect();
+            let len = n_users * n_items;
+            let sentinel = f32::from_bits(0x7FA1_2345);
+            for (name, tile, tile_f16) in score_tile_compilations() {
+                let mut out = vec![sentinel; len + 3];
+                let mut out_f16 = out.clone();
+                tile(&users, n_users, &theta, n_items, f, &mut out);
+                tile_f16(&users, n_users, &theta_f16, n_items, f, &mut out_f16);
+                for u in 0..n_users {
+                    let x = &users[u * f..(u + 1) * f];
+                    for v in 0..n_items {
+                        let got = out[u * n_items + v];
+                        let want = dot_lanes(x, &theta[v * f..(v + 1) * f]);
+                        prop_assert!(same(got, want), "{} fp32 u={} v={}: {} vs {}", name, u, v, got, want);
+                        let got = out_f16[u * n_items + v];
+                        let want = dot_f16(x, &theta_f16[v * f..(v + 1) * f]);
+                        prop_assert!(same(got, want), "{} fp16 u={} v={}: {} vs {}", name, u, v, got, want);
+                    }
+                }
+                for tail in [&out[len..], &out_f16[len..]] {
+                    prop_assert!(tail.iter().all(|t| t.to_bits() == sentinel.to_bits()), "{} wrote past the tile", name);
                 }
             }
         }

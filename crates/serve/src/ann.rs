@@ -296,12 +296,22 @@ impl CentroidIndex {
     /// `user`, best first (ties toward the lower cluster id — the same
     /// total order as every other ranking in the crate). Centroid scores
     /// use the same [`kernel::dot_lanes`] lane order as every other
-    /// scoring surface.
+    /// scoring surface. A NaN score — the centroid of a cluster holding
+    /// a NaN row — ranks as −∞, below every finite score, so that
+    /// cluster is probed last rather than first (`total_cmp` puts a
+    /// positive NaN above +∞), and an `n_probe` covering every cluster
+    /// still covers it.
     pub fn probe(&self, user: &[f32], n_probe: usize) -> Vec<u32> {
         debug_assert_eq!(user.len(), self.f);
         let mut top = TopK::new(n_probe.clamp(1, self.k_clusters()));
         for c in 0..self.k_clusters() {
-            top.push(c as u32, kernel::dot_lanes(user, self.centroid(c)));
+            let score = kernel::dot_lanes(user, self.centroid(c));
+            let score = if score.is_nan() {
+                f32::NEG_INFINITY
+            } else {
+                score
+            };
+            top.push(c as u32, score);
         }
         top.into_sorted().into_iter().map(|s| s.item).collect()
     }
@@ -642,6 +652,29 @@ mod tests {
         // Probing every cluster returns them all.
         assert_eq!(idx.probe(&[1.0], 2).len(), 2);
         assert_eq!(idx.probe(&[1.0], 100).len(), 2, "n_probe clamps to k");
+    }
+
+    #[test]
+    fn a_nan_centroid_is_probed_last() {
+        let mut t = theta(200, 4, 5);
+        t.row_mut(7)[2] = f32::NAN;
+        let idx = CentroidIndex::build(
+            &t,
+            AnnParams {
+                k_clusters: 8,
+                ..AnnParams::default()
+            },
+        );
+        let nan = (0..idx.k_clusters())
+            .find(|&c| idx.centroid(c).iter().any(|x| x.is_nan()))
+            .expect("the NaN row's cluster has a NaN centroid");
+        assert!(idx.members(nan).contains(&7));
+        for user in [[1.0, 1.0, 1.0, 1.0], [-0.5, 0.25, 1.0, -1.0]] {
+            assert!(!idx.probe(&user, 3).contains(&(nan as u32)), "{user:?}");
+            let all = idx.probe(&user, 8);
+            assert_eq!(all.len(), 8, "n_probe = k still covers every cluster");
+            assert_eq!(all.last(), Some(&(nan as u32)), "{user:?}");
+        }
     }
 
     #[test]
