@@ -9,9 +9,11 @@
 //!   factors — the paper's half-precision storage trick (Solution 4),
 //!   here halving *scoring* bandwidth instead of solver bandwidth.
 //! * [`scorer`] — a blocked user×item scoring pass reduced through
-//!   per-user bounded heaps ([`topk`]): `O(n log k)` per user, never
-//!   materializing the full score matrix. The Θ-block size auto-tunes
-//!   from `f` to a ~100 KiB cache-resident tile.
+//!   per-user bounded heaps ([`topk`]), never materializing the full score
+//!   matrix: each tile row drains through one 8-lane compare per 8 scores
+//!   against the k-th best so far, with heap work only for the entrants.
+//!   The Θ-block size auto-tunes from `f` to a ~100 KiB cache-resident
+//!   tile.
 //! * [`ann`] — two-stage approximate retrieval: a deterministic k-means
 //!   [`CentroidIndex`] built at publish time plus an int8 per-block
 //!   [`QuantizedFactors`] copy, so [`Retrieval::Approx`] scans only the

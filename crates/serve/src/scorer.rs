@@ -2,14 +2,15 @@
 //! per-user bounded heaps.
 //!
 //! The score matrix `S = X_batch · Θᵀ (+ priors)` is never materialized.
-//! Work is tiled: users are processed in chunks (one rayon task each) and
-//! items in blocks; each tile re-reads a Θ-block that fits in cache while
-//! streaming the chunk's user rows — the same register/cache-blocking
-//! reasoning as the paper's `get_hermitian`, applied to inference. Inside
-//! a tile the arithmetic is the register-blocked microkernel of
-//! [`cumf_numeric::kernel`]: [`kernel::score_tile`] scores
-//! [`kernel::TILE_USERS`] users per Θ pass with [`kernel::LANES`]
-//! accumulator lanes each, and on the FP16 path
+//! Work is tiled: users are processed in chunks of
+//! [`ScoreConfig::user_chunk`] (the tile's user height; the chunks run one
+//! after another on the calling thread) and items in blocks; each tile
+//! re-reads a Θ-block that fits in cache while streaming the chunk's user
+//! rows — the same register/cache-blocking reasoning as the paper's
+//! `get_hermitian`, applied to inference. Inside a tile the arithmetic is
+//! the register-blocked microkernel of [`cumf_numeric::kernel`]:
+//! [`kernel::score_tile`] scores [`kernel::TILE_USERS`] users per Θ pass
+//! with [`kernel::LANES`] accumulator lanes each, and on the FP16 path
 //! [`kernel::score_tile_f16`] fuses the f16→f32 widen into that loop — no
 //! scratch widening pass, each Θ chunk decoded once per `TILE_USERS`
 //! users. The kernel's fixed lane order is the determinism contract:
@@ -113,7 +114,8 @@ pub struct ScoreConfig {
     /// regardless of `f` (see [`ScoreConfig::effective_block_items`]);
     /// `Some(n)` is an explicit override.
     pub block_items: Option<usize>,
-    /// Users per rayon task.
+    /// Users per score tile: the tile's user height, i.e. how many users
+    /// share each pass over a Θ-block on the exact path.
     pub user_chunk: usize,
     /// Read the FP16 factor copy when the snapshot carries one (exact
     /// path only; the approximate shortlist scan uses `retrieval`'s
@@ -336,10 +338,12 @@ fn top_k_batch_approx(
 /// Each worker owns one `chunk × block` score tile that
 /// [`kernel::score_tile`] (or, on the FP16 path,
 /// [`kernel::score_tile_f16`] with the widen fused into the loop — no
-/// scratch widening pass) fills per Θ-block; priors are then added from a
-/// slice borrowed once per tile while the scores drain into the per-user
-/// heaps. Each chunk sums the `len·f·width` bytes of the tiles it scores
-/// and publishes its total once.
+/// scratch widening pass) fills per Θ-block. Each tile row then gets its
+/// priors (or `+ 0.0`) added in place in one vectorizable pass and drains
+/// into its user's heap through [`TopK::push_slice`], which skips every
+/// 8-score chunk below the heap's current k-th score. Each chunk sums the
+/// `len·f·width` bytes of the tiles it scores and publishes its total
+/// once.
 fn top_k_batch_exact(
     view: SnapshotView<'_>,
     user_factors: &DenseMatrix,
@@ -388,28 +392,17 @@ fn top_k_batch_exact(
                         scores,
                     ),
                 }
-                let tile_priors = if priors.is_empty() {
-                    None
-                } else {
-                    Some(&priors[start..start + len])
-                };
+                let tile_priors = (!priors.is_empty()).then(|| &priors[start..start + len]);
                 for (du, heap) in chunk_heaps.iter_mut().enumerate() {
-                    let row = &scores[du * len..(du + 1) * len];
+                    let row = &mut scores[du * len..(du + 1) * len];
                     match tile_priors {
-                        Some(p) => {
-                            for (j, (&s, &pr)) in row.iter().zip(p).enumerate() {
-                                heap.push((start + j) as u32, s + pr);
-                            }
-                        }
-                        None => {
-                            for (j, &s) in row.iter().enumerate() {
-                                // The `+ 0.0` is the absent prior: it
-                                // normalizes a −0.0 dot to +0.0 exactly
-                                // like the reference path's `+ prior(v)`.
-                                heap.push((start + j) as u32, s + 0.0);
-                            }
-                        }
+                        Some(p) => row.iter_mut().zip(p).for_each(|(s, &pr)| *s += pr),
+                        // The `+ 0.0` is the absent prior: it normalizes a
+                        // −0.0 dot to +0.0 exactly like the reference
+                        // path's `+ prior(v)`.
+                        None => row.iter_mut().for_each(|s| *s += 0.0),
                     }
+                    heap.push_slice(start as u32, row);
                 }
                 start += len;
             }

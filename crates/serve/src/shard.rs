@@ -440,15 +440,7 @@ pub fn rank_slate_sharded(
             secs: t0.elapsed().as_secs_f64(),
         });
     }
-    all.sort_unstable_by(|a, b| {
-        if a.ranks_before(b) {
-            std::cmp::Ordering::Less
-        } else if b.ranks_before(a) {
-            std::cmp::Ordering::Greater
-        } else {
-            std::cmp::Ordering::Equal
-        }
-    });
+    all.sort_unstable_by(ScoredItem::rank_cmp);
     all.truncate(k);
     (all, timings)
 }
@@ -602,7 +594,8 @@ impl MemoryFootprint for ShardedFactorStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scorer::top_k_batch;
+    use crate::scorer::{score_one, top_k_batch};
+    use crate::topk::naive_top_k;
 
     fn snap(n: usize, f: usize, priors: bool) -> ModelSnapshot {
         let mut theta = DenseMatrix::zeros(n, f);
@@ -892,5 +885,69 @@ mod tests {
         let r = store.footprint();
         assert_eq!(r.total_bytes(), resident, "pruned once the Arc dropped");
         assert!(store.live_superseded().is_empty());
+    }
+
+    /// Non-finite factors through the whole scatter → merge path: item 4
+    /// holds a NaN element, item 11 a +∞ one (in the `f % 8` tail), and
+    /// item 17 is all −0.0. The kernel's accumulators start at +0.0, so a
+    /// dot of −0.0 products reduces to +0.0 on every path, and the check
+    /// is that each path agrees on it. Served rankings must be bit-identical
+    /// to the argsort of `score_one`'s row — NaN and ±∞ scores included —
+    /// on 1–3 shards, with and without priors (one of them −0.0).
+    #[test]
+    fn non_finite_scores_rank_identically_through_scatter_and_merge() {
+        let (n, f) = (23, 9);
+        let mut theta = DenseMatrix::zeros(n, f);
+        for i in 0..n {
+            for j in 0..f {
+                theta.set(i, j, ((i * 31 + j * 7) % 13) as f32 * 0.21 - 1.0);
+            }
+        }
+        theta.set(4, 2, f32::NAN);
+        theta.set(11, 8, f32::INFINITY);
+        for j in 0..f {
+            theta.set(17, j, -0.0);
+        }
+        // Mixed-sign users meet the +∞ element with both signs; the
+        // all-positive one makes every product of item 17's dot −0.0.
+        let mut x = users(4, f);
+        for j in 0..f {
+            x.set(3, j, 0.5);
+        }
+        let mut pop: Vec<f32> = (0..n).map(|i| (i % 5) as f32 * 0.1).collect();
+        pop[17] = -0.0;
+        let bits = |r: &[ScoredItem]| -> Vec<(u32, u32)> {
+            r.iter().map(|s| (s.item, s.score.to_bits())).collect()
+        };
+        for priors in [vec![], pop] {
+            let full = ModelSnapshot::new(0, theta.clone(), priors);
+            for k in [5, n] {
+                let want: Vec<_> = (0..x.rows())
+                    .map(|u| bits(&naive_top_k(&score_one(&full, x.row(u), false), k)))
+                    .collect();
+                for block_items in [None, Some(5)] {
+                    let cfg = ScoreConfig {
+                        block_items,
+                        ..ScoreConfig::default()
+                    };
+                    for s in 1..=3 {
+                        let sharded = ShardedSnapshot::build(full.clone(), s);
+                        let scatter = scatter_top_k(&sharded, &x, k, &cfg, 0.0);
+                        for (u, want) in want.iter().enumerate() {
+                            let lists: Vec<_> =
+                                scatter.rankings.iter().map(|r| r[u].clone()).collect();
+                            assert_eq!(
+                                &bits(&merge_top_k(&lists, k)),
+                                want,
+                                "user {u}, {s} shards"
+                            );
+                        }
+                        let (got, _) = scatter.gather(k);
+                        let got: Vec<_> = got.iter().map(|r| bits(r)).collect();
+                        assert_eq!(got, want, "{s} shards, k {k}, blocks {block_items:?}");
+                    }
+                }
+            }
+        }
     }
 }
