@@ -14,7 +14,7 @@
 //!
 //! ```text
 //! cargo run --release -p cumf-bench --bin serve_bench -- \
-//!     --quick --qps 2000 --requests 4000 --shards 4 --fp16 \
+//!     --quick --qps 2000 --requests 4000 --shards 4 \
 //!     --models 2 --canary-fraction 0.1 \
 //!     --json BENCH_serve.json --metrics /tmp/serve.jsonl
 //! ```
@@ -23,8 +23,7 @@
 //! `--k N`, `--batch N` (max micro-batch), `--queue-depth N` (admission
 //! queue capacity), `--shards N` (item-range shards), `--open-loop` (shed
 //! instead of blocking when the queue is full), `--cache N` (entries),
-//! `--cold-frac F` (fraction served as cold-start fold-ins), `--fp16`
-//! (score from the FP16 factor copy),
+//! `--cold-frac F` (fraction served as cold-start fold-ins),
 //! `--models N` (register N arms `m0…m{N-1}` in the model registry; 1
 //! registers a single `default` model), `--canary-fraction F` (route that
 //! fraction of traffic to the last arm as a canary candidate),
@@ -104,7 +103,6 @@ struct ServeFlags {
     open_loop: bool,
     cache: usize,
     cold_frac: f64,
-    fp16: bool,
     models: usize,
     canary_fraction: f64,
     republish: bool,
@@ -158,7 +156,6 @@ fn parse_flags() -> (HarnessArgs, ServeFlags) {
         open_loop: false,
         cache: 4096,
         cold_frac: 0.02,
-        fp16: false,
         models: 1,
         canary_fraction: 0.0,
         republish: false,
@@ -194,7 +191,6 @@ fn parse_flags() -> (HarnessArgs, ServeFlags) {
             "--open-loop" => flags.open_loop = true,
             "--cache" => flags.cache = val(4096.0) as usize,
             "--cold-frac" => flags.cold_frac = val(0.02),
-            "--fp16" => flags.fp16 = true,
             "--models" => flags.models = (val(1.0) as usize).max(1),
             "--canary-fraction" => flags.canary_fraction = val(0.0).clamp(0.0, 1.0),
             "--republish" => flags.republish = true,
@@ -236,7 +232,7 @@ fn parse_flags() -> (HarnessArgs, ServeFlags) {
                 eprintln!(
                     "serve_bench flags: --qps F, --requests N, --k N, --batch N, \
                      --queue-depth N, --shards N, --open-loop, \
-                     --cache N, --cold-frac F, --fp16, --models N, --canary-fraction F, \
+                     --cache N, --cold-frac F, --models N, --canary-fraction F, \
                      --republish, --retrieval exact|approx, --n-probe N, --clusters N, \
                      --quant int8|none, --items N, --kernels, \
                      --endpoint topk|similar-items|similar-users|rank|explain, --slate N, \
@@ -433,7 +429,6 @@ fn main() {
         .with_shards(flags.shards)
         .with_cache_capacity(flags.cache)
         .with_score(ScoreConfig {
-            use_fp16: flags.fp16,
             retrieval: flags.retrieval(),
             ..ScoreConfig::default()
         })
@@ -456,11 +451,7 @@ fn main() {
     };
     let mut builder = ServeEngine::builder().config(serve_cfg);
     for (i, name) in arm_names.iter().enumerate() {
-        let mut snapshot =
-            ModelSnapshot::new(i as u64, trainer.theta.clone(), popularity_prior(&data));
-        if flags.fp16 {
-            snapshot = snapshot.with_fp16();
-        }
+        let snapshot = ModelSnapshot::new(i as u64, trainer.theta.clone(), popularity_prior(&data));
         builder = builder.model(name.as_str(), trainer.x.clone(), snapshot);
     }
     let canary_arm = (flags.canary_fraction > 0.0 && arm_names.len() > 1)
@@ -511,7 +502,7 @@ fn main() {
 
     eprintln!(
         "replaying {} {} requests at {} QPS ({} loop, batch ≤ {}, queue {}, \
-         {} shard{}, cache {}, k {}, {} model{}{}, {}{})",
+         {} shard{}, cache {}, k {}, {} model{}{}{})",
         flags.requests,
         flags.endpoint.name(),
         flags.qps,
@@ -528,7 +519,6 @@ fn main() {
             .as_ref()
             .map(|c| format!(" (canary {c} at {:.2})", flags.canary_fraction))
             .unwrap_or_default(),
-        if flags.fp16 { "fp16" } else { "fp32" },
         if flags.republish { ", republish" } else { "" },
     );
 
@@ -559,14 +549,11 @@ fn main() {
                     .registry()
                     .snapshot(&id)
                     .expect("default arm is live");
-                let mut fresh = ModelSnapshot::new(
+                let fresh = ModelSnapshot::new(
                     snap.epoch() + 1,
                     snap.full().item_factors().clone(),
                     popularity_prior(&data),
                 );
-                if flags.fp16 {
-                    fresh = fresh.with_fp16();
-                }
                 engine
                     .registry()
                     .publish(&id, fresh)
@@ -640,8 +627,8 @@ fn main() {
     };
     // Optional single-thread microkernel sweep, after the replay so it
     // never competes with the admission worker for the core. Always the
-    // reference shape: the fp16-vs-fp32 ratio is a memory claim and only
-    // means something on a catalog too big for the last-level cache.
+    // reference shape: a catalog too big for the last-level cache, so the
+    // scans stream Θ from memory as a full exact scan does.
     let kernels = flags.kernels.then(|| {
         let cfg = KernelBenchConfig::reference();
         eprintln!(
@@ -793,16 +780,11 @@ fn report(
         parts.join(", ")
     );
     println!(
-        "bandwidth: {} streamed over {} s of score time — {:.2} GB/s, {:.2} GFLOP/s effective ({})",
+        "bandwidth: {} streamed over {} s of score time — {:.2} GB/s, {:.2} GFLOP/s effective",
         human_bytes(s.admission.scan_bytes),
         fmt_s(s.admission.score_secs),
         s.admission.effective_gbps(),
         s.admission.effective_gflops(),
-        if flags.fp16 {
-            "fp16 scans"
-        } else {
-            "fp32 scans"
-        }
     );
     if let Some(k) = kernels {
         println!();
@@ -869,7 +851,7 @@ fn report(
     let default = engine.registry().default_model();
     let epoch = engine.registry().epoch(&default).unwrap_or(0);
     println!(
-        "default model '{}' at epoch {} across {} shard{} ({})",
+        "default model '{}' at epoch {} across {} shard{}",
         default,
         epoch,
         engine.registry().n_shards(),
@@ -878,11 +860,6 @@ fn report(
         } else {
             "s"
         },
-        if flags.fp16 {
-            "fp16 factor copy"
-        } else {
-            "fp32 factors"
-        }
     );
 }
 
@@ -1063,7 +1040,6 @@ fn json_summary(
                 })
                 .unwrap_or(Value::Null),
         ),
-        ("fp16", Value::Bool(flags.fp16)),
         ("k", Value::Num(flags.k as f64)),
         ("slo", slo.unwrap_or(Value::Null)),
     ])

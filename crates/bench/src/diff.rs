@@ -29,7 +29,8 @@ use serde::Value;
 /// CI gates recall directly on the JSON. v5 added `score_flops` and
 /// `effective_gflops` to the `bandwidth` block and, under `--kernels`,
 /// the `kernels` microbenchmark block (per-kernel items/s, GB/s,
-/// GFLOP/s, plus the fp32-speedup and fp16-over-fp32 ratios) — all
+/// GFLOP/s, plus the fp32-speedup ratio; an fp16-over-fp32 ratio rode
+/// along until the FP16 serving path was removed) — all
 /// informational: kernel throughput is host-shaped and never gates. v6
 /// added the `endpoint` token (which `--endpoint` the replay exercised)
 /// and the per-endpoint `endpoints` block (requests + latency summary
@@ -273,23 +274,19 @@ pub fn diff(
         }
     }
 
-    // Schema-5 microkernel ratios: informational for the same reason as
+    // Schema-5 microkernel ratio: informational for the same reason as
     // bandwidth — throughput is host-shaped (vector width, cache sizes),
     // so a number moving between machines means nothing. Runs without
-    // `--kernels` simply skip the rows.
-    for (metric, path) in [
-        ("kernels.fp32_speedup", ["kernels", "fp32_speedup"]),
-        ("kernels.fp16_over_fp32", ["kernels", "fp16_over_fp32"]),
-    ] {
-        if let (Ok(r), Ok(c)) = (num(reference, &path), num(current, &path)) {
-            checks.push(Check {
-                metric,
-                reference: r,
-                current: c,
-                change: rise_frac(r, c),
-                limit: f64::INFINITY,
-            });
-        }
+    // `--kernels` simply skip the row.
+    let path = ["kernels", "fp32_speedup"];
+    if let (Ok(r), Ok(c)) = (num(reference, &path), num(current, &path)) {
+        checks.push(Check {
+            metric: "kernels.fp32_speedup",
+            reference: r,
+            current: c,
+            change: rise_frac(r, c),
+            limit: f64::INFINITY,
+        });
     }
 
     Ok(DiffReport { checks })
@@ -392,16 +389,16 @@ mod tests {
     #[test]
     fn kernel_ratios_are_informational_and_optional() {
         let tol = DiffTolerances::default();
-        let with_kernels = |speedup: f64, f16_ratio: f64| {
+        let with_kernels = |speedup: f64| {
             Value::parse(&format!(
                 r#"{{"schema_version": {SCHEMA_VERSION}, "qps": 4000.0, "requests": 1000,
                     "shed": 0, "latency_ms": {{"p50": 0.5, "p99": 1.0}},
-                    "kernels": {{"fp32_speedup": {speedup}, "fp16_over_fp32": {f16_ratio}}}}}"#
+                    "kernels": {{"fp32_speedup": {speedup}}}}}"#
             ))
             .unwrap()
         };
         // A collapsed speedup on the current side is reported, never gated.
-        let report = diff(&with_kernels(3.6, 1.6), &with_kernels(0.5, 0.2), &tol).unwrap();
+        let report = diff(&with_kernels(3.6), &with_kernels(0.5), &tol).unwrap();
         assert!(!report.regressed(), "{}", report.render());
         let row = report
             .checks
@@ -411,7 +408,7 @@ mod tests {
         assert!(row.informational());
         // A reference without the block (pre-`--kernels` runs) skips the rows.
         let bare = summary(4000.0, 0.5, 1.0, 0.0);
-        let report = diff(&bare, &with_kernels(3.6, 1.6), &tol).unwrap();
+        let report = diff(&bare, &with_kernels(3.6), &tol).unwrap();
         assert!(!report
             .checks
             .iter()

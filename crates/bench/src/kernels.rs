@@ -8,14 +8,9 @@
 //! kernel does the same nominal work — one `f`-long inner product per
 //! user×item pair — so `items_per_sec` (scored rows per second, summed
 //! over users) compares directly across kernels and precisions, and the
-//! two headline ratios fall out of it:
-//!
-//! * [`KernelReport::fp32_speedup`] — the tiled FP32 kernel over the
-//!   scalar baseline; the cost of the determinism contract is paid back
-//!   here or not at all.
-//! * [`KernelReport::fp16_over_fp32`] — fused-decode FP16 over tiled
-//!   FP32 on the *same* run; above 1.0 the half-width copy is faster,
-//!   not just smaller.
+//! headline ratio falls out of it: [`KernelReport::fp32_speedup`], the
+//! tiled FP32 kernel over the scalar baseline — the cost of the
+//! determinism contract is paid back here or not at all.
 //!
 //! GB/s is **effective** bandwidth in the same sense as
 //! `AdmissionReport::effective_gbps`: nominal factor bytes per scored
@@ -32,13 +27,12 @@
 //!
 //! The default [`KernelBenchConfig::reference`] shape is sized so the
 //! FP32 matrix cannot live in any plausible last-level cache
-//! (768 Ki items × f=100 ≈ 307 MB), because the FP16-beats-FP32 claim is
-//! a *memory* claim: on a cache-resident working set both precisions run
-//! from SRAM and the decode cost dominates. Quick mode shrinks the
-//! catalog for CI smoke runs and makes no throughput promises.
+//! (768 Ki items × f=100 ≈ 307 MB), so the per-pair and 4-user passes
+//! stream Θ from memory the way a full catalog scan does. Quick mode
+//! shrinks the catalog for CI smoke runs and makes no throughput
+//! promises.
 
 use cumf_numeric::dense;
-use cumf_numeric::f16::F16;
 use cumf_numeric::kernel;
 use cumf_numeric::stats::XorShift64;
 use cumf_serve::ScoreConfig;
@@ -96,9 +90,9 @@ impl KernelBenchConfig {
 #[derive(Clone, Debug)]
 pub struct KernelMeasurement {
     /// Kernel name (`scalar_dot`, `dot_lanes`, `score_tile`,
-    /// `score_tile_batch`, `score_tile_f16`, `dot_i8_scaled`).
+    /// `score_tile_batch`, `dot_i8_scaled`).
     pub kernel: &'static str,
-    /// Factor precision the kernel streams (`fp32`, `fp16`, `int8`).
+    /// Factor precision the kernel streams (`fp32`, `int8`).
     pub precision: &'static str,
     /// Factor dimension of the run.
     pub f: usize,
@@ -163,19 +157,6 @@ impl KernelReport {
         }
     }
 
-    /// Fused-decode FP16 (`score_tile_f16`) throughput over tiled FP32
-    /// on the same run — above 1.0 the half-width copy is faster, not
-    /// just smaller.
-    pub fn fp16_over_fp32(&self) -> f64 {
-        match (
-            self.items_per_sec("score_tile_f16"),
-            self.items_per_sec("score_tile"),
-        ) {
-            (Some(f16), Some(f32v)) if f32v > 0.0 => f16 / f32v,
-            _ => 0.0,
-        }
-    }
-
     /// The report as the `kernels` JSON block shared by `kernel_bench
     /// --json` and `serve_bench --json`.
     pub fn to_value(&self) -> Value {
@@ -193,10 +174,6 @@ impl KernelReport {
                 Value::Array(self.rows.iter().map(|r| r.to_value()).collect()),
             ),
             ("fp32_speedup".to_string(), Value::Num(self.fp32_speedup())),
-            (
-                "fp16_over_fp32".to_string(),
-                Value::Num(self.fp16_over_fp32()),
-            ),
         ])
     }
 
@@ -218,10 +195,6 @@ impl KernelReport {
         out.push_str(&format!(
             "fp32 speedup (score_tile / scalar_dot): {:.2}x\n",
             self.fp32_speedup()
-        ));
-        out.push_str(&format!(
-            "fp16 over fp32 (score_tile_f16 / score_tile): {:.2}x\n",
-            self.fp16_over_fp32()
         ));
         out
     }
@@ -254,7 +227,6 @@ pub fn run_kernel_bench(cfg: &KernelBenchConfig) -> KernelReport {
         |len: usize| -> Vec<f32> { (0..len).map(|_| (rng.next_f32() - 0.5) * 0.2).collect() };
     let theta = gen(n * f);
     let users = gen(cfg.users * f);
-    let theta_f16: Vec<F16> = theta.iter().map(|&x| F16::from_f32(x)).collect();
     // Per-row symmetric int8 quantization, like `QuantizedFactors`.
     let mut theta_i8 = vec![0i8; n * f];
     let mut scales = vec![0.0f32; n];
@@ -358,31 +330,6 @@ pub fn run_kernel_bench(cfg: &KernelBenchConfig) -> KernelReport {
     });
     rows.push(measure("score_tile_batch", "fp32", 4, chunk, secs));
 
-    // Fused-decode FP16 tile: half the bytes, widen in registers.
-    let secs = fastest(cfg.reps, || {
-        let mut u0 = 0;
-        while u0 < cfg.users {
-            let cu = kernel::TILE_USERS.min(cfg.users - u0);
-            let xs = &users[u0 * f..(u0 + cu) * f];
-            let mut start = 0;
-            while start < n {
-                let len = BLOCK_ITEMS.min(n - start);
-                kernel::score_tile_f16(
-                    xs,
-                    cu,
-                    &theta_f16[start * f..(start + len) * f],
-                    len,
-                    f,
-                    &mut sink,
-                );
-                start += len;
-            }
-            u0 += cu;
-        }
-        std::hint::black_box(sink[0]);
-    });
-    rows.push(measure("score_tile_f16", "fp16", 2, cfg.users, secs));
-
     // Fused-dequant int8 scan (the approximate path's stage-2 kernel).
     let secs = fastest(cfg.reps, || {
         let mut acc = 0.0f32;
@@ -417,7 +364,6 @@ mod tests {
                 "dot_lanes",
                 "score_tile",
                 "score_tile_batch",
-                "score_tile_f16",
                 "dot_i8_scaled"
             ]
         );
@@ -426,9 +372,8 @@ mod tests {
             assert!(r.gbps > 0.0 && r.gflops > 0.0, "{}", r.kernel);
         }
         assert!(report.fp32_speedup() > 0.0);
-        assert!(report.fp16_over_fp32() > 0.0);
         let table = report.render();
-        assert!(table.contains("score_tile_f16") && table.contains("fp32 speedup"));
+        assert!(table.contains("score_tile_batch") && table.contains("fp32 speedup"));
     }
 
     #[test]
@@ -440,7 +385,7 @@ mod tests {
         assert_eq!(v.get("f").and_then(Value::as_f64), Some(100.0));
         assert_eq!(v.get("items").and_then(Value::as_f64), Some(256.0));
         let rows = v.get("rows").and_then(Value::as_array).expect("rows");
-        assert_eq!(rows.len(), 6);
+        assert_eq!(rows.len(), 5);
         for row in rows {
             for key in [
                 "kernel",
@@ -454,7 +399,6 @@ mod tests {
             }
         }
         assert!(v.get("fp32_speedup").and_then(Value::as_f64).unwrap() > 0.0);
-        assert!(v.get("fp16_over_fp32").and_then(Value::as_f64).unwrap() > 0.0);
         // The block must round-trip through the shim parser (CI reads it
         // back with python's json, which is stricter still).
         let text = v.to_json();
@@ -470,12 +414,12 @@ mod tests {
         cfg.n_items = 256;
         cfg.reps = 1;
         let report = run_kernel_bench(&cfg);
-        // Same rows/sec convention: for equal times fp16 would stream half
-        // the bytes; check the accounting (gbps/items_per_sec ∝ width·f).
+        // Same rows/sec convention: for equal times int8 would stream a
+        // quarter of the bytes; check the accounting (gbps/items_per_sec
+        // ∝ width·f).
         for r in &report.rows {
             let width = match r.precision {
                 "fp32" => 4.0,
-                "fp16" => 2.0,
                 "int8" => 1.0,
                 other => panic!("unknown precision {other}"),
             };

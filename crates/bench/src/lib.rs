@@ -219,13 +219,13 @@ mod tests {
 
     #[test]
     fn parse_from_splits_known_and_extra_flags() {
-        let tokens = ["--quick", "--qps", "500", "--seed", "7", "--fp16"]
+        let tokens = ["--quick", "--qps", "500", "--seed", "7", "--open-loop"]
             .into_iter()
             .map(String::from);
         let (args, extras) = HarnessArgs::parse_from(tokens);
         assert!(args.quick);
         assert_eq!(args.seed, 7);
-        assert_eq!(extras, vec!["--qps", "500", "--fp16"]);
+        assert_eq!(extras, vec!["--qps", "500", "--open-loop"]);
     }
 
     #[test]

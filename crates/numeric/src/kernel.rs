@@ -21,22 +21,20 @@
 //! approximate and naive-reference paths stay bit-identical to each other
 //! while still vectorizing.
 //!
-//! The narrow-type variants ([`dot_f16`], [`dot_i8_scaled`]) fuse the
-//! decode into the accumulation loop: the f16→f32 widen (resp. int8
-//! dequant) happens in registers between the load and the multiply, so a
-//! quantized scan never materializes an `f32` scratch copy — the byte
-//! savings of the narrow format convert into time instead of being spent
-//! on an extra store/load pass. This mirrors the paper's FP16 pipeline
-//! (half-width loads feeding full-width arithmetic) and the
+//! The narrow-type variant [`dot_i8_scaled`] fuses the int8 dequant into
+//! the accumulation loop: the widen happens in registers between the
+//! load and the multiply, so a quantized scan never materializes an
+//! `f32` scratch copy — the byte savings of the narrow format convert
+//! into time instead of being spent on an extra store/load pass, the
 //! decode-in-the-kernel structure of low-precision GEMMs.
 //!
 //! [`score_tile`] adds the second classic GEMM trick, register tiling:
 //! the AVX2 compilation holds a [`TILE_USERS`]` × 2` tile — four users
 //! by two Θ rows, eight accumulator vectors — in registers, so each
-//! Θ chunk is loaded (and, for f16, decoded) once per four users and
-//! each user chunk once per two Θ rows. Every accumulator vector is
-//! exactly one pair's lane array, so the tile keeps the lane order, and
-//! two more arguments keep the bits:
+//! Θ chunk is loaded once per four users and each user chunk once per
+//! two Θ rows. Every accumulator vector is exactly one pair's lane
+//! array, so the tile keeps the lane order, and two more arguments keep
+//! the bits:
 //!
 //! * **The masked tail.** The last `f % LANES` elements are read with
 //!   one masked load of the user row and of the Θ row under the same
@@ -89,10 +87,10 @@
 //! and IEEE lane arithmetic is width-independent — the bits cannot
 //! change. On x86-64 each public kernel therefore dispatches, via the
 //! cached `is_x86_feature_detected!` probe, to an AVX2 compilation when
-//! the host supports it: the *same* portable body, or, for the f16 dot
-//! and the scoring tiles, an intrinsic transcription of it (on the
-//! batched scan the autovectorizer reached about a fifth of the host's
-//! `mul`+`add` peak). FMA contraction stays off in both versions (Rust
+//! the host supports it: the *same* portable body, or, for the scoring
+//! tile, an intrinsic transcription of it (on the batched scan the
+//! autovectorizer reached about a fifth of the host's `mul`+`add`
+//! peak). FMA contraction stays off in both versions (Rust
 //! never contracts `mul` + `add` without explicit fast-math, and the
 //! intrinsics name `mul` and `add`), so this is purely a throughput
 //! switch — the property tests cover both compilations on AVX2 hosts.
@@ -183,7 +181,7 @@ pub fn decode_f16(h: F16) -> f32 {
     // Inf/NaN: rebase the saturated exponent to f32's, payload kept.
     let special = f32::from_bits(mag + 0x7000_0000);
     // Both arms are computed unconditionally so the decode is a branch-
-    // free select — inside the tile loops this is what lets the
+    // free select — inside `widen_slice`'s loop this is what lets the
     // autovectorizer keep the widen in SIMD instead of bailing to a
     // scalar loop with control flow.
     let val = if bits & 0x7C00 == 0x7C00 {
@@ -192,43 +190,6 @@ pub fn decode_f16(h: F16) -> f32 {
         finite
     };
     f32::from_bits(val.to_bits() | sign)
-}
-
-/// Inner product of an `f32` vector against an `F16` row, with the widen
-/// fused into the accumulation loop — no scratch pass.
-///
-/// Bit-identical to widening `b` with [`F16::to_f32`] first and calling
-/// [`dot_lanes`] (the decode is exact and the lane order is the same).
-///
-/// Panics if the slices differ in length.
-#[inline]
-pub fn dot_f16(a: &[f32], b: &[F16]) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the AVX2 requirement was just probed on this host.
-        return unsafe { avx2::dot_f16(a, b) };
-    }
-    dot_f16_impl(a, b)
-}
-
-#[inline(always)]
-fn dot_f16_impl(a: &[f32], b: &[F16]) -> f32 {
-    assert_eq!(a.len(), b.len(), "dot_f16: length mismatch");
-    let mut acc = [0.0f32; LANES];
-    let full = a.len() / LANES * LANES;
-    let mut i = 0;
-    while i < full {
-        let ca = &a[i..i + LANES];
-        let cb = &b[i..i + LANES];
-        for l in 0..LANES {
-            acc[l] += ca[l] * decode_f16(cb[l]);
-        }
-        i += LANES;
-    }
-    for (l, (&x, &h)) in a[full..].iter().zip(&b[full..]).enumerate() {
-        acc[l] += x * decode_f16(h);
-    }
-    reduce_lanes(acc)
 }
 
 /// Inner product of an `f32` vector against an int8 row with one scale:
@@ -370,124 +331,21 @@ fn score_tile_impl(
 /// Signature shared by the compilations of [`score_tile`].
 pub type ScoreTileFn = fn(&[f32], usize, &[f32], usize, usize, &mut [f32]);
 
-/// Signature shared by the compilations of [`score_tile_f16`].
-pub type ScoreTileF16Fn = fn(&[f32], usize, &[F16], usize, usize, &mut [f32]);
-
-/// Every compilation of [`score_tile`] and [`score_tile_f16`] this host
-/// can run, by name: the portable bodies, and the explicit AVX2 tile
-/// where the host has AVX2. Tests iterate it to pin each compilation to
-/// [`dot_lanes`] and [`dot_f16`]; code outside tests calls the
-/// dispatching kernels.
+/// Every compilation of [`score_tile`] this host can run, by name: the
+/// portable body, and the explicit AVX2 tile where the host has AVX2.
+/// Tests iterate it to pin each compilation to [`dot_lanes`]; code
+/// outside tests calls [`score_tile`].
 #[doc(hidden)]
-pub fn score_tile_compilations() -> Vec<(&'static str, ScoreTileFn, ScoreTileF16Fn)> {
-    let mut all: Vec<(&'static str, ScoreTileFn, ScoreTileF16Fn)> =
-        vec![("portable", score_tile_impl, score_tile_f16_impl)];
+pub fn score_tile_compilations() -> Vec<(&'static str, ScoreTileFn)> {
+    let mut all: Vec<(&'static str, ScoreTileFn)> = vec![("portable", score_tile_impl)];
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
-        all.push((
-            "avx2",
-            |users, n_users, theta, n_items, f, out| {
-                // SAFETY: this entry is only listed after the AVX2 probe above.
-                unsafe { avx2::score_tile(users, n_users, theta, n_items, f, out) }
-            },
-            |users, n_users, theta, n_items, f, out| {
-                // SAFETY: this entry is only listed after the AVX2 probe above.
-                unsafe { avx2::score_tile_f16(users, n_users, theta, n_items, f, out) }
-            },
-        ));
+        all.push(("avx2", |users, n_users, theta, n_items, f, out| {
+            // SAFETY: this entry is only listed after the AVX2 probe above.
+            unsafe { avx2::score_tile(users, n_users, theta, n_items, f, out) }
+        }));
     }
     all
-}
-
-/// [`score_tile`] against an `F16` Θ-block with the widen fused into the
-/// tile loop: each Θ chunk is decoded **once** per [`TILE_USERS`] users —
-/// the decode cost is amortized exactly like the load — and no `f32`
-/// scratch copy of the block ever exists.
-///
-/// Every entry is bit-identical to [`dot_f16`] on the corresponding row
-/// pair (and therefore to widen-then-[`dot_lanes`]).
-///
-/// Panics if the slice lengths are inconsistent with the given shape or
-/// `out` is shorter than `n_users * n_items`.
-pub fn score_tile_f16(
-    users: &[f32],
-    n_users: usize,
-    theta: &[F16],
-    n_items: usize,
-    f: usize,
-    out: &mut [f32],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the AVX2 requirement was just probed on this host.
-        return unsafe { avx2::score_tile_f16(users, n_users, theta, n_items, f, out) };
-    }
-    score_tile_f16_impl(users, n_users, theta, n_items, f, out)
-}
-
-#[inline(always)]
-fn score_tile_f16_impl(
-    users: &[f32],
-    n_users: usize,
-    theta: &[F16],
-    n_items: usize,
-    f: usize,
-    out: &mut [f32],
-) {
-    assert_eq!(users.len(), n_users * f, "score_tile_f16: bad user slice");
-    assert_eq!(theta.len(), n_items * f, "score_tile_f16: bad theta slice");
-    assert!(
-        out.len() >= n_users * n_items,
-        "score_tile_f16: out too short ({} < {})",
-        out.len(),
-        n_users * n_items
-    );
-    let full = f / LANES * LANES;
-    let mut u0 = 0;
-    while u0 + TILE_USERS <= n_users {
-        let x0 = &users[u0 * f..(u0 + 1) * f];
-        let x1 = &users[(u0 + 1) * f..(u0 + 2) * f];
-        let x2 = &users[(u0 + 2) * f..(u0 + 3) * f];
-        let x3 = &users[(u0 + 3) * f..(u0 + 4) * f];
-        for v in 0..n_items {
-            let tv = &theta[v * f..(v + 1) * f];
-            let mut acc = [[0.0f32; LANES]; TILE_USERS];
-            let mut i = 0;
-            while i < full {
-                let t = &tv[i..i + LANES];
-                let c0 = &x0[i..i + LANES];
-                let c1 = &x1[i..i + LANES];
-                let c2 = &x2[i..i + LANES];
-                let c3 = &x3[i..i + LANES];
-                for l in 0..LANES {
-                    let tl = decode_f16(t[l]);
-                    acc[0][l] += c0[l] * tl;
-                    acc[1][l] += c1[l] * tl;
-                    acc[2][l] += c2[l] * tl;
-                    acc[3][l] += c3[l] * tl;
-                }
-                i += LANES;
-            }
-            for (l, j) in (full..f).enumerate() {
-                let tl = decode_f16(tv[j]);
-                acc[0][l] += x0[j] * tl;
-                acc[1][l] += x1[j] * tl;
-                acc[2][l] += x2[j] * tl;
-                acc[3][l] += x3[j] * tl;
-            }
-            out[u0 * n_items + v] = reduce_lanes(acc[0]);
-            out[(u0 + 1) * n_items + v] = reduce_lanes(acc[1]);
-            out[(u0 + 2) * n_items + v] = reduce_lanes(acc[2]);
-            out[(u0 + 3) * n_items + v] = reduce_lanes(acc[3]);
-        }
-        u0 += TILE_USERS;
-    }
-    for u in u0..n_users {
-        let xu = &users[u * f..(u + 1) * f];
-        for v in 0..n_items {
-            out[u * n_items + v] = dot_f16_impl(xu, &theta[v * f..(v + 1) * f]);
-        }
-    }
 }
 
 /// Rows of `A` held in one [`syrk_packed`] register tile. With [`LANES`]
@@ -709,9 +567,9 @@ fn dist_tile<const B: usize>(row: &[f32], cen_t: &[f32], k_pad: usize, c0: usize
 /// simply inline the matching `*_impl` under `#[target_feature(enable =
 /// "avx2")]`, so the evaluation order — and therefore every bit of the
 /// result — is identical to the portable build; only the vector width
-/// the autovectorizer may use changes. `dot_f16`, `score_tile` and
-/// `score_tile_f16` are written in intrinsics instead, one vector per
-/// portable lane array, under the same order. Callers must have
+/// the autovectorizer may use changes. `score_tile` is written in
+/// intrinsics instead, one vector per portable lane array, under the
+/// same order. Callers must have
 /// verified AVX2 support (the public wrappers probe
 /// `is_x86_feature_detected!`).
 #[cfg(target_arch = "x86_64")]
@@ -719,67 +577,9 @@ mod avx2 {
     use super::*;
     use core::arch::x86_64::*;
 
-    /// Decode [`LANES`] consecutive binary16 values starting at `p` into
-    /// one 8-lane `f32` vector — the exact vector transcription of
-    /// [`decode_f16`], lane by lane: zero-extend, shift the magnitude
-    /// into f32 position, rescale finite values by the exact `2¹¹²`
-    /// multiply, rebase saturated exponents by the integer add, select,
-    /// restore the sign. Every lane is bit-identical to the scalar
-    /// decode for every 16-bit pattern (NaN payloads included, which a
-    /// hardware `vcvtph2ps` would quietize).
-    ///
-    /// Caller must guarantee `p..p+LANES` is readable.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn decode8(p: *const F16) -> __m256 {
-        let h = _mm_loadu_si128(p as *const __m128i);
-        let bits = _mm256_cvtepu16_epi32(h);
-        // (bits & 0x7FFF) << 13 == (bits << 13) & (0x7FFF << 13).
-        let mag = _mm256_and_si256(
-            _mm256_slli_epi32::<13>(bits),
-            _mm256_set1_epi32(0x0FFF_E000),
-        );
-        // (bits & 0x8000) << 16 == (bits << 16) & 0x8000_0000.
-        let sign = _mm256_and_si256(_mm256_slli_epi32::<16>(bits), _mm256_set1_epi32(i32::MIN));
-        let finite = _mm256_mul_ps(
-            _mm256_castsi256_ps(mag),
-            _mm256_set1_ps(f32::from_bits(0x7780_0000)),
-        );
-        let special = _mm256_castsi256_ps(_mm256_add_epi32(mag, _mm256_set1_epi32(0x7000_0000)));
-        let saturated = _mm256_cmpeq_epi32(
-            _mm256_and_si256(bits, _mm256_set1_epi32(0x7C00)),
-            _mm256_set1_epi32(0x7C00),
-        );
-        let val = _mm256_blendv_ps(finite, special, _mm256_castsi256_ps(saturated));
-        _mm256_castsi256_ps(_mm256_or_si256(_mm256_castps_si256(val), sign))
-    }
-
     #[target_feature(enable = "avx2")]
     pub unsafe fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
         dot_lanes_impl(a, b)
-    }
-
-    /// Explicit-vector [`dot_f16`]: one accumulator vector whose lane
-    /// `l` is exactly `acc[l]` of the portable loop, fed by [`decode8`];
-    /// the remainder and reduction reuse the scalar code verbatim.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dot_f16(a: &[f32], b: &[F16]) -> f32 {
-        assert_eq!(a.len(), b.len(), "dot_f16: length mismatch");
-        let full = a.len() / LANES * LANES;
-        let mut vacc = _mm256_setzero_ps();
-        let mut i = 0;
-        while i < full {
-            let x = _mm256_loadu_ps(a.as_ptr().add(i));
-            let t = decode8(b.as_ptr().add(i));
-            vacc = _mm256_add_ps(vacc, _mm256_mul_ps(x, t));
-            i += LANES;
-        }
-        let mut acc = [0.0f32; LANES];
-        _mm256_storeu_ps(acc.as_mut_ptr(), vacc);
-        for (l, (&x, &h)) in a[full..].iter().zip(&b[full..]).enumerate() {
-            acc[l] += x * decode_f16(h);
-        }
-        reduce_lanes(acc)
     }
 
     #[target_feature(enable = "avx2")]
@@ -797,6 +597,9 @@ mod avx2 {
         dot_i8_scaled_impl(a, q, scale)
     }
 
+    /// The explicit-vector [`super::score_tile`]: users in
+    /// [`TILE_USERS`]` × `[`TILE_ITEMS`] tiles, then each remainder user
+    /// in `1 × 4` tiles.
     #[target_feature(enable = "avx2")]
     pub unsafe fn score_tile(
         users: &[f32],
@@ -806,74 +609,31 @@ mod avx2 {
         f: usize,
         out: &mut [f32],
     ) {
-        score_tiles("score_tile", users, n_users, theta, n_items, f, out)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn score_tile_f16(
-        users: &[f32],
-        n_users: usize,
-        theta: &[F16],
-        n_items: usize,
-        f: usize,
-        out: &mut [f32],
-    ) {
-        score_tiles("score_tile_f16", users, n_users, theta, n_items, f, out)
+        assert_eq!(users.len(), n_users * f, "score_tile: bad user slice");
+        assert_eq!(theta.len(), n_items * f, "score_tile: bad theta slice");
+        assert!(
+            out.len() >= n_users * n_items,
+            "score_tile: out too short ({} < {})",
+            out.len(),
+            n_users * n_items
+        );
+        let tail = _mm256_cmpgt_epi32(
+            _mm256_set1_epi32((f % LANES) as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        );
+        let mut u0 = 0;
+        while u0 + TILE_USERS <= n_users {
+            tile_rows::<TILE_USERS, TILE_ITEMS>(users, u0, theta, n_items, f, tail, out);
+            u0 += TILE_USERS;
+        }
+        for u in u0..n_users {
+            tile_rows::<1, 4>(users, u, theta, n_items, f, tail, out);
+        }
     }
 
     /// Θ rows per register tile; with [`TILE_USERS`] users that is eight
     /// accumulator vectors.
     const TILE_ITEMS: usize = 2;
-
-    /// A Θ element type the explicit-vector tile can stream, as `f32`
-    /// lanes.
-    trait Lanes: Sized {
-        /// `row[i..i + LANES]` as one vector.
-        ///
-        /// # Safety
-        /// `i + LANES <= row.len()`, and the host has AVX2.
-        unsafe fn load(row: &[Self], i: usize) -> __m256;
-
-        /// `row[i..]`, which is shorter than [`LANES`], in the low lanes
-        /// and `+0.0` in the rest; `mask` selects the low lanes.
-        ///
-        /// # Safety
-        /// `mask` selects exactly `row.len() - i < LANES` lanes, and the
-        /// host has AVX2.
-        unsafe fn load_tail(row: &[Self], i: usize, mask: __m256i) -> __m256;
-    }
-
-    impl Lanes for f32 {
-        #[target_feature(enable = "avx2")]
-        #[inline]
-        unsafe fn load(row: &[f32], i: usize) -> __m256 {
-            _mm256_loadu_ps(row.as_ptr().add(i))
-        }
-
-        #[target_feature(enable = "avx2")]
-        #[inline]
-        unsafe fn load_tail(row: &[f32], i: usize, mask: __m256i) -> __m256 {
-            _mm256_maskload_ps(row.as_ptr().add(i), mask)
-        }
-    }
-
-    impl Lanes for F16 {
-        #[target_feature(enable = "avx2")]
-        #[inline]
-        unsafe fn load(row: &[F16], i: usize) -> __m256 {
-            decode8(row.as_ptr().add(i))
-        }
-
-        /// Zero-padded copy, then the full decode: a `+0.0` half widens
-        /// to `+0.0`.
-        #[target_feature(enable = "avx2")]
-        #[inline]
-        unsafe fn load_tail(row: &[F16], i: usize, _mask: __m256i) -> __m256 {
-            let mut padded = [F16::ZERO; LANES];
-            padded[..row.len() - i].copy_from_slice(&row[i..]);
-            decode8(padded.as_ptr())
-        }
-    }
 
     /// Reduce four accumulator vectors at once: lane `k` of the result
     /// is [`reduce_lanes`] of the `k`-th argument. The inner `hadd`s
@@ -887,50 +647,14 @@ mod avx2 {
         _mm_add_ps(_mm256_castps256_ps128(q), _mm256_extractf128_ps::<1>(q))
     }
 
-    /// The explicit-vector body of [`score_tile`] and [`score_tile_f16`]:
-    /// users in [`TILE_USERS`]` × `[`TILE_ITEMS`] tiles, then each
-    /// remainder user in `1 × 4` tiles.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn score_tiles<T: Lanes>(
-        name: &str,
-        users: &[f32],
-        n_users: usize,
-        theta: &[T],
-        n_items: usize,
-        f: usize,
-        out: &mut [f32],
-    ) {
-        assert_eq!(users.len(), n_users * f, "{name}: bad user slice");
-        assert_eq!(theta.len(), n_items * f, "{name}: bad theta slice");
-        assert!(
-            out.len() >= n_users * n_items,
-            "{name}: out too short ({} < {})",
-            out.len(),
-            n_users * n_items
-        );
-        let tail = _mm256_cmpgt_epi32(
-            _mm256_set1_epi32((f % LANES) as i32),
-            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-        );
-        let mut u0 = 0;
-        while u0 + TILE_USERS <= n_users {
-            tile_rows::<T, TILE_USERS, TILE_ITEMS>(users, u0, theta, n_items, f, tail, out);
-            u0 += TILE_USERS;
-        }
-        for u in u0..n_users {
-            tile_rows::<T, 1, 4>(users, u, theta, n_items, f, tail, out);
-        }
-    }
-
     /// Users `u0..u0 + U` against every Θ row: `U × V` tiles, then one
     /// `U × 1` tile per Θ row left over.
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn tile_rows<T: Lanes, const U: usize, const V: usize>(
+    unsafe fn tile_rows<const U: usize, const V: usize>(
         users: &[f32],
         u0: usize,
-        theta: &[T],
+        theta: &[f32],
         n_items: usize,
         f: usize,
         tail: __m256i,
@@ -939,11 +663,11 @@ mod avx2 {
         let xs: [&[f32]; U] = std::array::from_fn(|u| &users[(u0 + u) * f..][..f]);
         let mut v0 = 0;
         while v0 + V <= n_items {
-            tile::<T, U, V>(xs, theta, v0, n_items, f, tail, out, u0);
+            tile::<U, V>(xs, theta, v0, n_items, f, tail, out, u0);
             v0 += V;
         }
         for v in v0..n_items {
-            tile::<T, U, 1>(xs, theta, v, n_items, f, tail, out, u0);
+            tile::<U, 1>(xs, theta, v, n_items, f, tail, out, u0);
         }
     }
 
@@ -955,9 +679,9 @@ mod avx2 {
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn tile<T: Lanes, const U: usize, const V: usize>(
+    unsafe fn tile<const U: usize, const V: usize>(
         xs: [&[f32]; U],
-        theta: &[T],
+        theta: &[f32],
         v0: usize,
         n_items: usize,
         f: usize,
@@ -966,17 +690,20 @@ mod avx2 {
         u0: usize,
     ) {
         const { assert!(U * V <= 8, "a tile holds at most eight accumulators") };
-        let ts: [&[T]; V] = std::array::from_fn(|v| &theta[(v0 + v) * f..][..f]);
+        let ts: [&[f32]; V] = std::array::from_fn(|v| &theta[(v0 + v) * f..][..f]);
+        // Every row of `xs` and `ts` is exactly `f` long: the full-chunk
+        // loads read `i..i + LANES` with `i + LANES <= full <= f`, and the
+        // masked tail touches only the `f - full` lanes `tail` selects.
         let full = f / LANES * LANES;
         let mut acc = [[_mm256_setzero_ps(); V]; U];
         let mut t = [_mm256_setzero_ps(); V];
         let mut i = 0;
         while i < full {
             for (tv, row) in t.iter_mut().zip(ts) {
-                *tv = T::load(row, i);
+                *tv = _mm256_loadu_ps(row.as_ptr().add(i));
             }
             for (au, xu) in acc.iter_mut().zip(xs) {
-                let x = f32::load(xu, i);
+                let x = _mm256_loadu_ps(xu.as_ptr().add(i));
                 for (a, &tv) in au.iter_mut().zip(&t) {
                     *a = _mm256_add_ps(*a, _mm256_mul_ps(x, tv));
                 }
@@ -985,10 +712,10 @@ mod avx2 {
         }
         if full < f {
             for (tv, row) in t.iter_mut().zip(ts) {
-                *tv = T::load_tail(row, full, tail);
+                *tv = _mm256_maskload_ps(row.as_ptr().add(full), tail);
             }
             for (au, xu) in acc.iter_mut().zip(xs) {
-                let x = f32::load_tail(xu, full, tail);
+                let x = _mm256_maskload_ps(xu.as_ptr().add(full), tail);
                 for (a, &tv) in au.iter_mut().zip(&t) {
                     *a = _mm256_add_ps(*a, _mm256_mul_ps(x, tv));
                 }
@@ -1094,41 +821,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn dot_f16_equals_widen_then_dot_lanes_exactly() {
-        for len in 0..=4 * LANES + 3 {
-            let (a, raw) = vecs(len, 1000 + len as u64);
-            let b: Vec<F16> = raw.iter().map(|&x| F16::from_f32(x)).collect();
-            let widened: Vec<f32> = b.iter().map(|h| h.to_f32()).collect();
-            assert_eq!(
-                dot_f16(&a, &b).to_bits(),
-                dot_lanes(&a, &widened).to_bits(),
-                "len {len}"
-            );
-        }
-    }
-
-    #[test]
-    fn score_tile_f16_is_bit_identical_to_dot_f16_per_pair() {
-        for (n_users, n_items, f) in [(4, 6, 8), (5, 3, 13), (2, 4, 40)] {
-            let (users, _) = vecs(n_users * f, 7 + f as u64);
-            let (raw, _) = vecs(n_items * f, 11 + n_items as u64);
-            let theta: Vec<F16> = raw.iter().map(|&x| F16::from_f32(x)).collect();
-            let mut out = vec![0.0f32; n_users * n_items];
-            score_tile_f16(&users, n_users, &theta, n_items, f, &mut out);
-            for u in 0..n_users {
-                for v in 0..n_items {
-                    let want = dot_f16(&users[u * f..(u + 1) * f], &theta[v * f..(v + 1) * f]);
-                    assert_eq!(
-                        out[u * n_items + v].to_bits(),
-                        want.to_bits(),
-                        "u={u} v={v} f={f}"
-                    );
-                }
-            }
-        }
-    }
-
     /// `len` operand elements with awkward magnitudes; with `specials`,
     /// about one in six is NaN, ±∞, −0.0, an f32 subnormal or a value
     /// that narrows to an f16 subnormal.
@@ -1171,11 +863,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Every compilation of both scoring tiles against the per-pair
+        /// Every compilation of the scoring tile against the per-pair
         /// dots: every shape up to 9 × 9 (remainder users and odd item
         /// counts included), `f` below, at and past the lane width,
         /// special values, and an `out` longer than the tile whose tail
-        /// must stay as it was.
+        /// must stay as it was. No output is `−0.0`: every accumulator
+        /// starts at `+0.0`, which is what lets the scorer drain a
+        /// prior-less tile row without a `+ 0.0` normalizing pass.
         #[test]
         fn every_score_tile_compilation_matches_the_per_pair_dots(
             n_users in 0usize..=9,
@@ -1186,52 +880,22 @@ mod tests {
         ) {
             let users = operand(n_users * f, seed, specials);
             let theta = operand(n_items * f, seed.rotate_left(32) ^ 0x9E37_79B9, specials);
-            let theta_f16: Vec<F16> = theta.iter().map(|&x| F16::from_f32(x)).collect();
             let len = n_users * n_items;
             let sentinel = f32::from_bits(0x7FA1_2345);
-            for (name, tile, tile_f16) in score_tile_compilations() {
+            for (name, tile) in score_tile_compilations() {
                 let mut out = vec![sentinel; len + 3];
-                let mut out_f16 = out.clone();
                 tile(&users, n_users, &theta, n_items, f, &mut out);
-                tile_f16(&users, n_users, &theta_f16, n_items, f, &mut out_f16);
                 for u in 0..n_users {
                     let x = &users[u * f..(u + 1) * f];
                     for v in 0..n_items {
                         let got = out[u * n_items + v];
                         let want = dot_lanes(x, &theta[v * f..(v + 1) * f]);
-                        prop_assert!(same(got, want), "{} fp32 u={} v={}: {} vs {}", name, u, v, got, want);
-                        let got = out_f16[u * n_items + v];
-                        let want = dot_f16(x, &theta_f16[v * f..(v + 1) * f]);
-                        prop_assert!(same(got, want), "{} fp16 u={} v={}: {} vs {}", name, u, v, got, want);
+                        prop_assert!(same(got, want), "{} u={} v={}: {} vs {}", name, u, v, got, want);
+                        prop_assert!(got != 0.0 || got.is_sign_positive(), "{} u={} v={}: -0.0", name, u, v);
                     }
                 }
-                for tail in [&out[len..], &out_f16[len..]] {
-                    prop_assert!(tail.iter().all(|t| t.to_bits() == sentinel.to_bits()), "{} wrote past the tile", name);
-                }
+                prop_assert!(out[len..].iter().all(|t| t.to_bits() == sentinel.to_bits()), "{} wrote past the tile", name);
             }
-        }
-    }
-
-    /// Exhaustively pin the dispatched `dot_f16` (the AVX2 `decode8`
-    /// path on hosts that have it) to widen-then-`dot_lanes` over every
-    /// 16-bit pattern, eight consecutive patterns per chunk — this is
-    /// the vector decode's equivalent of the scalar exhaustive test,
-    /// covering subnormals, infinities, and NaN payloads.
-    #[test]
-    fn dot_f16_matches_widen_on_every_bit_pattern_chunkwise() {
-        let ones = [1.0f32; LANES];
-        let mut base = 0u32;
-        while base <= u16::MAX as u32 {
-            let chunk: Vec<F16> = (0..LANES)
-                .map(|i| F16::from_bits((base + i as u32) as u16))
-                .collect();
-            let widened: Vec<f32> = chunk.iter().map(|h| h.to_f32()).collect();
-            assert_eq!(
-                dot_f16(&ones, &chunk).to_bits(),
-                dot_lanes(&ones, &widened).to_bits(),
-                "base {base:#06x}"
-            );
-            base += LANES as u32;
         }
     }
 
@@ -1386,10 +1050,34 @@ mod tests {
         sq_dists_transposed(&[1.0], &[0.0; 7], 7, &mut [0.0; 7]);
     }
 
+    /// Every product `−0.0`: a tile whose accumulators start at `+0.0`
+    /// still outputs `+0.0`, at every `f` (full chunks, masked tail, or
+    /// both) and on every tile shape. The random proptest rarely makes
+    /// every product of a lane-multiple row zero; this case does.
+    #[test]
+    fn all_negative_zero_products_score_positive_zero() {
+        for (name, tile) in score_tile_compilations() {
+            for f in [1usize, 7, 8, 9, 16, 17] {
+                for (n_users, n_items) in [(1, 1), (1, 5), (4, 2), (5, 3)] {
+                    let users = vec![1.5f32; n_users * f];
+                    let theta = vec![-0.0f32; n_items * f];
+                    let mut out = vec![f32::NAN; n_users * n_items];
+                    tile(&users, n_users, &theta, n_items, f, &mut out);
+                    for (i, s) in out.iter().enumerate() {
+                        assert_eq!(
+                            s.to_bits(),
+                            0,
+                            "{name}: f={f} {n_users}x{n_items} out[{i}] = {s}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn empty_and_zero_length_inputs_are_zero() {
         assert_eq!(dot_lanes(&[], &[]), 0.0);
-        assert_eq!(dot_f16(&[], &[]), 0.0);
         assert_eq!(dot_i8_scaled(&[], &[], 2.0), 0.0);
         let mut out = [0.0f32; 0];
         score_tile(&[], 0, &[], 0, 7, &mut out);

@@ -13,8 +13,8 @@
 //! * [`cg`] — the truncated conjugate-gradient solver of the paper's
 //!   Algorithm 1, generic over the precision the system matrix is read in;
 //! * [`kernel`] — register-blocked SIMD scoring microkernels with fused
-//!   FP16/int8 decode and a documented fixed lane-reduction order (the
-//!   serving hot path);
+//!   int8 decode and a documented fixed lane-reduction order (the
+//!   serving hot path), the FP16 widen and the solver's Gram kernel;
 //! * [`stats`] — RMSE and streaming statistics used by the experiment
 //!   protocol.
 //!

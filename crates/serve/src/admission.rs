@@ -369,7 +369,7 @@ impl AdmissionReport {
     /// to [`AdmissionReport::effective_gbps`]: when GB/s sits near the
     /// host's memory bandwidth the scan is bandwidth-bound; when GFLOP/s
     /// plateaus while GB/s has headroom it is compute-bound — which is
-    /// what narrower factor formats (FP16/int8) shift.
+    /// what narrower factor formats (int8) shift.
     pub fn effective_gflops(&self) -> f64 {
         if self.score_secs <= 0.0 {
             0.0

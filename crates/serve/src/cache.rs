@@ -1,14 +1,15 @@
-//! LRU result cache keyed by `(model, epoch, user, endpoint, retrieval)`,
-//! and its lock-striped concurrent wrapper.
+//! LRU result cache keyed by `(model, epoch, user_epoch, user, endpoint,
+//! retrieval)`, and its lock-striped concurrent wrapper.
 //!
 //! Recommendation traffic is heavily skewed (the dataset generators plant
 //! Zipf item popularity and log-normal user activity precisely because real
 //! traces look that way), so a small cache in front of the scorer absorbs a
-//! large share of requests. Keying by `(model, epoch)` makes invalidation
-//! free: a published snapshot changes the key of every lookup, so stale
-//! entries simply stop being hit and age out of the LRU list — and two
-//! registry models (a canary arm and its champion, say) can never answer
-//! for each other, because their registry slots differ.
+//! large share of requests. Keying by `(model, epoch, user_epoch)` makes
+//! invalidation free: a published Θ snapshot or a swapped `X` changes the
+//! key of every lookup, so stale entries simply stop being hit and age
+//! out of the LRU list — and two registry models (a canary arm and its
+//! champion, say) can never answer for each other, because their
+//! registry slots differ.
 //!
 //! Entries are returned by reference to the stored vector, so a hit is
 //! bit-identical to the scoring pass that populated it (test-enforced).
@@ -26,7 +27,8 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 
 /// Cache key: a known query id under one published epoch of one
-/// registered model, scored by one endpoint under one retrieval mode.
+/// registered model and one epoch of its user factors, scored by one
+/// endpoint under one retrieval mode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// The model's registry slot ([`crate::registry::ModelRegistry::slot`]
@@ -35,6 +37,11 @@ pub struct CacheKey {
     pub model: u32,
     /// Model epoch the cached ranking was computed under.
     pub epoch: u64,
+    /// Epoch of the model's user factors `X` the ranking was computed
+    /// under: 0 at registration, +1 per
+    /// [`crate::registry::ModelRegistry::set_user_factors`], so a swapped
+    /// `X` retires every key the way a Θ publish does.
+    pub user_epoch: u64,
     /// Query id: the user row for user → top-k entries, the *item* row
     /// for similar-items entries. Safe to overload only because
     /// [`CacheKey::endpoint`] keeps the two id spaces apart.
@@ -103,7 +110,7 @@ struct Slot {
 ///
 /// let mut cache = ResultCache::new(2);
 /// let k = |user| CacheKey {
-///     model: 0, epoch: 0, user, endpoint: Endpoint::TopK, retrieval: Retrieval::Exact,
+///     model: 0, epoch: 0, user_epoch: 0, user, endpoint: Endpoint::TopK, retrieval: Retrieval::Exact,
 /// };
 /// let v = vec![ScoredItem { item: 9, score: 1.0 }];
 /// cache.insert(k(1), v.clone());
@@ -288,7 +295,8 @@ impl ResultCache {
 ///
 /// let cache = StripedCache::new(64, 8);
 /// let key = CacheKey {
-///     model: 0, epoch: 0, user: 7, endpoint: Endpoint::TopK, retrieval: Retrieval::Exact,
+///     model: 0, epoch: 0, user_epoch: 0, user: 7, endpoint: Endpoint::TopK,
+///     retrieval: Retrieval::Exact,
 /// };
 /// assert!(cache.get(&key).is_none());
 /// cache.insert(key, vec![ScoredItem { item: 1, score: 2.0 }]);
@@ -393,6 +401,7 @@ mod tests {
         CacheKey {
             model: 0,
             epoch,
+            user_epoch: 0,
             user,
             endpoint: Endpoint::TopK,
             retrieval: Retrieval::Exact,
@@ -440,6 +449,7 @@ mod tests {
         let champion = CacheKey {
             model: 0,
             epoch: 3,
+            user_epoch: 0,
             user: 7,
             endpoint: Endpoint::TopK,
             retrieval: Retrieval::Exact,
@@ -447,6 +457,7 @@ mod tests {
         let challenger = CacheKey {
             model: 1,
             epoch: 3,
+            user_epoch: 0,
             user: 7,
             endpoint: Endpoint::TopK,
             retrieval: Retrieval::Exact,

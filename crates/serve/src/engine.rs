@@ -17,7 +17,8 @@
 //!    split), validate it per endpoint, and answer the cacheable
 //!    endpoints (user → top-k, item → similar items) from the
 //!    lock-striped result cache ([`StripedCache`]) when possible. Keys
-//!    carry `(model, epoch, id, endpoint, retrieval)`, so canary arms
+//!    carry `(model, epoch, user_epoch, id, endpoint, retrieval)`, so a
+//!    Θ publish or an `X` swap retires every entry, canary arms
 //!    never see each other's entries, exact/approximate answers never
 //!    alias, and an item→item ranking never answers for a user→top-k one.
 //!    Failures become per-request [`ServeError`]s, not panics; every other
@@ -503,7 +504,8 @@ const PLANS: [Endpoint; 3] = [
 struct ModelGroup<'r> {
     entry: Arc<ModelEntry>,
     snapshot: Arc<ShardedSnapshot>,
-    user_factors: Arc<DenseMatrix>,
+    /// The model's user factors `X`, one row per user.
+    users: Arc<ShardedSnapshot>,
     /// Requests routed to this model, including failed and cached ones.
     routed: usize,
     /// Requests answered from the result cache.
@@ -849,7 +851,7 @@ impl ServeEngine {
             let outcome = routed.and_then(|entry| {
                 let group = groups.entry(entry.slot).or_insert_with(|| ModelGroup {
                     snapshot: entry.store.snapshot(),
-                    user_factors: entry.user_factors(),
+                    users: entry.users(),
                     entry,
                     routed: 0,
                     hits: 0,
@@ -875,7 +877,7 @@ impl ServeEngine {
 
     /// Validate `query` against `group`'s model and resolve it to a job.
     fn job<'r>(&self, group: &ModelGroup, query: &'r Query) -> Result<Job<'r>, ServeError> {
-        let (n_users, n_items) = (group.user_factors.rows(), group.snapshot.n_items());
+        let (n_users, n_items) = (group.users.n_items(), group.snapshot.n_items());
         let model = || group.entry.id.clone();
         let user = |user: u32| match (user as usize) < n_users {
             true => Ok(user),
@@ -899,6 +901,7 @@ impl ServeEngine {
             let key = cached.map(|id| CacheKey {
                 model: group.entry.slot,
                 epoch: group.snapshot.epoch(),
+                user_epoch: group.users.epoch(),
                 user: id,
                 endpoint: plan,
                 retrieval: self.cfg.score.retrieval,
@@ -946,7 +949,7 @@ impl ServeEngine {
             let mut cold = Vec::new();
             for (r, row) in rows.into_iter().enumerate() {
                 let src = match *row {
-                    Row::User(u) => group.user_factors.row(u as usize),
+                    Row::User(u) => group.users.full().item_row(u as usize),
                     Row::Item(v) => full.item_row(v as usize),
                     Row::Cold(history) => {
                         cold.push((r, history));
@@ -969,20 +972,18 @@ impl ServeEngine {
     }
 
     /// What a plan's scan reads and under which config: Θ under the
-    /// engine's [`ScoreConfig`], or — for similar users — the user side,
-    /// always exactly in FP32: X carries no FP16/int8/centroid sidecars,
-    /// and building them per batch would cost more than the scan they
-    /// would save.
+    /// engine's [`ScoreConfig`], or — for similar users — `X`, always
+    /// exactly: X carries no int8 or centroid sidecars, and building them
+    /// per batch would cost more than the scan they would save.
     fn target(&self, group: &ModelGroup, plan: Endpoint) -> (Arc<ShardedSnapshot>, ScoreConfig) {
         if plan != Endpoint::SimilarUsers {
             return (Arc::clone(&group.snapshot), self.cfg.score);
         }
         let exact = ScoreConfig {
             retrieval: Retrieval::Exact,
-            use_fp16: false,
             ..self.cfg.score
         };
-        (group.entry.user_side_snapshot(), exact)
+        (Arc::clone(&group.users), exact)
     }
 
     /// Stage 3 (scan): one scatter per query matrix across its target's
@@ -1010,14 +1011,14 @@ impl ServeEngine {
             match *job {
                 Job::Scan(_) => {}
                 Job::Slate { user, slate } => {
-                    let query = group.user_factors.row(user as usize);
+                    let query = group.users.full().item_row(user as usize);
                     let (items, t) =
                         rank_slate_sharded(&group.snapshot, query, slate, self.cfg.k, self.now());
                     timings.extend(t);
                     slot.0 = items;
                 }
                 Job::Explain { user, item } => {
-                    let query = group.user_factors.row(user as usize);
+                    let query = group.users.full().item_row(user as usize);
                     let (e, score) = explain_one(group.snapshot.full(), query, item as usize);
                     *slot = (vec![ScoredItem { item, score }], Some(e));
                 }
@@ -1104,16 +1105,11 @@ impl ServeEngine {
             // are scored work but never a miss.
             m.cache_misses.add(group.count(|s| s.key.is_some()) as u64);
             // Count the requests a missing artifact silently degraded:
-            // FP16 asked for but the epoch has no FP16 copy (scanned in
-            // FP32), or approx retrieval asked for but the shards have no
-            // centroid index (scanned exactly — rare, the registry's
-            // policy builds it, but a recall dial that silently reads 4×
-            // the bytes must be visible). Only item-side scans read those
-            // artifacts.
+            // approx retrieval asked for but the shards have no centroid
+            // index (scanned exactly — rare, the registry's policy builds
+            // it, but a recall dial that silently reads 4× the bytes must
+            // be visible). Only item-side scans read that artifact.
             let scans = group.count(|s| s.plan != Endpoint::SimilarUsers) as u64;
-            if self.cfg.score.use_fp16 && scans > 0 && !group.snapshot.full().has_fp16() {
-                metrics.fp16_fallback.add(scans);
-            }
             if !self.cfg.score.retrieval.is_exact() && scans > 0 && !group.snapshot.has_ann() {
                 metrics.ann_fallback.add(scans);
             }
@@ -1356,43 +1352,6 @@ mod tests {
         let sharded = engine(8, 30, 4, ServeConfig::default().with_shards(3));
         let (_, t3) = sharded.recommend_batch_traced(&known(&[0, 1]), &NOOP);
         assert_eq!(t3.scan_bytes, trace.scan_bytes);
-    }
-
-    #[test]
-    fn fp16_fallback_is_counted_per_model() {
-        let score = ScoreConfig {
-            use_fp16: true,
-            ..ScoreConfig::default()
-        };
-        let e = engine(6, 20, 3, ServeConfig::default().with_score(score));
-        // The snapshot has no FP16 copy: every scored request falls back.
-        e.recommend_batch(&known(&[0, 1, 2]), &NOOP);
-        let m = e.obs().metrics().model("default");
-        assert_eq!(m.fp16_fallback.get(), 3);
-        // Cache hits bypass the scan and are not counted.
-        e.recommend_batch(&known(&[0, 1]), &NOOP);
-        assert_eq!(m.fp16_fallback.get(), 3);
-        // Publishing a snapshot that carries FP16 stops the fallback.
-        let id = e.registry().default_model();
-        let theta = e
-            .registry()
-            .snapshot(&id)
-            .unwrap()
-            .full()
-            .item_factors()
-            .clone();
-        e.registry()
-            .publish(&id, ModelSnapshot::new(1, theta, vec![]).with_fp16())
-            .unwrap();
-        e.recommend_batch(&known(&[3, 4]), &NOOP);
-        assert_eq!(m.fp16_fallback.get(), 3);
-        // An engine not asking for FP16 never counts.
-        let plain = engine(6, 20, 3, ServeConfig::default());
-        plain.recommend_batch(&known(&[0]), &NOOP);
-        assert_eq!(
-            plain.obs().metrics().model("default").fp16_fallback.get(),
-            0
-        );
     }
 
     #[test]

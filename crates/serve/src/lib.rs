@@ -5,9 +5,7 @@
 //! the ROADMAP's "heavy traffic from millions of users" goal needs:
 //!
 //! * [`store`] — [`ModelSnapshot`]: one immutable published epoch of item
-//!   factors and priors. Snapshots optionally carry an FP16 copy of the
-//!   factors — the paper's half-precision storage trick (Solution 4),
-//!   here halving *scoring* bandwidth instead of solver bandwidth.
+//!   factors and priors.
 //! * [`scorer`] — a blocked user×item scoring pass reduced through
 //!   per-user bounded heaps ([`topk`]), never materializing the full score
 //!   matrix: each tile row drains through one 8-lane compare per 8 scores
@@ -35,7 +33,8 @@
 //!   an engine restart.
 //! * [`engine`] — [`ServeEngine`]: micro-batching, per-request model
 //!   routing, cold-start fold-in via [`cumf_als::fold_in_batch`], a
-//!   `(model, epoch, user)`-keyed lock-striped LRU result [`cache`], and
+//!   `(model, epoch, user_epoch, user)`-keyed lock-striped LRU result
+//!   [`cache`], and
 //!   one [`BatchTrace`] per batch from which the metrics and the
 //!   [`cumf_telemetry::Recorder`] phase spans are rendered. Built with
 //!   [`ServeEngineBuilder`]; fallible paths return [`ServeError`] instead
@@ -44,9 +43,8 @@
 //!   each batch is whatever is queued (up to `max_batch`), closed the
 //!   moment the queue is empty; overload sheds with a counted rejection
 //!   instead of unbounded queueing.
-//! * [`metrics`] — NDCG@k, the ranking-quality yardstick used to bound the
-//!   FP16 path's approximation error, plus overlap@k for comparing two
-//!   rankers.
+//! * [`metrics`] — NDCG@k, the ranking-quality yardstick used to bound an
+//!   approximate path's error, plus overlap@k for comparing two rankers.
 //! * [`obs`] — request-level observability: stage-decomposed
 //!   [`RequestSpan`]s, typed metrics with Prometheus exposition, an
 //!   always-on flight recorder, and SLO burn-rate tracking (see

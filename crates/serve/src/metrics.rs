@@ -50,7 +50,7 @@ pub fn ndcg_at_k(ranking: &[ScoredItem], relevance: &[f32], k: usize) -> f64 {
 /// Fraction of the first `k` items two rankings share, order-ignored
 /// (`|A∩B| / k`, with `k` clamped to the shorter prefix actually
 /// available). 1.0 means both rankers surfaced the same set — the
-/// question asked when comparing the FP16 path or a sharded deployment
+/// question asked when comparing the approximate path or a sharded deployment
 /// against the exact scorer. Returns 1.0 when `k` is 0.
 pub fn overlap_at_k(a: &[ScoredItem], b: &[ScoredItem], k: usize) -> f64 {
     let k = k.min(a.len()).min(b.len());

@@ -37,7 +37,7 @@ pub enum EventKind {
         /// The epoch now being served.
         epoch: u64,
         /// Resident bytes of the published snapshot (factors plus any
-        /// FP16 / int8 / centroid-index sidecars).
+        /// int8 / centroid-index sidecars).
         bytes: u64,
     },
     /// A canary policy was installed or replaced; the record's model is

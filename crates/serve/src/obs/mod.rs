@@ -122,11 +122,6 @@ pub struct ModelMetrics {
     /// and retrieval-index build to the swap. One observation per
     /// journaled `SnapshotPublished`.
     pub publish_seconds: Histogram,
-    /// Requests scored for this model in FP32 because `use_fp16` was set
-    /// but the published snapshot carries no FP16 copy. A nonzero rate
-    /// means the bandwidth halving you configured is silently not
-    /// happening — republish with [`crate::store::ModelSnapshot::with_fp16`].
-    pub fp16_fallback: Counter,
     /// Requests that asked for approximate retrieval but were scored with
     /// the full exact scan because the published snapshot carries no
     /// centroid index. A nonzero rate means the scan-byte reduction you
@@ -305,11 +300,6 @@ impl ServeMetrics {
             publish_seconds: self.registry.histogram_with(
                 "serve_publish_seconds",
                 "Snapshot publish duration (shard and index build to swap), per model",
-                &[("model", name)],
-            ),
-            fp16_fallback: self.registry.counter_with(
-                "serve_fp16_fallback_total",
-                "Requests scored in FP32 because the snapshot has no FP16 copy",
                 &[("model", name)],
             ),
             ann_fallback: self.registry.counter_with(
@@ -604,7 +594,6 @@ mod tests {
         obs.metrics().ann_candidates.add(300);
         obs.metrics().ann_rescored.add(40);
         let m = obs.metrics().model("m0");
-        m.fp16_fallback.add(2);
         m.budget_exceeded.inc();
         m.ann_fallback.inc();
         let text = obs.render_prometheus(0.0);
@@ -616,7 +605,6 @@ mod tests {
         assert!(text.contains("serve_cache_entries 3"));
         assert!(text.contains("serve_cache_bytes 1536"));
         assert!(text.contains("serve_mem_bytes{component=\"registry/m0/store\",model=\"m0\"} 2048"));
-        assert!(text.contains("serve_fp16_fallback_total{model=\"m0\"} 2"));
         assert!(text.contains("serve_mem_budget_exceeded_total{model=\"m0\"} 1"));
         // Handles are idempotent: re-resolving points at the same gauge.
         assert_eq!(

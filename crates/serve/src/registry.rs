@@ -251,46 +251,24 @@ pub(crate) struct ModelEntry {
     /// user-factor swaps must match it.
     pub(crate) f: usize,
     pub(crate) store: ShardedFactorStore,
-    /// `X` for known-user requests, swapped atomically alongside (but
-    /// independently of) Θ publishes.
-    user_factors: RwLock<Arc<DenseMatrix>>,
-    /// Lazily built sharded view of `X` for similar-users scans
-    /// ([`crate::engine::Query::SimilarUsers`]); invalidated whenever the
-    /// user-factor matrix is swapped.
-    user_snapshot: RwLock<Option<Arc<ShardedSnapshot>>>,
+    /// The one resident copy of `X`, as a sharded snapshot whose rows are
+    /// users: known-user requests read its rows and similar-users scans
+    /// ([`crate::engine::Query::SimilarUsers`]) scan it through the same
+    /// scatter-gather path items use. Swapped atomically alongside (but
+    /// independently of) Θ publishes; its epoch counts the swaps (0 at
+    /// registration), so result-cache keys retire with the `X` they were
+    /// computed from.
+    users: RwLock<Arc<ShardedSnapshot>>,
     retired: AtomicBool,
     pub(crate) metrics: ModelMetrics,
 }
 
 impl ModelEntry {
-    /// The current user-factor matrix (an `Arc` clone; hold it for a
-    /// whole batch).
-    pub(crate) fn user_factors(&self) -> Arc<DenseMatrix> {
-        self.user_factors.read().clone()
-    }
-
-    /// The user-factor matrix as a sharded snapshot, for `x_u·Xᵀ`
-    /// similar-users scans through the same scatter-gather path items
-    /// use. Built lazily on first use (one copy of `X`, off the hot
-    /// path for every later batch) and cached until
-    /// [`ModelRegistry::set_user_factors`] swaps `X`. The snapshot
-    /// carries no priors, FP16 copy, or centroid index: the user side
-    /// always scans exactly in FP32.
-    pub(crate) fn user_side_snapshot(&self) -> Arc<ShardedSnapshot> {
-        if let Some(s) = self.user_snapshot.read().as_ref() {
-            return Arc::clone(s);
-        }
-        let mut slot = self.user_snapshot.write();
-        if let Some(s) = slot.as_ref() {
-            return Arc::clone(s);
-        }
-        let x = self.user_factors();
-        let sharded = Arc::new(ShardedSnapshot::build(
-            ModelSnapshot::new(0, (*x).clone(), vec![]),
-            self.store.n_shards(),
-        ));
-        *slot = Some(Arc::clone(&sharded));
-        sharded
+    /// The current user factors `X` (an `Arc` clone; hold it for a whole
+    /// batch). The snapshot carries no priors or centroid index: the user
+    /// side always scans exactly.
+    pub(crate) fn users(&self) -> Arc<ShardedSnapshot> {
+        self.users.read().clone()
     }
 
     pub(crate) fn is_retired(&self) -> bool {
@@ -299,17 +277,15 @@ impl ModelEntry {
 
     /// This model's resident bytes, rooted at its id: the sharded store
     /// (current epoch plus any superseded epochs still alive behind
-    /// `Arc`s) and the user-factor matrix. Retired models keep their
-    /// memory until dropped, so they report too.
+    /// `Arc`s) and the user factors, whose shards are row ranges over the
+    /// one matrix. Retired models keep their memory until dropped, so
+    /// they report too.
     pub(crate) fn footprint(&self) -> FootprintReport {
-        let uf = self.user_factors();
-        let mut children = vec![
+        let x = std::mem::size_of_val(self.users().full().item_factors().as_slice()) as u64;
+        let children = vec![
             self.store.footprint(),
-            FootprintReport::leaf("user_factors", std::mem::size_of_val(uf.as_slice()) as u64),
+            FootprintReport::leaf("user_factors", x),
         ];
-        if let Some(s) = self.user_snapshot.read().as_ref() {
-            children.push(s.footprint().renamed("user_snapshot"));
-        }
         FootprintReport::branch(self.id.as_str(), children)
     }
 }
@@ -471,6 +447,7 @@ impl ModelRegistry {
         // lock that every batch's routing read waits on.
         let start = Instant::now();
         let sharded = ShardedSnapshot::build_with(snapshot, self.shards, self.ann);
+        let users = Arc::new(self.shard_users(0, user_factors));
         let (f, epoch) = (sharded.f(), sharded.epoch());
         let bytes = sharded.footprint().total_bytes();
         let mut inner = self.inner.write();
@@ -486,8 +463,7 @@ impl ModelRegistry {
             slot,
             f,
             store: ShardedFactorStore::serving(sharded),
-            user_factors: RwLock::new(Arc::new(user_factors)),
-            user_snapshot: RwLock::new(None),
+            users: RwLock::new(users),
             retired: AtomicBool::new(false),
             metrics,
         });
@@ -556,7 +532,8 @@ impl ModelRegistry {
 
     /// Replace `id`'s user-factor matrix (e.g. after retraining `X`
     /// alongside a published Θ). The column count must match the model's
-    /// pinned `f`.
+    /// pinned `f`. Bumps the user-side epoch, so no result cached under
+    /// the old `X` is served again.
     pub fn set_user_factors(
         &self,
         id: &ModelId,
@@ -570,11 +547,15 @@ impl ModelRegistry {
                 got: user_factors.cols(),
             });
         }
-        *entry.user_factors.write() = Arc::new(user_factors);
-        // The similar-users view is a copy of the old X: drop it so the
-        // next similar-users batch rebuilds from the swapped matrix.
-        *entry.user_snapshot.write() = None;
+        let mut users = entry.users.write();
+        *users = Arc::new(self.shard_users(users.epoch() + 1, user_factors));
         Ok(())
+    }
+
+    /// `X` as user-side epoch `epoch`: the matrix moves in and the shards
+    /// only split its row range, so nothing is copied.
+    fn shard_users(&self, epoch: u64, user_factors: DenseMatrix) -> ShardedSnapshot {
+        ShardedSnapshot::build(ModelSnapshot::new(epoch, user_factors, vec![]), self.shards)
     }
 
     /// Retire `id`: it stops serving (requests naming it get
@@ -763,9 +744,7 @@ impl ModelRegistry {
 
     /// How many users `id` knows (rows of its user-factor matrix).
     pub fn n_users(&self, id: &ModelId) -> Result<usize, ServeError> {
-        Ok(Self::entry_of(&self.inner.read(), id)?
-            .user_factors()
-            .rows())
+        Ok(Self::entry_of(&self.inner.read(), id)?.users().n_items())
     }
 
     /// The registry's cache-key slot for `id` — unique per registered
@@ -1248,37 +1227,45 @@ mod tests {
         }
     }
 
+    /// `X` is resident once — the user-side snapshot similar-users scans
+    /// read is the same matrix known-user rows come from — before and
+    /// after a similar-users batch, and a swap replaces it.
     #[test]
     fn user_side_snapshot_is_cached_and_invalidated_on_swap() {
-        let reg = registry();
-        let champ = ModelId::from("champion");
-        let entry = ModelRegistry::entry_of(&reg.inner.read(), &champ).unwrap();
-        let first = entry.user_side_snapshot();
-        // identity(4): 4 user rows, sharded at the store's count, exact
-        // FP32 only.
-        assert_eq!(first.n_items(), 4);
-        assert_eq!(first.n_shards(), entry.store.n_shards());
-        assert!(!first.full().has_fp16() && !first.full().has_ann());
-        assert!(
-            Arc::ptr_eq(&first, &entry.user_side_snapshot()),
-            "second call must reuse the cached view"
-        );
-        // The cached copy is honest resident memory: exactly one copy of
-        // X (4 users × f = 4 × 4 bytes) — the shards are views over it.
-        let footprint = entry.footprint();
-        let uf_side = footprint
-            .children()
-            .iter()
-            .find(|c| c.name() == "user_snapshot")
-            .expect("cached view must appear in the footprint");
-        assert_eq!(uf_side.total_bytes(), 4 * 4 * 4);
-        // Swapping X drops the view; the next call rebuilds from the new
-        // matrix.
-        reg.set_user_factors(&champ, DenseMatrix::zeros(7, 4))
+        use crate::engine::{Request, ServeConfig, ServeEngine};
+        // X is 7 users × f = 4, Θ is 6 items: the payloads differ in size.
+        let mut x = DenseMatrix::zeros(7, 4);
+        x.fill_with(|| 0.5);
+        let engine = ServeEngine::builder()
+            .config(ServeConfig::default().with_shards(2))
+            .model("champion", x, snap(0, 6, 4))
+            .build()
             .unwrap();
-        let rebuilt = entry.user_side_snapshot();
-        assert!(!Arc::ptr_eq(&first, &rebuilt));
-        assert_eq!(rebuilt.n_items(), 7);
+        let x_bytes = 7 * 4 * 4;
+        let check = || {
+            let registry = engine.registry().footprint();
+            let model = &registry.children()[0];
+            let names: Vec<&str> = model.children().iter().map(|c| c.name()).collect();
+            assert_eq!(names, vec!["store", "user_factors"]);
+            assert_eq!(model.children()[1].total_bytes(), x_bytes);
+            let store = model.children()[0].total_bytes();
+            assert_eq!(model.total_bytes(), store + x_bytes, "X is counted once");
+        };
+        check();
+        let out = engine.recommend_batch(&[Request::similar_users(0, 3)], &cumf_telemetry::NOOP);
+        assert!(out[0].is_ok());
+        check();
+        let champ = ModelId::from("champion");
+        let reg = engine.registry();
+        reg.set_user_factors(&champ, DenseMatrix::zeros(9, 4))
+            .unwrap();
+        assert_eq!(reg.n_users(&champ).unwrap(), 9);
+        let entry = ModelRegistry::entry_of(&reg.inner.read(), &champ).unwrap();
+        assert_eq!(
+            entry.users().epoch(),
+            1,
+            "each swap is a new user-side epoch"
+        );
     }
 
     #[test]

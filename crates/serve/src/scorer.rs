@@ -10,10 +10,8 @@
 //! `get_hermitian`, applied to inference. Inside a tile the arithmetic is
 //! the register-blocked microkernel of [`cumf_numeric::kernel`]:
 //! [`kernel::score_tile`] scores [`kernel::TILE_USERS`] users per Θ pass
-//! with [`kernel::LANES`] accumulator lanes each, and on the FP16 path
-//! [`kernel::score_tile_f16`] fuses the f16→f32 widen into that loop — no
-//! scratch widening pass, each Θ chunk decoded once per `TILE_USERS`
-//! users. The kernel's fixed lane order is the determinism contract:
+//! with [`kernel::LANES`] accumulator lanes each. The kernel's fixed lane
+//! order is the determinism contract:
 //! every scoring surface (blocked, sharded, approximate, and the
 //! [`score_one`] reference) reduces through the same lanes, so they stay
 //! bit-identical to each other by construction.
@@ -78,17 +76,15 @@ impl Retrieval {
 
 /// Measured work of one scoring pass. Both paths count the factor bytes
 /// they read where they read them — the exact scan at each
-/// `score_tile`/`score_tile_f16` call, the approximate one at each probe,
+/// `score_tile` call, the approximate one at each probe,
 /// member scan and rescore — and that count is what flows into
 /// `serve_scan_bytes_total`, the `serve_ann_*` counters, and
 /// `AdmissionReport::effective_gbps`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScanStats {
     /// Factor bytes the pass streamed (centroids + member rows + rescore
-    /// rows on the approximate path; every Θ tile at its stored width —
-    /// 2 bytes per element from the FP16 copy, 4 from FP32 — once per
-    /// user chunk on the exact path). Priors and user rows are not
-    /// counted.
+    /// rows on the approximate path; every FP32 Θ tile once per user
+    /// chunk on the exact path). Priors and user rows are not counted.
     pub bytes: u64,
     /// Clusters probed, summed over users (0 on the exact path).
     pub probed_clusters: u64,
@@ -106,7 +102,7 @@ pub struct ScanStats {
     pub flops: u64,
 }
 
-/// Tiling and precision knobs for the batched scorer.
+/// Tiling and retrieval knobs for the batched scorer.
 #[derive(Clone, Copy, Debug)]
 pub struct ScoreConfig {
     /// Items per Θ-block (the cache-resident tile edge). `None` auto-tunes
@@ -117,10 +113,6 @@ pub struct ScoreConfig {
     /// Users per score tile: the tile's user height, i.e. how many users
     /// share each pass over a Θ-block on the exact path.
     pub user_chunk: usize,
-    /// Read the FP16 factor copy when the snapshot carries one (exact
-    /// path only; the approximate shortlist scan uses `retrieval`'s
-    /// [`QuantMode`] instead).
-    pub use_fp16: bool,
     /// Exact full scan, or two-stage approximate retrieval (see
     /// [`Retrieval`]).
     pub retrieval: Retrieval,
@@ -131,7 +123,6 @@ impl Default for ScoreConfig {
         ScoreConfig {
             block_items: None,
             user_chunk: 32,
-            use_fp16: false,
             retrieval: Retrieval::Exact,
         }
     }
@@ -336,13 +327,13 @@ fn top_k_batch_approx(
 /// rankings and the factor bytes the tiles read.
 ///
 /// Each worker owns one `chunk × block` score tile that
-/// [`kernel::score_tile`] (or, on the FP16 path,
-/// [`kernel::score_tile_f16`] with the widen fused into the loop — no
-/// scratch widening pass) fills per Θ-block. Each tile row then gets its
-/// priors (or `+ 0.0`) added in place in one vectorizable pass and drains
+/// [`kernel::score_tile`] fills per Θ-block. Each tile row then gets its
+/// priors, if any, added in place in one vectorizable pass and drains
 /// into its user's heap through [`TopK::push_slice`], which skips every
-/// 8-score chunk below the heap's current k-th score. Each chunk sums the
-/// `len·f·width` bytes of the tiles it scores and publishes its total
+/// 8-score chunk below the heap's current k-th score. A prior-less row
+/// drains as the tile wrote it: no tile output is `−0.0`, so it already
+/// equals the reference path's `dot + 0.0` bit for bit. Each chunk sums
+/// the `len·f·4` bytes of the tiles it scores and publishes its total
 /// once.
 fn top_k_batch_exact(
     view: SnapshotView<'_>,
@@ -355,8 +346,6 @@ fn top_k_batch_exact(
     let users = user_factors.rows();
     let block = cfg.effective_block_items(f);
     let chunk = cfg.user_chunk.max(1);
-    let fp16_rows = if cfg.use_fp16 { view.f16_rows } else { None };
-    let width = if fp16_rows.is_some() { 2 } else { 4 };
     let (theta, priors) = (view.rows, view.priors);
     let x = user_factors.as_slice();
     let bytes = AtomicU64::new(0);
@@ -373,34 +362,14 @@ fn top_k_batch_exact(
             let mut read = 0u64;
             while start < n {
                 let len = block.min(n - start);
-                read += (len * f * width) as u64;
-                match fp16_rows {
-                    Some(q) => kernel::score_tile_f16(
-                        xs,
-                        cu,
-                        &q[start * f..(start + len) * f],
-                        len,
-                        f,
-                        scores,
-                    ),
-                    None => kernel::score_tile(
-                        xs,
-                        cu,
-                        &theta[start * f..(start + len) * f],
-                        len,
-                        f,
-                        scores,
-                    ),
-                }
+                read += (len * f * 4) as u64;
+                let tile = &theta[start * f..(start + len) * f];
+                kernel::score_tile(xs, cu, tile, len, f, scores);
                 let tile_priors = (!priors.is_empty()).then(|| &priors[start..start + len]);
                 for (du, heap) in chunk_heaps.iter_mut().enumerate() {
                     let row = &mut scores[du * len..(du + 1) * len];
-                    match tile_priors {
-                        Some(p) => row.iter_mut().zip(p).for_each(|(s, &pr)| *s += pr),
-                        // The `+ 0.0` is the absent prior: it normalizes a
-                        // −0.0 dot to +0.0 exactly like the reference
-                        // path's `+ prior(v)`.
-                        None => row.iter_mut().for_each(|s| *s += 0.0),
+                    if let Some(p) = tile_priors {
+                        row.iter_mut().zip(p).for_each(|(s, &pr)| *s += pr);
                     }
                     heap.push_slice(start as u32, row);
                 }
@@ -415,23 +384,14 @@ fn top_k_batch_exact(
 
 /// Unblocked reference: the full score row for one user (`n` entries, in
 /// item order). Tests pair this with [`naive_top_k`](crate::topk::naive_top_k)
-/// as ground truth. It routes through the same [`kernel`] dots as the
-/// blocked path — [`kernel::dot_lanes`] on FP32 rows, [`kernel::dot_f16`]
-/// on the FP16 copy — so the bit-identity contract holds by construction,
-/// not by accident.
-pub fn score_one(snapshot: &ModelSnapshot, user_factors: &[f32], fp16: bool) -> Vec<f32> {
-    let f = snapshot.f();
-    assert_eq!(user_factors.len(), f);
-    let n = snapshot.n_items();
-    let f16_rows = if fp16 { snapshot.f16_factors() } else { None };
-    match f16_rows {
-        Some(q) => (0..n)
-            .map(|v| kernel::dot_f16(user_factors, &q[v * f..(v + 1) * f]) + snapshot.prior(v))
-            .collect(),
-        None => (0..n)
-            .map(|v| kernel::dot_lanes(user_factors, snapshot.item_row(v)) + snapshot.prior(v))
-            .collect(),
-    }
+/// as ground truth. It routes through the same lane order as the
+/// blocked path — [`kernel::dot_lanes`] — so the bit-identity contract
+/// holds by construction, not by accident.
+pub fn score_one(snapshot: &ModelSnapshot, user_factors: &[f32]) -> Vec<f32> {
+    assert_eq!(user_factors.len(), snapshot.f());
+    (0..snapshot.n_items())
+        .map(|v| kernel::dot_lanes(user_factors, snapshot.item_row(v)) + snapshot.prior(v))
+        .collect()
 }
 
 /// Per-factor explanation of one (query, item) score: the `q[j]·θ_v[j]`
@@ -493,7 +453,7 @@ mod tests {
         let users = random_users(11, 9, 2);
         // Reference: naive argsort over the unblocked score rows.
         let want: Vec<Vec<ScoredItem>> = (0..users.rows())
-            .map(|u| naive_top_k(&score_one(&snap, users.row(u), false), 10))
+            .map(|u| naive_top_k(&score_one(&snap, users.row(u)), 10))
             .collect();
         for (block_items, user_chunk) in [(Some(1), 1), (Some(7), 3), (Some(64), 32), (None, 1000)]
         {
@@ -504,24 +464,6 @@ mod tests {
             };
             let got = top_k_batch(&snap, &users, 10, &cfg);
             assert_eq!(got, want, "tiling {block_items:?}×{user_chunk}");
-        }
-    }
-
-    #[test]
-    fn fp16_path_differs_only_within_roundoff() {
-        let snap = random_snapshot(64, 8, 3).with_fp16();
-        let users = random_users(4, 8, 4);
-        let cfg32 = ScoreConfig::default();
-        let cfg16 = ScoreConfig {
-            use_fp16: true,
-            ..ScoreConfig::default()
-        };
-        let full = top_k_batch(&snap, &users, 64, &cfg32);
-        let quant = top_k_batch(&snap, &users, 64, &cfg16);
-        for (a, b) in full.iter().flatten().zip(quant.iter().flatten()) {
-            // Same items may reorder slightly, but every score moves by at
-            // most the FP16 roundoff amplified by f=8 accumulation.
-            assert!((a.score - b.score).abs() < 2e-2);
         }
     }
 
@@ -563,6 +505,9 @@ mod tests {
         assert_eq!(fixed.effective_block_items(100), 1);
     }
 
+    /// The exact scan counts every FP32 Θ tile once per user chunk. (The
+    /// FP16 half this test is named for left with the FP16 serving path;
+    /// Θ is now read in FP32 only.)
     #[test]
     fn scan_bytes_halves_on_the_effective_fp16_path() {
         let bytes = |snap: &ModelSnapshot, users: usize, cfg: &ScoreConfig| {
@@ -575,15 +520,6 @@ mod tests {
         // 33 users at user_chunk=32 ⇒ 2 chunks over 100×8 f32 rows.
         assert_eq!(bytes(&plain, 33, &cfg32), 2 * 100 * 8 * 4);
         assert_eq!(bytes(&plain, 0, &cfg32), 0, "no users, no scan");
-        let cfg16 = ScoreConfig {
-            use_fp16: true,
-            ..cfg32
-        };
-        // FP16 requested but absent: the loop falls back to FP32 reads and
-        // the accounting must agree.
-        assert_eq!(bytes(&plain, 33, &cfg16), 2 * 100 * 8 * 4);
-        let quant = random_snapshot(100, 8, 9).with_fp16();
-        assert_eq!(bytes(&quant, 33, &cfg16), 2 * 100 * 8 * 2);
     }
 
     #[test]
@@ -606,7 +542,7 @@ mod tests {
         assert!((e.score() - score).abs() < 1e-6);
         // …while the served score itself is bit-identical to the
         // reference scoring surface.
-        assert_eq!(score, score_one(&snap, q, false)[7]);
+        assert_eq!(score, score_one(&snap, q)[7]);
     }
 
     fn approx_cfg(n_probe: usize, quant: QuantMode) -> ScoreConfig {

@@ -4,7 +4,7 @@
 //! matrices across parallel workers and cache-blocking each partition's
 //! walk; this module applies the same reasoning to serving. Item factors
 //! are split into contiguous item-id ranges — each shard a row range over
-//! the epoch's one [`ModelSnapshot`], so no FP32 or FP16 row or prior is
+//! the epoch's one [`ModelSnapshot`], so no factor row or prior is
 //! copied, plus a centroid index and int8 copy built over that range —
 //! and a request batch is *scattered*: every shard runs the blocked
 //! scoring kernel of [`top_k_batch`](crate::scorer::top_k_batch) over its
@@ -65,8 +65,8 @@ impl Shard {
 
 /// A published model epoch split into contiguous item-range shards.
 ///
-/// Owns the one [`ModelSnapshot`] of the epoch — FP32 rows, FP16 copy and
-/// priors — and its shards are row ranges over it: cold-start fold-in
+/// Owns the one [`ModelSnapshot`] of the epoch — FP32 rows and priors —
+/// and its shards are row ranges over it: cold-start fold-in
 /// solves against the full Θ, and every shard scan slices it.
 ///
 /// ```
@@ -168,7 +168,7 @@ impl ShardedSnapshot {
         self.shards.len()
     }
 
-    /// The epoch's one snapshot: FP32 rows, FP16 copy and priors, which
+    /// The epoch's one snapshot: FP32 rows and priors, which
     /// fold-in solves against and every shard slices. Its centroid index
     /// and int8 copy live in the shards.
     pub fn full(&self) -> &ModelSnapshot {
@@ -188,7 +188,7 @@ impl ShardedSnapshot {
 }
 
 impl MemoryFootprint for ShardedSnapshot {
-    /// Children: `full` (the epoch's one snapshot: FP32, FP16, priors)
+    /// Children: `full` (the epoch's one snapshot: FP32 rows, priors)
     /// and `shards` with one `shard{i}` subtree each, holding what is
     /// truly per shard — its `centroids` and `int8` leaves. Shards are
     /// views, so the total is one copy of each artifact.
@@ -233,9 +233,8 @@ pub struct ShardTiming {
     pub scored: u64,
     /// Factor bytes the pass read from the shard's rows, counted where it
     /// read them ([`ScanStats::bytes`](crate::scorer::ScanStats::bytes)):
-    /// exact scans count every tile at its stored width (FP16 2 bytes per
-    /// element, FP32 4) once per user chunk; approximate scans count the
-    /// centroid + member + rescore traffic.
+    /// exact scans count every FP32 tile once per user chunk; approximate
+    /// scans count the centroid + member + rescore traffic.
     pub bytes: u64,
     /// Clusters the shard's pass probed, summed over users (0 on the
     /// exact path).
@@ -652,21 +651,6 @@ mod tests {
     }
 
     #[test]
-    fn fp16_carries_through_sharding() {
-        let sharded = ShardedSnapshot::build(snap(9, 4, false).with_fp16(), 3);
-        assert!(sharded.full().has_fp16());
-        assert!(sharded
-            .shards()
-            .iter()
-            .all(|s| s.view(sharded.full()).f16_rows.is_some()));
-        let plain = ShardedSnapshot::build(snap(9, 4, false), 3);
-        assert!(plain
-            .shards()
-            .iter()
-            .all(|s| s.view(plain.full()).f16_rows.is_none()));
-    }
-
-    #[test]
     fn sharded_scoring_is_bit_identical_to_unsharded() {
         let full = snap(37, 5, true);
         let x = users(6, 5);
@@ -854,12 +838,12 @@ mod tests {
 
     #[test]
     fn sharded_snapshot_footprint_sums_full_plus_shards() {
-        let sharded = ShardedSnapshot::build(snap(10, 2, true).with_fp16(), 3);
+        let sharded = ShardedSnapshot::build(snap(10, 2, true), 3);
         let r = sharded.footprint();
         assert!(r.verify());
-        // full: 10×2 f32 + f16 + 10 prior f32s = 80 + 40 + 40; the 3
-        // shards are views over it and add nothing.
-        let full = 10 * 2 * 4 + 10 * 2 * 2 + 10 * 4;
+        // full: 10×2 f32 + 10 prior f32s = 80 + 40; the 3 shards are
+        // views over it and add nothing.
+        let full = 10 * 2 * 4 + 10 * 4;
         assert_eq!(r.total_bytes(), full);
         assert_eq!(r.children()[0].name(), "full");
         assert_eq!(r.children()[1].children().len(), 3);
@@ -923,7 +907,7 @@ mod tests {
             let full = ModelSnapshot::new(0, theta.clone(), priors);
             for k in [5, n] {
                 let want: Vec<_> = (0..x.rows())
-                    .map(|u| bits(&naive_top_k(&score_one(&full, x.row(u), false), k)))
+                    .map(|u| bits(&naive_top_k(&score_one(&full, x.row(u)), k)))
                     .collect();
                 for block_items in [None, Some(5)] {
                     let cfg = ScoreConfig {

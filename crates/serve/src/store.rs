@@ -5,22 +5,20 @@
 
 use crate::ann::{AnnParams, CentroidIndex, QuantizedFactors};
 use cumf_numeric::dense::DenseMatrix;
-use cumf_numeric::f16::{narrow_slice, F16};
 use cumf_telemetry::{FootprintReport, MemoryFootprint};
 use std::ops::Range;
 
-/// One immutable published model epoch: item factors (optionally also in
-/// FP16), per-item popularity priors, and the epoch number.
+/// One immutable published model epoch: item factors, per-item
+/// popularity priors, and the epoch number.
 ///
 /// ```
 /// use cumf_numeric::dense::DenseMatrix;
 /// use cumf_serve::store::ModelSnapshot;
 ///
 /// let theta = DenseMatrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]);
-/// let snap = ModelSnapshot::new(7, theta, vec![0.1, 0.2]).with_fp16();
+/// let snap = ModelSnapshot::new(7, theta, vec![0.1, 0.2]);
 /// assert_eq!(snap.epoch, 7);
 /// assert_eq!(snap.n_items(), 2);
-/// assert!(snap.has_fp16());
 /// ```
 #[derive(Clone, Debug)]
 pub struct ModelSnapshot {
@@ -29,11 +27,6 @@ pub struct ModelSnapshot {
     pub epoch: u64,
     /// Item factors `Θ`, one `f`-long row per item.
     item_factors: DenseMatrix,
-    /// The same factors narrowed to binary16 (row-major, same layout),
-    /// populated by [`ModelSnapshot::with_fp16`]. Reading these halves
-    /// scoring bandwidth exactly as the paper's FP16 Gram storage halves
-    /// solver bandwidth.
-    item_factors_f16: Option<Vec<F16>>,
     /// Per-item additive prior (e.g. log-popularity), added to every score;
     /// empty means no prior.
     popularity: Vec<f32>,
@@ -60,22 +53,10 @@ impl ModelSnapshot {
         ModelSnapshot {
             epoch,
             item_factors,
-            item_factors_f16: None,
             popularity,
             ann: None,
             int8: None,
         }
-    }
-
-    /// Attach an FP16 copy of the factors, enabling the quantized scoring
-    /// path (builder-style). Costs one narrowing pass now; the FP32 master
-    /// stays available (fold-in always solves against it).
-    pub fn with_fp16(mut self) -> ModelSnapshot {
-        let src = self.item_factors.as_slice();
-        let mut q = vec![F16::ZERO; src.len()];
-        narrow_slice(src, &mut q);
-        self.item_factors_f16 = Some(q);
-        self
     }
 
     /// Build and attach a [`CentroidIndex`] over the item factors
@@ -105,11 +86,6 @@ impl ModelSnapshot {
     /// Feature dimension `f`.
     pub fn f(&self) -> usize {
         self.item_factors.cols()
-    }
-
-    /// Whether the FP16 factor copy is present.
-    pub fn has_fp16(&self) -> bool {
-        self.item_factors_f16.is_some()
     }
 
     /// Whether a centroid index is present.
@@ -151,15 +127,6 @@ impl ModelSnapshot {
         &self.item_factors.as_slice()[v * f..(v + 1) * f]
     }
 
-    /// The FP16 factor copy as one flat row-major slice, when
-    /// [`ModelSnapshot::with_fp16`] attached one. The fused-decode scorer
-    /// slices Θ-blocks straight out of this — the widen happens inside
-    /// the kernel loop, never into a scratch buffer.
-    #[inline]
-    pub fn f16_factors(&self) -> Option<&[F16]> {
-        self.item_factors_f16.as_deref()
-    }
-
     /// Additive prior for `item` (0 when no priors were attached).
     #[inline]
     pub fn prior(&self, item: usize) -> f32 {
@@ -183,8 +150,7 @@ impl ModelSnapshot {
         SnapshotView {
             f,
             n_items: range.len(),
-            rows: &self.item_factors.as_slice()[rows.clone()],
-            f16_rows: self.item_factors_f16.as_ref().map(|q| &q[rows]),
+            rows: &self.item_factors.as_slice()[rows],
             priors: if self.popularity.is_empty() {
                 &[]
             } else {
@@ -210,8 +176,6 @@ pub(crate) struct SnapshotView<'a> {
     pub(crate) f: usize,
     pub(crate) n_items: usize,
     pub(crate) rows: &'a [f32],
-    /// `None` when the snapshot has no FP16 copy.
-    pub(crate) f16_rows: Option<&'a [F16]>,
     /// Empty when the snapshot has no priors.
     pub(crate) priors: &'a [f32],
     pub(crate) ann: Option<&'a CentroidIndex>,
@@ -227,9 +191,7 @@ impl<'a> SnapshotView<'a> {
 }
 
 impl MemoryFootprint for ModelSnapshot {
-    /// Children: `fp32` (the master `Θ` matrix), `fp16` (the narrowed
-    /// copy, present only after [`ModelSnapshot::with_fp16`]),
-    /// `centroids` (after [`ModelSnapshot::with_ann`]), `int8` (after
+    /// Children: `fp32` (the `Θ` matrix), `centroids` (after [`ModelSnapshot::with_ann`]), `int8` (after
     /// [`ModelSnapshot::with_int8`]), and `priors`. Exact payload bytes —
     /// container headers are not counted.
     fn footprint(&self) -> FootprintReport {
@@ -237,12 +199,6 @@ impl MemoryFootprint for ModelSnapshot {
             "fp32",
             std::mem::size_of_val(self.item_factors.as_slice()) as u64,
         )];
-        if let Some(q) = &self.item_factors_f16 {
-            children.push(FootprintReport::leaf(
-                "fp16",
-                (q.len() * std::mem::size_of::<F16>()) as u64,
-            ));
-        }
         if let Some(idx) = &self.ann {
             children.push(FootprintReport::leaf("centroids", idx.bytes()));
         }
@@ -322,6 +278,8 @@ mod tests {
         let _ = ModelSnapshot::new(0, DenseMatrix::identity(3), vec![1.0]);
     }
 
+    /// The FP32 matrix is the snapshot's one copy of Θ. (The FP16 half
+    /// this test is named for left with the FP16 serving path.)
     #[test]
     fn fp16_footprint_is_half_the_fp32_copy() {
         let plain = snap(0, 64, 16);
@@ -334,15 +292,11 @@ mod tests {
                 .map(|c| c.total_bytes())
         };
         assert_eq!(find(&r, "fp32"), Some(64 * 16 * 4));
-        assert_eq!(find(&r, "fp16"), None, "no FP16 copy, no FP16 component");
-
-        let quant = snap(0, 64, 16).with_fp16();
-        let r = quant.footprint();
-        assert!(r.verify());
-        let fp32 = find(&r, "fp32").unwrap();
-        let fp16 = find(&r, "fp16").unwrap();
-        assert_eq!(fp16 * 2, fp32, "binary16 copy is exactly half the master");
-        assert_eq!(r.total_bytes(), fp32 + fp16);
+        assert_eq!(
+            r.total_bytes(),
+            64 * 16 * 4,
+            "no priors: Θ is the whole footprint"
+        );
     }
 
     #[test]

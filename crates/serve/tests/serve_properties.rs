@@ -4,19 +4,16 @@
 //! retrieval path's exactness/recall guarantees (full probe bit-identity,
 //! recall monotonicity in `n_probe`, int8 round-trip bounds),
 //! canary-routing determinism and split convergence, registry
-//! promote/rollback cache isolation, admission-queue overload behavior,
-//! and the FP16 scoring path's ranking quality on a trained model.
+//! promote/rollback cache isolation, cache retirement on a user-factor
+//! swap, and admission-queue overload behavior.
 
-use cumf_als::{AlsConfig, AlsTrainer};
-use cumf_datasets::{MfDataset, SizeClass};
-use cumf_gpu_sim::GpuSpec;
 use cumf_numeric::dense::DenseMatrix;
 use cumf_serve::obs::STAGES;
 use cumf_serve::{
-    admission_queue, canary_unit, merge_top_k, naive_top_k, ndcg_at_k, overlap_at_k, score_one,
-    top_k_batch, top_k_batch_sharded, top_k_batch_sharded_timed, AdmissionConfig, AnnParams,
-    CanaryPolicy, Endpoint, ModelSnapshot, QuantMode, QuantizedFactors, Query, Request, Retrieval,
-    ScoreConfig, ScoredItem, ServeConfig, ServeEngine, ShardedSnapshot, SubmitError, UserRef,
+    admission_queue, canary_unit, merge_top_k, naive_top_k, overlap_at_k, score_one, top_k_batch,
+    top_k_batch_sharded, top_k_batch_sharded_timed, AdmissionConfig, AnnParams, CanaryPolicy,
+    Endpoint, ModelSnapshot, QuantMode, QuantizedFactors, Query, Request, Retrieval, ScoreConfig,
+    ScoredItem, ServeConfig, ServeEngine, ShardedSnapshot, SubmitError, UserRef,
 };
 use cumf_telemetry::{FootprintReport, MemoryRecorder, NOOP};
 use proptest::prelude::*;
@@ -56,7 +53,7 @@ proptest! {
         let got = top_k_batch(&snapshot, &users, k, &cfg);
         prop_assert_eq!(got.len(), users.rows());
         for (u, ranked) in got.iter().enumerate() {
-            let scores = score_one(&snapshot, users.row(u), false);
+            let scores = score_one(&snapshot, users.row(u));
             let want = naive_top_k(&scores, k);
             prop_assert_eq!(ranked, &want, "user {} tiling {}x{}", u, block_items, user_chunk);
         }
@@ -327,6 +324,42 @@ fn promote_rollback_round_trip_keeps_cache_arms_isolated() {
     assert_eq!(promoted.items, canaried.items);
 }
 
+/// Swapping a model's user factors retires every cached ranking computed
+/// from the old `X`: the cache key carries the user-side epoch, so the
+/// same known user after `set_user_factors` is scored afresh, never served
+/// the stale entry.
+#[test]
+fn set_user_factors_retires_cached_rankings() {
+    let engine = ServeEngine::builder()
+        .model(
+            "default",
+            DenseMatrix::from_vec(1, 3, vec![1.0, 0.0, 0.0]),
+            ModelSnapshot::new(0, DenseMatrix::identity(3), vec![]),
+        )
+        .build()
+        .unwrap();
+    let serve = || {
+        let out = engine.recommend_batch(&[Request::known(0, 0)], &NOOP);
+        out.into_iter().next().unwrap().unwrap()
+    };
+    let before = serve();
+    assert_eq!(before.items[0].item, 0);
+    assert!(serve().from_cache, "same X: the second lookup hits");
+
+    let id = engine.registry().default_model();
+    engine
+        .registry()
+        .set_user_factors(&id, DenseMatrix::from_vec(1, 3, vec![0.0, 0.0, 1.0]))
+        .unwrap();
+    let after = serve();
+    assert!(
+        !after.from_cache,
+        "a ranking cached under the old X was served"
+    );
+    assert_eq!(after.items[0].item, 2);
+    assert!(serve().from_cache, "the new X caches afresh");
+}
+
 /// Single-model regression: the v2 engine (registry + router + builder)
 /// must return results bit-identical to the direct batch scorer — the
 /// redesign may not perturb single-model serving.
@@ -425,7 +458,7 @@ proptest! {
         let got = engine.recommend_batch(&requests, &NOOP);
         for (v, rec) in got.into_iter().enumerate() {
             let rec = rec.unwrap();
-            let scores = score_one(&snapshot, snapshot.item_row(v), false);
+            let scores = score_one(&snapshot, snapshot.item_row(v));
             let want: Vec<_> = naive_top_k(&scores, n)
                 .into_iter()
                 .filter(|s| s.item != v as u32)
@@ -457,7 +490,7 @@ proptest! {
         for u in 0..users.rows() {
             let req = Request::rank_items(u as u64, u as u32, slate.clone());
             let rec = engine.recommend_batch(&[req], &NOOP).pop().unwrap().unwrap();
-            let scores = score_one(&snapshot, users.row(u), false);
+            let scores = score_one(&snapshot, users.row(u));
             let want: Vec<_> = naive_top_k(&scores, n)
                 .into_iter()
                 .filter(|s| slate.binary_search(&s.item).is_ok())
@@ -489,7 +522,7 @@ proptest! {
             prop_assert_eq!(rec.items[0].item, v as u32);
             let served = rec.items[0].score;
             // Bit-identical to the exact scorer's score for (u, v)...
-            prop_assert_eq!(served, score_one(&snapshot, users.row(u), false)[v]);
+            prop_assert_eq!(served, score_one(&snapshot, users.row(u))[v]);
             // ...and the factor-order term sum lands within 1e-6 of it.
             prop_assert!(
                 (e.score() - served).abs() <= 1e-6,
@@ -527,7 +560,7 @@ fn similar_items_excludes_only_the_query_item_under_ties() {
             .pop()
             .unwrap()
             .unwrap();
-        let scores = score_one(&snapshot, snapshot.item_row(q as usize), false);
+        let scores = score_one(&snapshot, snapshot.item_row(q as usize));
         let want: Vec<_> = naive_top_k(&scores, n)
             .into_iter()
             .filter(|s| s.item != q)
@@ -542,64 +575,6 @@ fn similar_items_excludes_only_the_query_item_under_ties() {
         assert_eq!(rec.items[0].item, twin, "query item {q}");
         assert_eq!(rec.items[0].score, scores[q as usize], "query item {q}");
     }
-}
-
-fn trained_tiny() -> (MfDataset, DenseMatrix, DenseMatrix) {
-    let data = MfDataset::netflix(SizeClass::Tiny, 77);
-    let cfg = AlsConfig {
-        f: 8,
-        iterations: 5,
-        rmse_target: None,
-        ..AlsConfig::for_profile(&data.profile)
-    };
-    let mut t = AlsTrainer::new(&data, cfg, GpuSpec::maxwell_titan_x(), 1);
-    t.train();
-    let (x, theta) = (t.x.clone(), t.theta.clone());
-    drop(t);
-    (data, x, theta)
-}
-
-/// The paper's claim, transplanted to serving: FP16 storage is
-/// approximation-free *where it matters*. Quantized scoring must not move
-/// ranking quality — NDCG@10 of the FP16 ranking, graded by the exact FP32
-/// scores, stays within 1e-3 of ideal on a trained model.
-#[test]
-fn fp16_scoring_moves_ndcg_at_10_by_less_than_1e_3() {
-    let (data, x, theta) = trained_tiny();
-    let snapshot = ModelSnapshot::new(0, theta, vec![]).with_fp16();
-    let cfg16 = ScoreConfig {
-        use_fp16: true,
-        ..ScoreConfig::default()
-    };
-    let k = 10;
-    let ranked16 = top_k_batch(&snapshot, &x, k, &cfg16);
-    let mut worst: f64 = 1.0;
-    for (u, ranked) in ranked16.iter().enumerate().take(data.m().min(200)) {
-        // Relevance = the exact FP32 scores, shifted to be non-negative.
-        let exact = score_one(&snapshot, x.row(u), false);
-        let min = exact.iter().cloned().fold(f32::INFINITY, f32::min);
-        let rel: Vec<f32> = exact.iter().map(|s| s - min).collect();
-        let ndcg = ndcg_at_k(ranked, &rel, k);
-        worst = worst.min(ndcg);
-    }
-    assert!(
-        worst > 1.0 - 1e-3,
-        "FP16 ranking NDCG@10 dropped to {worst}"
-    );
-}
-
-/// The FP32 path with a quantized copy present (but disabled) must be
-/// bit-identical to a snapshot that never carried FP16 at all.
-#[test]
-fn fp16_copy_present_but_disabled_changes_nothing() {
-    let (_, x, theta) = trained_tiny();
-    let plain = ModelSnapshot::new(0, theta.clone(), vec![]);
-    let carrying = ModelSnapshot::new(0, theta, vec![]).with_fp16();
-    let cfg = ScoreConfig::default();
-    assert_eq!(
-        top_k_batch(&plain, &x, 10, &cfg),
-        top_k_batch(&carrying, &x, 10, &cfg)
-    );
 }
 
 /// Sharded approximate retrieval reproduces, bit for bit, the

@@ -28,17 +28,10 @@ fn trained() -> (MfDataset, DenseMatrix, DenseMatrix) {
     (data, x, theta)
 }
 
-fn engine_from(x: &DenseMatrix, theta: &DenseMatrix, fp16: bool) -> ServeEngine {
-    let mut snapshot = ModelSnapshot::new(0, theta.clone(), vec![]);
-    if fp16 {
-        snapshot = snapshot.with_fp16();
-    }
-    let score = ScoreConfig {
-        use_fp16: fp16,
-        ..ScoreConfig::default()
-    };
+fn engine_from(x: &DenseMatrix, theta: &DenseMatrix) -> ServeEngine {
+    let snapshot = ModelSnapshot::new(0, theta.clone(), vec![]);
     ServeEngine::builder()
-        .config(ServeConfig::default().with_k(10).with_score(score))
+        .config(ServeConfig::default().with_k(10))
         .model("default", x.clone(), snapshot)
         .build()
         .expect("single trained model builds")
@@ -47,7 +40,7 @@ fn engine_from(x: &DenseMatrix, theta: &DenseMatrix, fp16: bool) -> ServeEngine 
 #[test]
 fn trained_model_serves_sampled_traffic() {
     let (data, x, theta) = trained();
-    let engine = engine_from(&x, &theta, false);
+    let engine = engine_from(&x, &theta);
     let mut sampler = RequestSampler::from_dataset(&data, 7);
     let stream = sampler.sample(300, 1000.0);
 
@@ -105,7 +98,7 @@ fn trained_model_serves_sampled_traffic() {
 #[test]
 fn cold_start_reconstructs_a_known_users_taste() {
     let (data, x, theta) = trained();
-    let engine = engine_from(&x, &theta, false);
+    let engine = engine_from(&x, &theta);
     // The heaviest rater: their fold-in solve is best-conditioned.
     let user = (0..data.m()).max_by_key(|&u| data.r.row_nnz(u)).unwrap() as u32;
     let known = engine.recommend_user(user, &NOOP).unwrap();
@@ -132,7 +125,7 @@ fn cold_start_reconstructs_a_known_users_taste() {
 #[test]
 fn publishing_a_new_epoch_rolls_the_cache_over() {
     let (_, x, theta) = trained();
-    let engine = engine_from(&x, &theta, false);
+    let engine = engine_from(&x, &theta);
     let first = engine.recommend_user(3, &NOOP).unwrap();
     assert!(!first.from_cache);
     assert!(engine.recommend_user(3, &NOOP).unwrap().from_cache);
@@ -153,27 +146,6 @@ fn publishing_a_new_epoch_rolls_the_cache_over() {
     assert_eq!(after.items, first.items);
 }
 
-#[test]
-fn fp16_engine_serves_nearly_the_same_items() {
-    let (data, x, theta) = trained();
-    let exact = engine_from(&x, &theta, false);
-    let quant = engine_from(&x, &theta, true);
-    let mut agree = 0usize;
-    let mut total = 0usize;
-    for user in (0..data.m() as u32).step_by(37) {
-        let a = exact.recommend_user(user, &NOOP).unwrap();
-        let b = quant.recommend_user(user, &NOOP).unwrap();
-        let a_items: Vec<u32> = a.items.iter().map(|s| s.item).collect();
-        agree += b.items.iter().filter(|s| a_items.contains(&s.item)).count();
-        total += a.items.len();
-    }
-    let frac = agree as f64 / total as f64;
-    assert!(
-        frac > 0.95,
-        "FP16 top-10 agreement with FP32 only {frac:.3}"
-    );
-}
-
 /// Approximate retrieval end-to-end: an int8-rescoring approximate
 /// engine over the same trained factors keeps recall@10 at or above 0.9
 /// against the exact engine while streaming measurably fewer factor
@@ -181,7 +153,7 @@ fn fp16_engine_serves_nearly_the_same_items() {
 #[test]
 fn approximate_engine_trades_bounded_recall_for_fewer_scan_bytes() {
     let (data, x, theta) = trained();
-    let exact = engine_from(&x, &theta, false);
+    let exact = engine_from(&x, &theta);
     let approx = ServeEngine::builder()
         .config(
             ServeConfig::default()
