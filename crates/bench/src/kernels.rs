@@ -22,8 +22,9 @@
 //! The `score_tile_batch` row runs the same FP32 kernel at the exact
 //! scorer's shape instead: `ScoreConfig::default()`'s `user_chunk` (32)
 //! users per call against each auto-sized Θ block (256 rows at f=100),
-//! so Θ streams from memory once per 32 users and the kernel's compute
-//! rate, not DRAM, sets the time — the regime of a batched exact scan.
+//! prefetching the following block as the scorer does, so Θ streams
+//! from memory once per 32 users and the kernel's compute rate, not
+//! DRAM, sets the time — the regime of a batched exact scan.
 //!
 //! The default [`KernelBenchConfig::reference`] shape is sized so the
 //! FP32 matrix cannot live in any plausible last-level cache
@@ -200,10 +201,6 @@ impl KernelReport {
     }
 }
 
-/// Items per Θ block in the tiled passes — mirrors the serving scorer's
-/// blocked scan so the bench measures the same loop structure it ships.
-const BLOCK_ITEMS: usize = 4096;
-
 /// Time `body` (one full pass) `reps` times after one warm-up pass and
 /// return the fastest wall time in seconds.
 fn fastest(reps: usize, mut body: impl FnMut()) -> f64 {
@@ -254,7 +251,10 @@ pub fn run_kernel_bench(cfg: &KernelBenchConfig) -> KernelReport {
             }
         };
 
-    let mut sink = vec![0.0f32; kernel::TILE_USERS * BLOCK_ITEMS];
+    // Both tiled rows walk Θ in the serving scorer's auto-sized blocks.
+    let scorer = ScoreConfig::default();
+    let block = scorer.effective_block_items(f);
+    let mut sink = vec![0.0f32; kernel::TILE_USERS * block];
     let mut rows = Vec::new();
 
     // Scalar baseline: the sequential-reduction dot the kernels replaced.
@@ -292,7 +292,7 @@ pub fn run_kernel_bench(cfg: &KernelBenchConfig) -> KernelReport {
             let xs = &users[u0 * f..(u0 + cu) * f];
             let mut start = 0;
             while start < n {
-                let len = BLOCK_ITEMS.min(n - start);
+                let len = block.min(n - start);
                 kernel::score_tile(
                     xs,
                     cu,
@@ -310,20 +310,23 @@ pub fn run_kernel_bench(cfg: &KernelBenchConfig) -> KernelReport {
     rows.push(measure("score_tile", "fp32", 4, cfg.users, secs));
 
     // The exact scorer's tiling: one chunk of `user_chunk` users against
-    // each auto-sized Θ block, so a Θ block is read once per chunk.
-    let scorer = ScoreConfig::default();
-    let (chunk, block) = (scorer.user_chunk, scorer.effective_block_items(f));
+    // each Θ block, so a Θ block is read once per chunk, with the
+    // following block prefetched under it.
+    let chunk = scorer.user_chunk;
     let batch_users = gen(chunk * f);
     let mut batch_sink = vec![0.0f32; chunk * block];
     let secs = fastest(cfg.reps, || {
-        for rows in theta.chunks(block * f) {
-            kernel::score_tile(
+        let mut blocks = theta.chunks(block * f).peekable();
+        while let Some(rows) = blocks.next() {
+            let next = blocks.peek().copied().unwrap_or_default();
+            kernel::score_tile_prefetch(
                 &batch_users,
                 chunk,
                 rows,
                 rows.len() / f,
                 f,
                 &mut batch_sink,
+                next,
             );
             std::hint::black_box(&batch_sink);
         }

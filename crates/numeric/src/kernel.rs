@@ -13,8 +13,11 @@
 //!   lanes `0..len % LANES` in order;
 //! * the lanes are combined by the fixed pairwise tree of
 //!   [`reduce_lanes`]: `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`;
-//! * products are **not** contracted into FMAs — `mul` then `add`, so the
-//!   bit pattern is identical on every host regardless of target features.
+//! * each lane step is one IEEE fused multiply-add, `acc = fma(a, b, acc)`:
+//!   the product is never rounded on its own. A fused multiply-add
+//!   rounds once, correctly, so the bit pattern is identical on every
+//!   host — a hardware `vfmadd`, an autovectorized `llvm.fma` and libm's
+//!   `fmaf` all return the same bits.
 //!
 //! Every kernel in this module — and every scoring surface wired to it —
 //! follows that one order, which is what lets blocked, sharded,
@@ -39,10 +42,10 @@
 //! * **The masked tail.** The last `f % LANES` elements are read with
 //!   one masked load of the user row and of the Θ row under the same
 //!   mask; the masked-off lanes read `+0.0` on both sides, so their
-//!   lanes add `+0.0·+0.0 = +0.0`. A lane accumulator starts at `+0.0`
-//!   and, under round-to-nearest, a sum is `−0.0` only when both addends
-//!   are, so it is never `−0.0`; adding `+0.0` to any other value,
-//!   NaN and ±∞ included, leaves it unchanged.
+//!   lanes compute `fma(+0.0, +0.0, acc)`. A lane accumulator starts at
+//!   `+0.0` and, under round-to-nearest, an exact sum is `−0.0` only
+//!   when both addends are, so it is never `−0.0`; `fma(±0, ·, acc)`
+//!   with `acc ≠ −0.0` is `acc`, NaN and ±∞ included.
 //! * **The `hadd` tree.** Four pairs reduce at once:
 //!   `hadd(hadd(a, b), hadd(c, d))` puts `(l0+l1)+(l2+l3)` of each pair
 //!   in the low 128 bits and `(l4+l5)+(l6+l7)` in the high 128 bits, and
@@ -56,6 +59,13 @@
 //! Remainder users and a trailing odd Θ row run narrower tiles of the
 //! same code (`1 × 4` and `4 × 1`), so a single-user scan is tiled too.
 //! The portable body keeps the plain four-user loop as the reference.
+//!
+//! [`score_tile_prefetch`] streams Θ the way the paper stages the next
+//! feature vectors while the FMA pipes work on the current ones: the
+//! caller names the block it will score next, and the AVX2 tile spreads
+//! one `_MM_HINT_T1` prefetch of that whole block evenly over the
+//! current block's register tiles. A prefetch loads nothing into a
+//! register, so it cannot change a bit of the result.
 //!
 //! # The Gram kernel
 //!
@@ -79,6 +89,10 @@
 //! stored transposed so that [`LANES`] centroids sit side by side, and
 //! the distances are the scalar loop's bits.
 //!
+//! The Gram and k-means kernels below keep a `mul` then an `add` per
+//! step: their bits pin the training RMSE and the centroid index, which
+//! the scoring contract does not touch.
+//!
 //! # Vector-width multiversioning
 //!
 //! The lane order fixes *what* is computed, not how wide the machine
@@ -89,13 +103,24 @@
 //! cached `is_x86_feature_detected!` probe, to an AVX2 compilation when
 //! the host supports it: the *same* portable body, or, for the scoring
 //! tile, an intrinsic transcription of it (on the batched scan the
-//! autovectorizer reached about a fifth of the host's `mul`+`add`
-//! peak). FMA contraction stays off in both versions (Rust
-//! never contracts `mul` + `add` without explicit fast-math, and the
-//! intrinsics name `mul` and `add`), so this is purely a throughput
-//! switch — the property tests cover both compilations on AVX2 hosts.
+//! autovectorizer reached about a fifth of the host's peak). The scoring
+//! kernels' compilations are built with `avx2,fma` and taken only where
+//! both probes pass, so their `mul_add` is one `vfmadd`; on a host
+//! without FMA the portable body's `mul_add` calls libm's `fmaf`, which
+//! returns the same bits. The Gram and k-means compilations name `mul`
+//! and `add` and Rust never contracts them without explicit fast-math.
+//! Either way this is purely a throughput switch — the property tests
+//! cover every compilation the host can run.
 
 use crate::f16::F16;
+
+/// Whether this host runs the `avx2,fma` compilations of the scoring
+/// kernels. Both probes are cached after the first call.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn avx2_fma() -> bool {
+    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+}
 
 /// Independent accumulator lanes per dot product. Eight `f32` lanes fill
 /// one 256-bit vector register; the fixed lane order below is part of the
@@ -107,7 +132,7 @@ pub const LANES: usize = 8;
 /// accumulator vectors plus the two Θ chunks and one user chunk fit the
 /// sixteen vector registers, each Θ load is shared by four users and
 /// each user load by two Θ rows, and eight independent `add` chains
-/// cover the `add` latency.
+/// cover the FMA latency.
 pub const TILE_USERS: usize = 4;
 
 /// Combine the [`LANES`] accumulators in the documented fixed order:
@@ -122,7 +147,8 @@ pub fn reduce_lanes(acc: [f32; LANES]) -> f32 {
 }
 
 /// Inner product with [`LANES`] independent accumulators: element `i`
-/// lands in lane `i % LANES`, lanes combine via [`reduce_lanes`].
+/// lands in lane `i % LANES` through one fused multiply-add, lanes
+/// combine via [`reduce_lanes`].
 ///
 /// This is the scalar-argument form of the scoring microkernel; all
 /// serving reference paths (`score_one`, the approximate member scan, the
@@ -133,8 +159,8 @@ pub fn reduce_lanes(acc: [f32; LANES]) -> f32 {
 #[inline]
 pub fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the AVX2 requirement was just probed on this host.
+    if avx2_fma() {
+        // SAFETY: the AVX2 and FMA requirements were just probed on this host.
         return unsafe { avx2::dot_lanes(a, b) };
     }
     dot_lanes_impl(a, b)
@@ -150,12 +176,12 @@ fn dot_lanes_impl(a: &[f32], b: &[f32]) -> f32 {
         let ca = &a[i..i + LANES];
         let cb = &b[i..i + LANES];
         for l in 0..LANES {
-            acc[l] += ca[l] * cb[l];
+            acc[l] = ca[l].mul_add(cb[l], acc[l]);
         }
         i += LANES;
     }
     for (l, (&x, &y)) in a[full..].iter().zip(&b[full..]).enumerate() {
-        acc[l] += x * y;
+        acc[l] = x.mul_add(y, acc[l]);
     }
     reduce_lanes(acc)
 }
@@ -205,8 +231,8 @@ pub fn decode_f16(h: F16) -> f32 {
 #[inline]
 pub fn dot_i8_scaled(a: &[f32], q: &[i8], scale: f32) -> f32 {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the AVX2 requirement was just probed on this host.
+    if avx2_fma() {
+        // SAFETY: the AVX2 and FMA requirements were just probed on this host.
         return unsafe { avx2::dot_i8_scaled(a, q, scale) };
     }
     dot_i8_scaled_impl(a, q, scale)
@@ -222,12 +248,12 @@ fn dot_i8_scaled_impl(a: &[f32], q: &[i8], scale: f32) -> f32 {
         let ca = &a[i..i + LANES];
         let cq = &q[i..i + LANES];
         for l in 0..LANES {
-            acc[l] += ca[l] * cq[l] as f32;
+            acc[l] = ca[l].mul_add(cq[l] as f32, acc[l]);
         }
         i += LANES;
     }
     for (l, (&x, &w)) in a[full..].iter().zip(&q[full..]).enumerate() {
-        acc[l] += x * w as f32;
+        acc[l] = x.mul_add(w as f32, acc[l]);
     }
     reduce_lanes(acc) * scale
 }
@@ -255,12 +281,36 @@ pub fn score_tile(
     f: usize,
     out: &mut [f32],
 ) {
+    score_tile_prefetch(users, n_users, theta, n_items, f, out, &[])
+}
+
+/// [`score_tile`] that also requests `next` — the Θ block the caller
+/// scores after this one — into L2 while this tile computes. After each
+/// register tile the AVX2 compilation issues `_MM_HINT_T1` prefetches
+/// for `⌈lines(next) / tiles⌉` of `next`'s cache lines, so the whole
+/// block is requested once, spread evenly over this call. The portable
+/// body ignores `next`.
+///
+/// `next` is only a hint: it may have any length (empty on the last
+/// block), and a prefetch loads nothing into a register, so the output
+/// is bit-identical to [`score_tile`]'s.
+///
+/// Panics as [`score_tile`] does.
+pub fn score_tile_prefetch(
+    users: &[f32],
+    n_users: usize,
+    theta: &[f32],
+    n_items: usize,
+    f: usize,
+    out: &mut [f32],
+    next: &[f32],
+) {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the AVX2 requirement was just probed on this host.
-        return unsafe { avx2::score_tile(users, n_users, theta, n_items, f, out) };
+    if avx2_fma() {
+        // SAFETY: the AVX2 and FMA requirements were just probed on this host.
+        return unsafe { avx2::score_tile(users, n_users, theta, n_items, f, out, next) };
     }
-    score_tile_impl(users, n_users, theta, n_items, f, out)
+    score_tile_impl(users, n_users, theta, n_items, f, out, next)
 }
 
 #[inline(always)]
@@ -271,6 +321,7 @@ fn score_tile_impl(
     n_items: usize,
     f: usize,
     out: &mut [f32],
+    _next: &[f32],
 ) {
     assert_eq!(users.len(), n_users * f, "score_tile: bad user slice");
     assert_eq!(theta.len(), n_items * f, "score_tile: bad theta slice");
@@ -299,19 +350,19 @@ fn score_tile_impl(
                 let c3 = &x3[i..i + LANES];
                 for l in 0..LANES {
                     let tl = t[l];
-                    acc[0][l] += c0[l] * tl;
-                    acc[1][l] += c1[l] * tl;
-                    acc[2][l] += c2[l] * tl;
-                    acc[3][l] += c3[l] * tl;
+                    acc[0][l] = c0[l].mul_add(tl, acc[0][l]);
+                    acc[1][l] = c1[l].mul_add(tl, acc[1][l]);
+                    acc[2][l] = c2[l].mul_add(tl, acc[2][l]);
+                    acc[3][l] = c3[l].mul_add(tl, acc[3][l]);
                 }
                 i += LANES;
             }
             for (l, j) in (full..f).enumerate() {
                 let tl = tv[j];
-                acc[0][l] += x0[j] * tl;
-                acc[1][l] += x1[j] * tl;
-                acc[2][l] += x2[j] * tl;
-                acc[3][l] += x3[j] * tl;
+                acc[0][l] = x0[j].mul_add(tl, acc[0][l]);
+                acc[1][l] = x1[j].mul_add(tl, acc[1][l]);
+                acc[2][l] = x2[j].mul_add(tl, acc[2][l]);
+                acc[3][l] = x3[j].mul_add(tl, acc[3][l]);
             }
             out[u0 * n_items + v] = reduce_lanes(acc[0]);
             out[(u0 + 1) * n_items + v] = reduce_lanes(acc[1]);
@@ -328,22 +379,26 @@ fn score_tile_impl(
     }
 }
 
-/// Signature shared by the compilations of [`score_tile`].
-pub type ScoreTileFn = fn(&[f32], usize, &[f32], usize, usize, &mut [f32]);
+/// Signature shared by the compilations of [`score_tile_prefetch`].
+pub type ScoreTileFn = fn(&[f32], usize, &[f32], usize, usize, &mut [f32], &[f32]);
 
-/// Every compilation of [`score_tile`] this host can run, by name: the
-/// portable body, and the explicit AVX2 tile where the host has AVX2.
-/// Tests iterate it to pin each compilation to [`dot_lanes`]; code
-/// outside tests calls [`score_tile`].
+/// Every compilation of [`score_tile_prefetch`] this host can run, by
+/// name: the portable body, and the explicit AVX2 + FMA tile where the
+/// host has both. Tests iterate it to pin each compilation to
+/// [`dot_lanes`]; code outside tests calls [`score_tile`] or
+/// [`score_tile_prefetch`].
 #[doc(hidden)]
 pub fn score_tile_compilations() -> Vec<(&'static str, ScoreTileFn)> {
     let mut all: Vec<(&'static str, ScoreTileFn)> = vec![("portable", score_tile_impl)];
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        all.push(("avx2", |users, n_users, theta, n_items, f, out| {
-            // SAFETY: this entry is only listed after the AVX2 probe above.
-            unsafe { avx2::score_tile(users, n_users, theta, n_items, f, out) }
-        }));
+    if avx2_fma() {
+        all.push((
+            "avx2+fma",
+            |users, n_users, theta, n_items, f, out, next| {
+                // SAFETY: this entry is only listed after the AVX2 and FMA probes above.
+                unsafe { avx2::score_tile(users, n_users, theta, n_items, f, out, next) }
+            },
+        ));
     }
     all
 }
@@ -564,20 +619,21 @@ fn dist_tile<const B: usize>(row: &[f32], cen_t: &[f32], k_pad: usize, c0: usize
 }
 
 /// AVX2 compilations of the portable kernel bodies. Most functions
-/// simply inline the matching `*_impl` under `#[target_feature(enable =
-/// "avx2")]`, so the evaluation order — and therefore every bit of the
-/// result — is identical to the portable build; only the vector width
-/// the autovectorizer may use changes. `score_tile` is written in
-/// intrinsics instead, one vector per portable lane array, under the
-/// same order. Callers must have
-/// verified AVX2 support (the public wrappers probe
+/// simply inline the matching `*_impl` under `#[target_feature]`, so the
+/// evaluation order — and therefore every bit of the result — is
+/// identical to the portable build; only the vector width the
+/// autovectorizer may use, and whether `mul_add` is an instruction or a
+/// libm call, change. `score_tile` is written in intrinsics instead, one
+/// vector per portable lane array, under the same order. The scoring
+/// kernels enable `avx2,fma`, the Gram and k-means kernels `avx2` alone.
+/// Callers must have verified those features (the public wrappers probe
 /// `is_x86_feature_detected!`).
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::*;
     use core::arch::x86_64::*;
 
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,fma")]
     pub unsafe fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
         dot_lanes_impl(a, b)
     }
@@ -592,15 +648,15 @@ mod avx2 {
         sq_dists_transposed_impl(row, cen_t, k_pad, out)
     }
 
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,fma")]
     pub unsafe fn dot_i8_scaled(a: &[f32], q: &[i8], scale: f32) -> f32 {
         dot_i8_scaled_impl(a, q, scale)
     }
 
-    /// The explicit-vector [`super::score_tile`]: users in
+    /// The explicit-vector [`super::score_tile_prefetch`]: users in
     /// [`TILE_USERS`]` × `[`TILE_ITEMS`] tiles, then each remainder user
-    /// in `1 × 4` tiles.
-    #[target_feature(enable = "avx2")]
+    /// in `1 × 4` tiles, with a share of `next` prefetched after each.
+    #[target_feature(enable = "avx2,fma")]
     pub unsafe fn score_tile(
         users: &[f32],
         n_users: usize,
@@ -608,6 +664,7 @@ mod avx2 {
         n_items: usize,
         f: usize,
         out: &mut [f32],
+        next: &[f32],
     ) {
         assert_eq!(users.len(), n_users * f, "score_tile: bad user slice");
         assert_eq!(theta.len(), n_items * f, "score_tile: bad theta slice");
@@ -621,13 +678,72 @@ mod avx2 {
             _mm256_set1_epi32((f % LANES) as i32),
             _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
         );
+        let per_row = |v: usize| n_items / v + n_items % v;
+        let tiles = n_users / TILE_USERS * per_row(TILE_ITEMS) + n_users % TILE_USERS * per_row(4);
+        let mut prefetch = Prefetch::new(next, tiles);
         let mut u0 = 0;
         while u0 + TILE_USERS <= n_users {
-            tile_rows::<TILE_USERS, TILE_ITEMS>(users, u0, theta, n_items, f, tail, out);
+            tile_rows::<TILE_USERS, TILE_ITEMS>(
+                users,
+                u0,
+                theta,
+                n_items,
+                f,
+                tail,
+                out,
+                &mut prefetch,
+            );
             u0 += TILE_USERS;
         }
         for u in u0..n_users {
-            tile_rows::<1, 4>(users, u, theta, n_items, f, tail, out);
+            tile_rows::<1, 4>(users, u, theta, n_items, f, tail, out, &mut prefetch);
+        }
+    }
+
+    /// Bytes per cache line.
+    const LINE: usize = 64;
+
+    /// The cache lines of one slice, requested a fixed number per step
+    /// until all have been.
+    struct Prefetch {
+        /// The slice's first cache line (its start rounded down to
+        /// [`LINE`]); only ever an argument to `_mm_prefetch`, which
+        /// never faults.
+        first: *const u8,
+        lines: usize,
+        issued: usize,
+        per_step: usize,
+    }
+
+    impl Prefetch {
+        /// Spread `next`'s cache lines evenly over `steps` steps.
+        fn new(next: &[f32], steps: usize) -> Prefetch {
+            let start = next.as_ptr().cast::<u8>();
+            let skew = start as usize % LINE;
+            let lines = if next.is_empty() {
+                0
+            } else {
+                (skew + std::mem::size_of_val(next)).div_ceil(LINE)
+            };
+            Prefetch {
+                first: start.wrapping_sub(skew),
+                lines,
+                issued: 0,
+                per_step: lines.div_ceil(steps.max(1)),
+            }
+        }
+
+        /// Request the next `per_step` lines, or what is left of them.
+        #[inline(always)]
+        fn step(&mut self) {
+            let stop = self.lines.min(self.issued + self.per_step);
+            while self.issued < stop {
+                let line = self.first.wrapping_add(self.issued * LINE);
+                // SAFETY: a prefetch is a hint that never faults and
+                // writes nothing, whatever the address.
+                unsafe { _mm_prefetch::<_MM_HINT_T1>(line.cast::<i8>()) };
+                self.issued += 1;
+            }
         }
     }
 
@@ -640,7 +756,7 @@ mod avx2 {
     /// form `l0+l1`, `l2+l3`, … of each argument, the outer one
     /// `(l0+l1)+(l2+l3)` in the low half and `(l4+l5)+(l6+l7)` in the
     /// high half, and the final add joins the halves — the same tree.
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,fma")]
     #[inline]
     unsafe fn reduce4(a: __m256, b: __m256, c: __m256, d: __m256) -> __m128 {
         let q = _mm256_hadd_ps(_mm256_hadd_ps(a, b), _mm256_hadd_ps(c, d));
@@ -648,8 +764,10 @@ mod avx2 {
     }
 
     /// Users `u0..u0 + U` against every Θ row: `U × V` tiles, then one
-    /// `U × 1` tile per Θ row left over.
-    #[target_feature(enable = "avx2")]
+    /// `U × 1` tile per Θ row left over, each followed by one prefetch
+    /// step.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2,fma")]
     #[inline]
     unsafe fn tile_rows<const U: usize, const V: usize>(
         users: &[f32],
@@ -659,25 +777,28 @@ mod avx2 {
         f: usize,
         tail: __m256i,
         out: &mut [f32],
+        prefetch: &mut Prefetch,
     ) {
         let xs: [&[f32]; U] = std::array::from_fn(|u| &users[(u0 + u) * f..][..f]);
         let mut v0 = 0;
         while v0 + V <= n_items {
             tile::<U, V>(xs, theta, v0, n_items, f, tail, out, u0);
+            prefetch.step();
             v0 += V;
         }
         for v in v0..n_items {
             tile::<U, 1>(xs, theta, v, n_items, f, tail, out, u0);
+            prefetch.step();
         }
     }
 
     /// One `U × V` register tile: users `xs` (rows `u0..u0 + U`) against
     /// Θ rows `v0..v0 + V`. Accumulator `acc[u][v]` is the portable
-    /// loop's lane array of that pair — one `mul` then `add` per full
+    /// loop's lane array of that pair — one fused multiply-add per full
     /// chunk in ascending order, then the masked tail — and the pairs
     /// reduce four at a time through [`reduce4`].
     #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,fma")]
     #[inline]
     unsafe fn tile<const U: usize, const V: usize>(
         xs: [&[f32]; U],
@@ -705,7 +826,7 @@ mod avx2 {
             for (au, xu) in acc.iter_mut().zip(xs) {
                 let x = _mm256_loadu_ps(xu.as_ptr().add(i));
                 for (a, &tv) in au.iter_mut().zip(&t) {
-                    *a = _mm256_add_ps(*a, _mm256_mul_ps(x, tv));
+                    *a = _mm256_fmadd_ps(x, tv, *a);
                 }
             }
             i += LANES;
@@ -717,7 +838,7 @@ mod avx2 {
             for (au, xu) in acc.iter_mut().zip(xs) {
                 let x = _mm256_maskload_ps(xu.as_ptr().add(full), tail);
                 for (a, &tv) in au.iter_mut().zip(&t) {
-                    *a = _mm256_add_ps(*a, _mm256_mul_ps(x, tv));
+                    *a = _mm256_fmadd_ps(x, tv, *a);
                 }
             }
         }
@@ -749,12 +870,12 @@ mod tests {
     use proptest::prelude::*;
 
     /// The lane-order contract, spelled out element by element with no
-    /// shared code: element `i` into lane `i % LANES`, then the fixed
-    /// pairwise reduction tree.
+    /// shared code: element `i` fused into lane `i % LANES`, then the
+    /// fixed pairwise reduction tree.
     fn reference_dot(a: &[f32], b: &[f32]) -> f32 {
         let mut lanes = [0.0f32; LANES];
         for i in 0..a.len() {
-            lanes[i % LANES] += a[i] * b[i];
+            lanes[i % LANES] = a[i].mul_add(b[i], lanes[i % LANES]);
         }
         ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
             + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
@@ -869,7 +990,9 @@ mod tests {
         /// special values, and an `out` longer than the tile whose tail
         /// must stay as it was. No output is `−0.0`: every accumulator
         /// starts at `+0.0`, which is what lets the scorer drain a
-        /// prior-less tile row without a `+ 0.0` normalizing pass.
+        /// prior-less tile row without a `+ 0.0` normalizing pass. A
+        /// `next` block to prefetch — a full one, a shorter one, or one
+        /// that starts mid-line — leaves every bit as `next = &[]` does.
         #[test]
         fn every_score_tile_compilation_matches_the_per_pair_dots(
             n_users in 0usize..=9,
@@ -880,11 +1003,12 @@ mod tests {
         ) {
             let users = operand(n_users * f, seed, specials);
             let theta = operand(n_items * f, seed.rotate_left(32) ^ 0x9E37_79B9, specials);
+            let following = operand((n_items + 1) * f, !seed, specials);
             let len = n_users * n_items;
             let sentinel = f32::from_bits(0x7FA1_2345);
             for (name, tile) in score_tile_compilations() {
                 let mut out = vec![sentinel; len + 3];
-                tile(&users, n_users, &theta, n_items, f, &mut out);
+                tile(&users, n_users, &theta, n_items, f, &mut out, &[]);
                 for u in 0..n_users {
                     let x = &users[u * f..(u + 1) * f];
                     for v in 0..n_items {
@@ -895,6 +1019,14 @@ mod tests {
                     }
                 }
                 prop_assert!(out[len..].iter().all(|t| t.to_bits() == sentinel.to_bits()), "{} wrote past the tile", name);
+                let plain: Vec<u32> = out.iter().map(|t| t.to_bits()).collect();
+                let block = &following[..n_items * f];
+                for next in [block, &block[..block.len() / 2], &following[1..]] {
+                    let mut out = vec![sentinel; len + 3];
+                    tile(&users, n_users, &theta, n_items, f, &mut out, next);
+                    let bits: Vec<u32> = out.iter().map(|t| t.to_bits()).collect();
+                    prop_assert_eq!(&bits, &plain, "{} with {} floats of next", name, next.len());
+                }
             }
         }
     }
@@ -1062,7 +1194,7 @@ mod tests {
                     let users = vec![1.5f32; n_users * f];
                     let theta = vec![-0.0f32; n_items * f];
                     let mut out = vec![f32::NAN; n_users * n_items];
-                    tile(&users, n_users, &theta, n_items, f, &mut out);
+                    tile(&users, n_users, &theta, n_items, f, &mut out, &[]);
                     for (i, s) in out.iter().enumerate() {
                         assert_eq!(
                             s.to_bits(),
@@ -1071,6 +1203,67 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// Lane 0 takes `−r·1` and then `y·w`, where `r` is `y·w` rounded
+    /// to `f32`: fused, the second step leaves the exact rounding error
+    /// `y·w − r ≠ 0`; as a `mul` then an `add` it leaves `r − r = 0`.
+    /// Element `y·w` sits at index `LANES`, so `len = LANES + 1` puts it
+    /// in the masked tail and the longer lengths in a full chunk. Every
+    /// compilation of each scoring kernel runs it, portable bodies
+    /// included: one that computes `mul` then `add` fails here.
+    #[test]
+    fn lane_contract_fuses_each_multiply_add() {
+        fn pair(y: f32, w: f32, len: usize) -> (Vec<f32>, Vec<f32>) {
+            let (mut a, mut b) = (vec![0.0f32; len], vec![0.0f32; len]);
+            (a[0], b[0]) = (-(y * w), 1.0);
+            (a[LANES], b[LANES]) = (y, w);
+            (a, b)
+        }
+        // x·x with x = 1 + 2⁻¹² is 1 + 2⁻¹¹ + 2⁻²⁴, a tie that rounds to
+        // 1 + 2⁻¹¹; y·3 with y = 1 + 2⁻²³ is 3 + 1.5 ulp, which rounds up
+        // to 3 + 2 ulp.
+        let x = 1.0 + 2f32.powi(-12);
+        let y = 1.0 + 2f32.powi(-23);
+        assert_eq!(-(x * x), -(1.0 + 2f32.powi(-11)));
+        type Dot = fn(&[f32], &[f32]) -> f32;
+        type DotI8 = fn(&[f32], &[i8], f32) -> f32;
+        let mut dots: Vec<(&str, Dot)> = vec![("portable", dot_lanes_impl)];
+        let mut i8_dots: Vec<(&str, DotI8)> = vec![("portable", dot_i8_scaled_impl)];
+        #[cfg(target_arch = "x86_64")]
+        if avx2_fma() {
+            // SAFETY (both closures): only listed after the AVX2 and FMA probes.
+            dots.push(("avx2+fma", |a, b| unsafe { avx2::dot_lanes(a, b) }));
+            i8_dots.push(("avx2+fma", |a, q, s| unsafe {
+                avx2::dot_i8_scaled(a, q, s)
+            }));
+        }
+        for len in [LANES + 1, 2 * LANES, 2 * LANES + 3] {
+            let (a, b) = pair(x, x, len);
+            let want = 2f32.powi(-24);
+            assert_eq!(reference_dot(&a, &b), want, "reference, len {len}");
+            for (name, dot) in &dots {
+                assert_eq!(dot(&a, &b), want, "dot_lanes {name}, len {len}");
+            }
+            for (name, tile) in score_tile_compilations() {
+                for (n_users, n_items) in [(1, 1), (1, 5), (4, 2), (5, 3)] {
+                    let users: Vec<f32> = a.iter().copied().cycle().take(n_users * len).collect();
+                    let theta: Vec<f32> = b.iter().copied().cycle().take(n_items * len).collect();
+                    let mut out = vec![0.0f32; n_users * n_items];
+                    tile(&users, n_users, &theta, n_items, len, &mut out, &[]);
+                    assert!(
+                        out.iter().all(|&s| s == want),
+                        "score_tile {name}: len {len} {n_users}x{n_items}: {out:?}"
+                    );
+                }
+            }
+            let (a, w) = pair(y, 3.0, len);
+            let q: Vec<i8> = w.iter().map(|&w| w as i8).collect();
+            let want = -2f32.powi(-23);
+            for (name, dot) in &i8_dots {
+                assert_eq!(dot(&a, &q, 1.0), want, "dot_i8_scaled {name}, len {len}");
             }
         }
     }

@@ -9,9 +9,9 @@
 //! rows — the same register/cache-blocking reasoning as the paper's
 //! `get_hermitian`, applied to inference. Inside a tile the arithmetic is
 //! the register-blocked microkernel of [`cumf_numeric::kernel`]:
-//! [`kernel::score_tile`] scores [`kernel::TILE_USERS`] users per Θ pass
-//! with [`kernel::LANES`] accumulator lanes each. The kernel's fixed lane
-//! order is the determinism contract:
+//! [`kernel::score_tile_prefetch`] scores [`kernel::TILE_USERS`] users per
+//! Θ pass with [`kernel::LANES`] accumulator lanes each. The kernel's
+//! fixed lane order is the determinism contract:
 //! every scoring surface (blocked, sharded, approximate, and the
 //! [`score_one`] reference) reduces through the same lanes, so they stay
 //! bit-identical to each other by construction.
@@ -76,7 +76,7 @@ impl Retrieval {
 
 /// Measured work of one scoring pass. Both paths count the factor bytes
 /// they read where they read them — the exact scan at each
-/// `score_tile` call, the approximate one at each probe,
+/// `score_tile_prefetch` call, the approximate one at each probe,
 /// member scan and rescore — and that count is what flows into
 /// `serve_scan_bytes_total`, the `serve_ann_*` counters, and
 /// `AdmissionReport::effective_gbps`.
@@ -327,14 +327,16 @@ fn top_k_batch_approx(
 /// rankings and the factor bytes the tiles read.
 ///
 /// Each worker owns one `chunk × block` score tile that
-/// [`kernel::score_tile`] fills per Θ-block. Each tile row then gets its
+/// [`kernel::score_tile_prefetch`] fills per Θ-block while it requests the
+/// following block into L2, so the next block's first tiles find it
+/// there instead of waiting on memory. Each tile row then gets its
 /// priors, if any, added in place in one vectorizable pass and drains
 /// into its user's heap through [`TopK::push_slice`], which skips every
 /// 8-score chunk below the heap's current k-th score. A prior-less row
 /// drains as the tile wrote it: no tile output is `−0.0`, so it already
 /// equals the reference path's `dot + 0.0` bit for bit. Each chunk sums
-/// the `len·f·4` bytes of the tiles it scores and publishes its total
-/// once.
+/// the `len·f·4` bytes of the tiles it scores, not the blocks it
+/// prefetches, and publishes its total once.
 fn top_k_batch_exact(
     view: SnapshotView<'_>,
     user_factors: &DenseMatrix,
@@ -362,9 +364,11 @@ fn top_k_batch_exact(
             let mut read = 0u64;
             while start < n {
                 let len = block.min(n - start);
+                let end = start + len;
                 read += (len * f * 4) as u64;
-                let tile = &theta[start * f..(start + len) * f];
-                kernel::score_tile(xs, cu, tile, len, f, scores);
+                let tile = &theta[start * f..end * f];
+                let next = &theta[end * f..(end + block.min(n - end)) * f];
+                kernel::score_tile_prefetch(xs, cu, tile, len, f, scores, next);
                 let tile_priors = (!priors.is_empty()).then(|| &priors[start..start + len]);
                 for (du, heap) in chunk_heaps.iter_mut().enumerate() {
                     let row = &mut scores[du * len..(du + 1) * len];
@@ -520,6 +524,23 @@ mod tests {
         // 33 users at user_chunk=32 ⇒ 2 chunks over 100×8 f32 rows.
         assert_eq!(bytes(&plain, 33, &cfg32), 2 * 100 * 8 * 4);
         assert_eq!(bytes(&plain, 0, &cfg32), 0, "no users, no scan");
+    }
+
+    /// Several 7-item blocks (the last one short) and two user chunks:
+    /// each chunk counts every Θ row once, and the block each call
+    /// prefetches is never counted.
+    #[test]
+    fn exact_scan_bytes_count_reads_not_prefetches() {
+        let (n, f) = (50, 6);
+        let snap = random_snapshot(n, f, 22);
+        let cfg = ScoreConfig {
+            block_items: Some(7),
+            user_chunk: 3,
+            ..ScoreConfig::default()
+        };
+        let stats = top_k_batch_stats(&snap, &random_users(5, f, 23), 4, &cfg).1;
+        let chunks = 2;
+        assert_eq!(stats.bytes, (chunks * n * f * 4) as u64);
     }
 
     #[test]
