@@ -12,7 +12,9 @@
 //!   left to right in [`LANES`]-element chunks; remainder elements feed
 //!   lanes `0..len % LANES` in order;
 //! * the lanes are combined by the fixed pairwise tree of
-//!   [`reduce_lanes`]: `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`;
+//!   [`reduce_lanes`]: `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)) + 0.0`,
+//!   whose last `+ 0.0` turns a `−0.0` sum into `+0.0`, so no score is
+//!   ever `−0.0`;
 //! * each lane step is one IEEE fused multiply-add, `acc = fma(a, b, acc)`:
 //!   the product is never rounded on its own. A fused multiply-add
 //!   rounds once, correctly, so the bit pattern is identical on every
@@ -42,10 +44,13 @@
 //! * **The masked tail.** The last `f % LANES` elements are read with
 //!   one masked load of the user row and of the Θ row under the same
 //!   mask; the masked-off lanes read `+0.0` on both sides, so their
-//!   lanes compute `fma(+0.0, +0.0, acc)`. A lane accumulator starts at
-//!   `+0.0` and, under round-to-nearest, an exact sum is `−0.0` only
-//!   when both addends are, so it is never `−0.0`; `fma(±0, ·, acc)`
-//!   with `acc ≠ −0.0` is `acc`, NaN and ±∞ included.
+//!   lanes compute `fma(+0.0, +0.0, acc)`, which is `acc` for every
+//!   `acc` except `−0.0`, NaN and ±∞ included. A lane accumulator
+//!   starts at `+0.0` but can still become `−0.0`: a fused step rounds
+//!   a negative product too small for `f32` (`−2⁻⁸⁰·2⁻⁸⁰`) to `−0.0`.
+//!   Then a dead tail lane reads `+0.0` where the portable body's
+//!   untouched lane reads `−0.0` — and a sum of zeros differs only in
+//!   its sign, which the reduction's final `+ 0.0` erases.
 //! * **The `hadd` tree.** Four pairs reduce at once:
 //!   `hadd(hadd(a, b), hadd(c, d))` puts `(l0+l1)+(l2+l3)` of each pair
 //!   in the low 128 bits and `(l4+l5)+(l6+l7)` in the high 128 bits, and
@@ -136,14 +141,18 @@ pub const LANES: usize = 8;
 pub const TILE_USERS: usize = 4;
 
 /// Combine the [`LANES`] accumulators in the documented fixed order:
-/// `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`.
+/// `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`, then `+ 0.0`, which turns
+/// a `−0.0` sum into `+0.0` and leaves every other value as it is.
 ///
 /// Every kernel in this module reduces through this exact tree, so two
 /// kernels that accumulate the same products always produce the same
-/// bits.
+/// bits. The `+ 0.0` makes that hold for the sign of a zero too: a
+/// fused step can round a tiny negative product to a `−0.0` lane, and
+/// the masked tail's dead lanes then hold `+0.0` where the portable
+/// body's hold `−0.0`.
 #[inline]
 pub fn reduce_lanes(acc: [f32; LANES]) -> f32 {
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + 0.0
 }
 
 /// Inner product with [`LANES`] independent accumulators: element `i`
@@ -755,12 +764,14 @@ mod avx2 {
     /// is [`reduce_lanes`] of the `k`-th argument. The inner `hadd`s
     /// form `l0+l1`, `l2+l3`, … of each argument, the outer one
     /// `(l0+l1)+(l2+l3)` in the low half and `(l4+l5)+(l6+l7)` in the
-    /// high half, and the final add joins the halves — the same tree.
+    /// high half, the next add joins the halves — the same tree — and
+    /// the last adds `+0.0`, as [`reduce_lanes`] does.
     #[target_feature(enable = "avx2,fma")]
     #[inline]
     unsafe fn reduce4(a: __m256, b: __m256, c: __m256, d: __m256) -> __m128 {
         let q = _mm256_hadd_ps(_mm256_hadd_ps(a, b), _mm256_hadd_ps(c, d));
-        _mm_add_ps(_mm256_castps256_ps128(q), _mm256_extractf128_ps::<1>(q))
+        let sum = _mm_add_ps(_mm256_castps256_ps128(q), _mm256_extractf128_ps::<1>(q));
+        _mm_add_ps(sum, _mm_setzero_ps())
     }
 
     /// Users `u0..u0 + U` against every Θ row: `U × V` tiles, then one
@@ -871,7 +882,7 @@ mod tests {
 
     /// The lane-order contract, spelled out element by element with no
     /// shared code: element `i` fused into lane `i % LANES`, then the
-    /// fixed pairwise reduction tree.
+    /// fixed pairwise reduction tree and `+ 0.0`.
     fn reference_dot(a: &[f32], b: &[f32]) -> f32 {
         let mut lanes = [0.0f32; LANES];
         for i in 0..a.len() {
@@ -879,6 +890,7 @@ mod tests {
         }
         ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
             + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
+            + 0.0
     }
 
     fn vecs(len: usize, seed: u64) -> (Vec<f32>, Vec<f32>) {
@@ -988,9 +1000,9 @@ mod tests {
         /// dots: every shape up to 9 × 9 (remainder users and odd item
         /// counts included), `f` below, at and past the lane width,
         /// special values, and an `out` longer than the tile whose tail
-        /// must stay as it was. No output is `−0.0`: every accumulator
-        /// starts at `+0.0`, which is what lets the scorer drain a
-        /// prior-less tile row without a `+ 0.0` normalizing pass. A
+        /// must stay as it was. No output is `−0.0`: the reduction ends
+        /// with `+ 0.0`, which is what lets the scorer drain a
+        /// prior-less tile row without a `+ 0.0` pass of its own. A
         /// `next` block to prefetch — a full one, a shorter one, or one
         /// that starts mid-line — leaves every bit as `next = &[]` does.
         #[test]
@@ -1182,25 +1194,50 @@ mod tests {
         sq_dists_transposed(&[1.0], &[0.0; 7], 7, &mut [0.0; 7]);
     }
 
-    /// Every product `−0.0`: a tile whose accumulators start at `+0.0`
-    /// still outputs `+0.0`, at every `f` (full chunks, masked tail, or
-    /// both) and on every tile shape. The random proptest rarely makes
-    /// every product of a lane-multiple row zero; this case does.
+    type DotFn = fn(&[f32], &[f32]) -> f32;
+
+    /// Every compilation of [`dot_lanes`] this host can run, portable
+    /// body included.
+    fn dot_lanes_compilations() -> Vec<(&'static str, DotFn)> {
+        let mut all: Vec<(&'static str, DotFn)> = vec![("portable", dot_lanes_impl)];
+        #[cfg(target_arch = "x86_64")]
+        if avx2_fma() {
+            // SAFETY: only listed after the AVX2 and FMA probes.
+            all.push(("avx2+fma", |a, b| unsafe { avx2::dot_lanes(a, b) }));
+        }
+        all
+    }
+
+    /// Every product `−0.0`, or a negative product too small for `f32`
+    /// (`−2⁻⁸⁰ · 2⁻⁸⁰`), which a fused step rounds to a `−0.0` lane:
+    /// every compilation of the tile and of [`dot_lanes`] still outputs
+    /// `+0.0`, at every `f` (full chunks, masked tail, or both) and on
+    /// every tile shape, although the masked tail leaves its dead lanes
+    /// at `+0.0` where the portable body's stay `−0.0`. The random
+    /// proptest rarely makes every product of a lane-multiple row zero;
+    /// these cases do.
     #[test]
     fn all_negative_zero_products_score_positive_zero() {
-        for (name, tile) in score_tile_compilations() {
+        let tiny = 2f32.powi(-80);
+        for (x, t) in [(1.5f32, -0.0f32), (-tiny, tiny)] {
             for f in [1usize, 7, 8, 9, 16, 17] {
-                for (n_users, n_items) in [(1, 1), (1, 5), (4, 2), (5, 3)] {
-                    let users = vec![1.5f32; n_users * f];
-                    let theta = vec![-0.0f32; n_items * f];
-                    let mut out = vec![f32::NAN; n_users * n_items];
-                    tile(&users, n_users, &theta, n_items, f, &mut out, &[]);
-                    for (i, s) in out.iter().enumerate() {
-                        assert_eq!(
-                            s.to_bits(),
-                            0,
-                            "{name}: f={f} {n_users}x{n_items} out[{i}] = {s}"
-                        );
+                for (name, dot) in dot_lanes_compilations() {
+                    let s = dot(&vec![x; f], &vec![t; f]);
+                    assert_eq!(s.to_bits(), 0, "dot_lanes {name}: {x}·{t} f={f}: {s}");
+                }
+                for (name, tile) in score_tile_compilations() {
+                    for (n_users, n_items) in [(1, 1), (1, 5), (4, 2), (5, 3)] {
+                        let users = vec![x; n_users * f];
+                        let theta = vec![t; n_items * f];
+                        let mut out = vec![f32::NAN; n_users * n_items];
+                        tile(&users, n_users, &theta, n_items, f, &mut out, &[]);
+                        for (i, s) in out.iter().enumerate() {
+                            assert_eq!(
+                                s.to_bits(),
+                                0,
+                                "{name}: {x}·{t} f={f} {n_users}x{n_items} out[{i}] = {s}"
+                            );
+                        }
                     }
                 }
             }
@@ -1228,14 +1265,12 @@ mod tests {
         let x = 1.0 + 2f32.powi(-12);
         let y = 1.0 + 2f32.powi(-23);
         assert_eq!(-(x * x), -(1.0 + 2f32.powi(-11)));
-        type Dot = fn(&[f32], &[f32]) -> f32;
         type DotI8 = fn(&[f32], &[i8], f32) -> f32;
-        let mut dots: Vec<(&str, Dot)> = vec![("portable", dot_lanes_impl)];
+        let dots = dot_lanes_compilations();
         let mut i8_dots: Vec<(&str, DotI8)> = vec![("portable", dot_i8_scaled_impl)];
         #[cfg(target_arch = "x86_64")]
         if avx2_fma() {
-            // SAFETY (both closures): only listed after the AVX2 and FMA probes.
-            dots.push(("avx2+fma", |a, b| unsafe { avx2::dot_lanes(a, b) }));
+            // SAFETY: only listed after the AVX2 and FMA probes.
             i8_dots.push(("avx2+fma", |a, q, s| unsafe {
                 avx2::dot_i8_scaled(a, q, s)
             }));

@@ -333,8 +333,9 @@ fn top_k_batch_approx(
 /// priors, if any, added in place in one vectorizable pass and drains
 /// into its user's heap through [`TopK::push_slice`], which skips every
 /// 8-score chunk below the heap's current k-th score. A prior-less row
-/// drains as the tile wrote it: no tile output is `−0.0`, so it already
-/// equals the reference path's `dot + 0.0` bit for bit. Each chunk sums
+/// drains as the tile wrote it: the kernel's lane reduction ends with
+/// `+ 0.0`, so no tile output is `−0.0` and the row already equals the
+/// reference path's `dot + 0.0` bit for bit. Each chunk sums
 /// the `len·f·4` bytes of the tiles it scores, not the blocks it
 /// prefetches, and publishes its total once.
 fn top_k_batch_exact(
@@ -523,24 +524,15 @@ mod tests {
         let cfg32 = ScoreConfig::default();
         // 33 users at user_chunk=32 ⇒ 2 chunks over 100×8 f32 rows.
         assert_eq!(bytes(&plain, 33, &cfg32), 2 * 100 * 8 * 4);
-        assert_eq!(bytes(&plain, 0, &cfg32), 0, "no users, no scan");
-    }
-
-    /// Several 7-item blocks (the last one short) and two user chunks:
-    /// each chunk counts every Θ row once, and the block each call
-    /// prefetches is never counted.
-    #[test]
-    fn exact_scan_bytes_count_reads_not_prefetches() {
-        let (n, f) = (50, 6);
-        let snap = random_snapshot(n, f, 22);
-        let cfg = ScoreConfig {
+        // 7-item blocks, the last one short: each of the 2 chunks counts
+        // the blocks it scores, never the one it prefetches.
+        let blocked = ScoreConfig {
             block_items: Some(7),
             user_chunk: 3,
             ..ScoreConfig::default()
         };
-        let stats = top_k_batch_stats(&snap, &random_users(5, f, 23), 4, &cfg).1;
-        let chunks = 2;
-        assert_eq!(stats.bytes, (chunks * n * f * 4) as u64);
+        assert_eq!(bytes(&plain, 5, &blocked), 2 * 100 * 8 * 4);
+        assert_eq!(bytes(&plain, 0, &cfg32), 0, "no users, no scan");
     }
 
     #[test]

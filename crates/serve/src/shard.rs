@@ -873,8 +873,8 @@ mod tests {
 
     /// Non-finite factors through the whole scatter → merge path: item 4
     /// holds a NaN element, item 11 a +∞ one (in the `f % 8` tail), and
-    /// item 17 is all −0.0. The kernel's accumulators start at +0.0, so a
-    /// dot of −0.0 products reduces to +0.0 on every path, and the check
+    /// item 17 is all −0.0. The kernel's lane reduction ends with + 0.0,
+    /// so a dot of −0.0 products reduces to +0.0 on every path, and the check
     /// is that each path agrees on it. Served rankings must be bit-identical
     /// to the argsort of `score_one`'s row — NaN and ±∞ scores included —
     /// on 1–3 shards, with and without priors (one of them −0.0).
