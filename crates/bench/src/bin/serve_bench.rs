@@ -325,8 +325,8 @@ fn measure_recall(engine: &ServeEngine, x: &DenseMatrix, flags: &ServeFlags) -> 
         let (exact, es) = top_k_batch_sharded_timed(&guard, &one, flags.k, &exact_cfg);
         let (approx, aps) = top_k_batch_sharded_timed(&guard, &one, flags.k, &approx_cfg);
         recall += overlap_at_k(&exact[0], &approx[0], flags.k);
-        exact_bytes += es.iter().map(|t| t.bytes).sum::<u64>();
-        approx_bytes += aps.iter().map(|t| t.bytes).sum::<u64>();
+        exact_bytes += es.iter().map(|t| t.work.bytes).sum::<u64>();
+        approx_bytes += aps.iter().map(|t| t.work.bytes).sum::<u64>();
         users += 1;
         u += step;
     }
@@ -781,7 +781,7 @@ fn report(
     );
     println!(
         "bandwidth: {} streamed over {} s of score time — {:.2} GB/s, {:.2} GFLOP/s effective",
-        human_bytes(s.admission.scan_bytes),
+        human_bytes(s.admission.work.bytes),
         fmt_s(s.admission.score_secs),
         s.admission.effective_gbps(),
         s.admission.effective_gflops(),
@@ -996,8 +996,8 @@ fn json_summary(
         (
             "bandwidth",
             obj(vec![
-                ("scan_bytes", Value::Num(s.admission.scan_bytes as f64)),
-                ("score_flops", Value::Num(s.admission.score_flops as f64)),
+                ("scan_bytes", Value::Num(s.admission.work.bytes as f64)),
+                ("score_flops", Value::Num(s.admission.work.flops as f64)),
                 ("score_secs", Value::Num(s.admission.score_secs)),
                 ("effective_gbps", Value::Num(s.admission.effective_gbps())),
                 (

@@ -61,6 +61,7 @@
 use crate::engine::{Query, Recommendation, Request, ServeEngine, UserRef};
 use crate::error::ServeError;
 use crate::obs::{RequestSpan, ServeObs, SloReport};
+use crate::scorer::ScanStats;
 use cumf_telemetry::{FootprintReport, LatencyHistogram, MemoryFootprint, Recorder};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{
@@ -255,8 +256,7 @@ impl AdmissionWorker {
             let n = out.len();
             report.batches += 1;
             report.admitted += n as u64;
-            report.scan_bytes += trace.scan_bytes;
-            report.score_flops += trace.score_flops;
+            report.work += trace.work();
             report.score_secs += (score_end - score_start).max(0.0);
             match close {
                 Close::Full => report.closed_by_size += 1,
@@ -313,14 +313,12 @@ pub struct AdmissionReport {
     pub rejected: u64,
     /// Requests admitted but answered with a [`ServeError`].
     pub failed: u64,
-    /// Factor bytes the engine's scoring passes streamed over the
-    /// worker's lifetime ([`crate::obs::BatchTrace::scan_bytes`] summed
-    /// over batches; cache hits contribute nothing).
-    pub scan_bytes: u64,
-    /// Nominal floating-point operations of the engine's scoring passes
-    /// over the worker's lifetime
-    /// ([`crate::obs::BatchTrace::score_flops`] summed over batches).
-    pub score_flops: u64,
+    /// The engine's scoring work over the worker's lifetime
+    /// ([`crate::obs::BatchTrace::work`] summed over batches; cache hits
+    /// contribute nothing): the numerators of
+    /// [`AdmissionReport::effective_gbps`] and
+    /// [`AdmissionReport::effective_gflops`].
+    pub work: ScanStats,
     /// Wall-clock seconds the engine spent inside score stages (the
     /// denominator of [`AdmissionReport::effective_gbps`] and
     /// [`AdmissionReport::effective_gflops`]).
@@ -343,8 +341,7 @@ impl AdmissionReport {
             closed_by_drain: 0,
             rejected: 0,
             failed: 0,
-            scan_bytes: 0,
-            score_flops: 0,
+            work: ScanStats::default(),
             score_secs: 0.0,
             queue_delay: LatencyHistogram::new(),
             slo: None,
@@ -360,7 +357,7 @@ impl AdmissionReport {
         if self.score_secs <= 0.0 {
             0.0
         } else {
-            self.scan_bytes as f64 / self.score_secs / 1e9
+            self.work.bytes as f64 / self.score_secs / 1e9
         }
     }
 
@@ -374,7 +371,7 @@ impl AdmissionReport {
         if self.score_secs <= 0.0 {
             0.0
         } else {
-            self.score_flops as f64 / self.score_secs / 1e9
+            self.work.flops as f64 / self.score_secs / 1e9
         }
     }
 
@@ -675,10 +672,10 @@ mod tests {
         let report = worker.run(&engine, &NOOP);
         // Two size-closed batches, each one user-chunk pass over Θ:
         // 2 × 20 items × 3 factors × 4 bytes.
-        assert_eq!(report.scan_bytes, 2 * 20 * 3 * 4);
+        assert_eq!(report.work.bytes, 2 * 20 * 3 * 4);
         // Flops mirror the bytes: 2·f per scored row, 2 batches of 4
         // users over 20 items each.
-        assert_eq!(report.score_flops, 2 * 3 * (2 * 20 * 4));
+        assert_eq!(report.work.flops, 2 * 3 * (2 * 20 * 4));
         assert!(report.score_secs > 0.0);
         assert!(report.effective_gbps() > 0.0);
         assert!(report.effective_gflops() > 0.0);

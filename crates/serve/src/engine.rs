@@ -799,8 +799,6 @@ impl ServeEngine {
             // every queued job, so every slot is filled.
             .map(|r| r.expect("every request answered"))
             .collect();
-        let sum = |field: fn(&ShardTiming) -> u64| shard_timings.iter().map(field).sum::<u64>();
-        let approx = !self.cfg.score.retrieval.is_exact();
         let total = |count: fn(&ModelGroup) -> usize| groups.iter().map(count).sum::<usize>();
         let cold_users = total(|g| g.count(|s| matches!(s.row, Row::Cold(_))));
         let trace = BatchTrace {
@@ -819,15 +817,6 @@ impl ServeEngine {
                 .iter()
                 .map(|g| (g.entry.id.clone(), g.snapshot.epoch()))
                 .collect(),
-            // Factor bytes the scans counted as they read them, summed
-            // over every arm. Cache hits never reach a scan.
-            scan_bytes: sum(|t| t.bytes),
-            score_flops: sum(|t| t.flops),
-            ann_probed: sum(|t| t.probed_clusters),
-            // Stage-2 candidate rows under the approximate mode; 0 on
-            // exact engines, where ShardTiming::scored is the full scan.
-            ann_candidates: if approx { sum(|t| t.scored) } else { 0 },
-            ann_rescored: sum(|t| t.rescored),
             shard_timings,
         };
         self.record(requests, &groups, &out, &trace, &table, recorder);
@@ -1089,10 +1078,17 @@ impl ServeEngine {
         m.batches.inc();
         m.cache_hits.add(trace.cache_hits as u64);
         m.cold_users.add(trace.cold_users as u64);
-        m.scan_bytes.add(trace.scan_bytes);
-        m.ann_probed.add(trace.ann_probed);
-        m.ann_candidates.add(trace.ann_candidates);
-        m.ann_rescored.add(trace.ann_rescored);
+        // The batch's scoring work, summed over its shard passes. Cache
+        // hits never reach a scan.
+        let work = trace.work();
+        m.scan_bytes.add(work.bytes);
+        m.ann_probed.add(work.probed_clusters);
+        // Stage-2 shortlist rows under the approximate mode only: on an
+        // exact engine the candidates are the full scan.
+        if !self.cfg.score.retrieval.is_exact() {
+            m.ann_candidates.add(work.candidates);
+        }
+        m.ann_rescored.add(work.rescored);
         for e in out.iter().filter_map(|r| r.as_ref().err()) {
             m.error(e.reason()).inc();
         }
@@ -1135,7 +1131,7 @@ impl ServeEngine {
         m.observe_batch_stages(trace);
         for t in &trace.shard_timings {
             if let Some(sm) = self.shard_metrics.get(t.shard) {
-                sm.scored.add(t.scored);
+                sm.scored.add(t.work.candidates);
                 sm.pass_seconds.observe_secs(t.secs);
             }
         }
@@ -1342,16 +1338,16 @@ mod tests {
         let e = engine(8, 30, 4, ServeConfig::default());
         let (_, trace) = e.recommend_batch_traced(&known(&[0, 1]), &NOOP);
         // One chunk of 2 users scans all of Θ once: 30 items × f=4 × 4 B.
-        assert_eq!(trace.scan_bytes, 30 * 4 * 4);
-        assert_eq!(e.obs().metrics().scan_bytes.get(), trace.scan_bytes);
+        assert_eq!(trace.work().bytes, 30 * 4 * 4);
+        assert_eq!(e.obs().metrics().scan_bytes.get(), trace.work().bytes);
         // An all-hit batch streams nothing.
         let (_, warm) = e.recommend_batch_traced(&known(&[0, 1]), &NOOP);
-        assert_eq!(warm.scan_bytes, 0);
-        assert_eq!(e.obs().metrics().scan_bytes.get(), trace.scan_bytes);
+        assert_eq!(warm.work().bytes, 0);
+        assert_eq!(e.obs().metrics().scan_bytes.get(), trace.work().bytes);
         // Sharding re-partitions the same scan: byte totals are invariant.
         let sharded = engine(8, 30, 4, ServeConfig::default().with_shards(3));
         let (_, t3) = sharded.recommend_batch_traced(&known(&[0, 1]), &NOOP);
-        assert_eq!(t3.scan_bytes, trace.scan_bytes);
+        assert_eq!(t3.work().bytes, trace.work().bytes);
     }
 
     #[test]
@@ -1518,13 +1514,15 @@ mod tests {
         let (want, te) = exact.recommend_batch_traced(&reqs, &NOOP);
         let (got, ta) = approx.recommend_batch_traced(&reqs, &NOOP);
         assert!(
-            ta.scan_bytes < te.scan_bytes,
+            ta.work().bytes < te.work().bytes,
             "{} vs {}",
-            ta.scan_bytes,
-            te.scan_bytes
+            ta.work().bytes,
+            te.work().bytes
         );
-        assert!(ta.ann_probed > 0 && ta.ann_candidates > 0 && ta.ann_rescored > 0);
-        assert_eq!(te.ann_probed, 0, "exact engines never probe");
+        assert!(
+            ta.work().probed_clusters > 0 && ta.work().candidates > 0 && ta.work().rescored > 0
+        );
+        assert_eq!(te.work().probed_clusters, 0, "exact engines never probe");
         // The shortlist rescore keeps the rankings close to exact.
         let mut recall = 0.0;
         for (a, b) in want.iter().zip(&got) {
@@ -1534,9 +1532,9 @@ mod tests {
         assert!(recall / 4.0 >= 0.9, "recall@10 {}", recall / 4.0);
         // The ann counters reached the typed metrics and exposition.
         let m = approx.obs().metrics();
-        assert_eq!(m.ann_probed.get(), ta.ann_probed);
-        assert_eq!(m.ann_candidates.get(), ta.ann_candidates);
-        assert_eq!(m.ann_rescored.get(), ta.ann_rescored);
+        assert_eq!(m.ann_probed.get(), ta.work().probed_clusters);
+        assert_eq!(m.ann_candidates.get(), ta.work().candidates);
+        assert_eq!(m.ann_rescored.get(), ta.work().rescored);
         let text = approx.obs().render_prometheus(approx.now());
         assert!(text.contains("serve_ann_probed_clusters_total"));
         // Cache round trip under the approximate key.
@@ -1562,7 +1560,7 @@ mod tests {
         let held = e.registry().snapshot(&id).unwrap();
         assert!(held.has_ann() && held.shards().iter().all(|s| s.int8.is_some()));
         let (_, trace) = e.recommend_batch_traced(&known(&[0, 1]), &NOOP);
-        assert!(trace.ann_probed > 0);
+        assert!(trace.work().probed_clusters > 0);
         assert_eq!(
             e.obs().metrics().model("default").ann_fallback.get(),
             0,

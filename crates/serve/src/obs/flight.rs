@@ -157,11 +157,6 @@ mod tests {
             errors: 0,
             arms: vec![(crate::registry::ModelId::from("default"), 0)],
             shard_timings: vec![],
-            scan_bytes: 0,
-            score_flops: 0,
-            ann_probed: 0,
-            ann_candidates: 0,
-            ann_rescored: 0,
         };
         RequestSpan::from_batch(&trace, id, 10.0, false, false)
     }

@@ -551,11 +551,6 @@ mod tests {
             errors: 0,
             arms: vec![(crate::registry::ModelId::from("default"), 3)],
             shard_timings: vec![],
-            scan_bytes: 0,
-            score_flops: 0,
-            ann_probed: 0,
-            ann_candidates: 0,
-            ann_rescored: 0,
         };
         RequestSpan::from_batch(&trace, id, submitted, false, false)
     }
@@ -732,11 +727,6 @@ mod tests {
             errors: 0,
             arms: vec![(crate::registry::ModelId::from("default"), 0)],
             shard_timings: vec![],
-            scan_bytes: 0,
-            score_flops: 0,
-            ann_probed: 0,
-            ann_candidates: 0,
-            ann_rescored: 0,
         };
         obs.metrics().observe_batch_stages(&trace);
         let total: f64 = STAGES

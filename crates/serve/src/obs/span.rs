@@ -16,6 +16,7 @@
 //! histograms and the recorder's phase spans are all rendered from it.
 
 use crate::registry::ModelId;
+use crate::scorer::ScanStats;
 use crate::shard::ShardTiming;
 use cumf_telemetry::{Event, PhaseSpan};
 use serde::Serialize;
@@ -54,35 +55,22 @@ pub struct BatchTrace {
     /// The model arms the batch served, as `(model, epoch)` pairs in
     /// registry-slot order (single-model batches have exactly one).
     pub arms: Vec<(ModelId, u64)>,
-    /// Per-shard scoring accounting for the scatter pass.
+    /// Per-shard scoring passes of the batch — scatter and slate passes
+    /// over every arm — each with its start, duration and work.
     pub shard_timings: Vec<ShardTiming>,
-    /// Factor bytes the batch's scoring passes streamed, summed over all
-    /// arms and shards ([`ShardTiming::bytes`]). Cache hits contribute
-    /// nothing — a hit bypasses the scan entirely.
-    pub scan_bytes: u64,
-    /// Nominal floating-point operations of the batch's scoring passes
-    /// (`2·f` per scored row), summed over all arms and shards
-    /// ([`ShardTiming::flops`]). The compute-side twin of
-    /// [`BatchTrace::scan_bytes`]: together with the score-stage seconds
-    /// it yields effective GFLOP/s.
-    pub score_flops: u64,
-    /// Clusters probed by approximate-retrieval passes, summed over all
-    /// arms, shards, and users (0 on exact engines). Feeds
-    /// `serve_ann_probed_clusters_total`.
-    pub ann_probed: u64,
-    /// Stage-2 shortlist rows scored by approximate-retrieval passes
-    /// (0 on exact engines). Feeds `serve_ann_shortlist_items_total`.
-    pub ann_candidates: u64,
-    /// Shortlist rows rescored exactly in FP32 (nonzero only under int8
-    /// quantization). Feeds `serve_ann_rescored_items_total`; the rescore
-    /// fraction is `ann_rescored / ann_candidates`.
-    pub ann_rescored: u64,
 }
 
 impl BatchTrace {
     /// Wall-clock seconds the engine spent on the batch.
     pub fn service_secs(&self) -> f64 {
         self.end - self.start
+    }
+
+    /// The batch's scoring work: the [`ShardTiming::work`] of every pass,
+    /// summed over arms and shards. Cache hits contribute nothing — a hit
+    /// bypasses the scan entirely.
+    pub fn work(&self) -> ScanStats {
+        self.shard_timings.iter().map(|t| t.work).sum()
     }
 
     /// The five engine stages as `(name, start, end)` intervals, in
@@ -167,7 +155,7 @@ pub struct RequestSpan {
     /// Whether this was a cold-start (fold-in) request.
     pub cold: bool,
     /// Factor bytes the request's *batch* streamed while scoring
-    /// ([`BatchTrace::scan_bytes`]) — like the stage durations, a batch
+    /// ([`BatchTrace::work`]'s `bytes`) — like the stage durations, a batch
     /// quantity attributed to each rider, not a per-request exclusive
     /// count. 0 for a batch answered entirely from cache.
     pub scan_bytes: u64,
@@ -196,7 +184,7 @@ impl RequestSpan {
             batch_size: trace.requests,
             from_cache,
             cold,
-            scan_bytes: trace.scan_bytes,
+            scan_bytes: trace.work().bytes,
             stages: StageBreakdown {
                 queue: trace.start - submitted_at,
                 cache,
@@ -260,12 +248,15 @@ mod tests {
             scored_users: 3,
             errors: 0,
             arms: vec![(ModelId::from("default"), 7)],
-            shard_timings: vec![],
-            scan_bytes: 4096,
-            score_flops: 0,
-            ann_probed: 0,
-            ann_candidates: 0,
-            ann_rescored: 0,
+            shard_timings: vec![ShardTiming {
+                shard: 0,
+                start: 1.25,
+                secs: 0.25,
+                work: ScanStats {
+                    bytes: 4096,
+                    ..ScanStats::default()
+                },
+            }],
         }
     }
 
@@ -282,6 +273,7 @@ mod tests {
         assert_eq!(span.stages.queue, 0.125);
         assert_eq!(span.stages.slowest().0, "score");
         assert_eq!(span.scan_bytes, 4096, "batch scan bytes ride the span");
+        assert_eq!(span.scan_bytes, trace().shard_timings[0].work.bytes);
     }
 
     #[test]

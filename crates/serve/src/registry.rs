@@ -677,7 +677,11 @@ impl ModelRegistry {
 
     /// A pure snapshot of the routing state (see [`Router`]).
     pub fn router(&self) -> Router {
-        let inner = self.inner.read();
+        Self::router_of(&self.inner.read())
+    }
+
+    /// The routing state under a guard the caller holds.
+    fn router_of(inner: &Inner) -> Router {
         let (mut live, mut retired) = (Vec::new(), Vec::new());
         for (id, entry) in &inner.models {
             if entry.is_retired() {
@@ -694,12 +698,13 @@ impl ModelRegistry {
         }
     }
 
-    /// Routing table for one engine batch: router + resolvable entries.
+    /// Routing table for one engine batch: router + resolvable entries,
+    /// both read under one guard, so a `retire` cannot land between them
+    /// and leave the router resolving to an entry the table lacks.
     pub(crate) fn routing_table(&self) -> RoutingTable {
-        let router = self.router();
         let inner = self.inner.read();
         RoutingTable {
-            router,
+            router: Self::router_of(&inner),
             entries: inner
                 .models
                 .iter()

@@ -32,8 +32,8 @@ use crate::store::{ModelSnapshot, SnapshotView};
 use crate::topk::{ScoredItem, TopK};
 use cumf_numeric::dense::DenseMatrix;
 use cumf_numeric::kernel;
-use rayon::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::iter::Sum;
+use std::ops::{Add, AddAssign};
 
 /// Shortlist precision for [`Retrieval::Approx`]'s cluster-member scan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -74,12 +74,15 @@ impl Retrieval {
     }
 }
 
-/// Measured work of one scoring pass. Both paths count the factor bytes
-/// they read where they read them — the exact scan at each
-/// `score_tile_prefetch` call, the approximate one at each probe,
-/// member scan and rescore — and that count is what flows into
-/// `serve_scan_bytes_total`, the `serve_ann_*` counters, and
-/// `AdmissionReport::effective_gbps`.
+/// Measured work of one scoring pass — the one record of scoring work.
+/// Both paths count the factor bytes they read where they read them —
+/// the exact scan at each `score_tile_prefetch` call, the approximate one
+/// at each probe, member scan and rescore — and a slate pass counts the
+/// rows it scores. Records add up field by field: a
+/// [`ShardTiming`](crate::shard::ShardTiming) holds one per shard pass,
+/// [`BatchTrace::work`](crate::obs::BatchTrace::work) sums a batch's, and
+/// that sum is what flows into `serve_scan_bytes_total`, the
+/// `serve_ann_*` counters, and `AdmissionReport::effective_gbps`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScanStats {
     /// Factor bytes the pass streamed (centroids + member rows + rescore
@@ -89,7 +92,8 @@ pub struct ScanStats {
     /// Clusters probed, summed over users (0 on the exact path).
     pub probed_clusters: u64,
     /// Item rows scored in stage 2, summed over users. On the exact path
-    /// this is the full `n_items × users` scan.
+    /// this is the full `n_items × users` scan; on a slate pass, the
+    /// slate rows.
     pub candidates: u64,
     /// Shortlist rows rescored exactly in FP32, summed over users
     /// (nonzero only on the int8 approximate path).
@@ -100,6 +104,45 @@ pub struct ScanStats {
     /// score-stage seconds this yields effective GFLOP/s, the
     /// compute-side twin of `effective_gbps`.
     pub flops: u64,
+}
+
+impl ScanStats {
+    /// The reads of `rows` factor rows of `f` coordinates at `width` bytes
+    /// per coordinate, each scored once (`2·f` FLOPs). Which count the
+    /// rows land in (candidates, probed centroids, rescored) is the
+    /// caller's to add.
+    pub(crate) fn read(rows: u64, f: usize, width: u64) -> ScanStats {
+        ScanStats {
+            bytes: rows * f as u64 * width,
+            flops: 2 * f as u64 * rows,
+            ..ScanStats::default()
+        }
+    }
+}
+
+impl AddAssign for ScanStats {
+    fn add_assign(&mut self, o: ScanStats) {
+        self.bytes += o.bytes;
+        self.probed_clusters += o.probed_clusters;
+        self.candidates += o.candidates;
+        self.rescored += o.rescored;
+        self.flops += o.flops;
+    }
+}
+
+impl Add for ScanStats {
+    type Output = ScanStats;
+
+    fn add(mut self, o: ScanStats) -> ScanStats {
+        self += o;
+        self
+    }
+}
+
+impl Sum for ScanStats {
+    fn sum<I: Iterator<Item = ScanStats>>(iter: I) -> ScanStats {
+        iter.fold(ScanStats::default(), Add::add)
+    }
 }
 
 /// Tiling and retrieval knobs for the batched scorer.
@@ -207,19 +250,10 @@ pub(crate) fn scan_view(
     );
     if let Retrieval::Approx { n_probe, quant } = cfg.retrieval {
         if let Some(index) = view.ann {
-            return top_k_batch_approx(view, index, user_factors, k, n_probe, quant, cfg);
+            return top_k_batch_approx(view, index, user_factors, k, n_probe, quant);
         }
     }
-    let (rows, bytes) = top_k_batch_exact(view, user_factors, k, cfg);
-    let candidates = view.n_items as u64 * user_factors.rows() as u64;
-    let stats = ScanStats {
-        bytes,
-        probed_clusters: 0,
-        candidates,
-        rescored: 0,
-        flops: 2 * view.f as u64 * candidates,
-    };
-    (rows, stats)
+    top_k_batch_exact(view, user_factors, k, cfg)
 }
 
 /// Two-stage approximate retrieval: per user, rank the `k_clusters`
@@ -237,11 +271,8 @@ fn top_k_batch_approx(
     k: usize,
     n_probe: usize,
     quant: QuantMode,
-    cfg: &ScoreConfig,
 ) -> (Vec<Vec<ScoredItem>>, ScanStats) {
     let f = view.f;
-    let users = user_factors.rows();
-    let chunk = cfg.user_chunk.max(1);
     let int8 = match quant {
         QuantMode::Int8 => view.int8,
         QuantMode::None => None,
@@ -250,100 +281,89 @@ fn top_k_batch_approx(
     // k-th score boundary rarely evicts a true top-k item before the
     // exact rescore can save it.
     let shortlist = (4 * k).max(k).max(1);
-    let probed = AtomicU64::new(0);
-    let candidates = AtomicU64::new(0);
-    let rescored = AtomicU64::new(0);
     // Priors borrowed once for the whole pass; empty means "add 0".
     let priors = view.priors;
     let prior = |v: usize| if priors.is_empty() { 0.0 } else { priors[v] };
+    // Measured traffic: every user reads all k_clusters centroid rows in
+    // FP32 for the probe, stage 2 reads each candidate row at the scan
+    // width (1 byte/coord int8, 4 FP32), and the rescore re-reads
+    // shortlist rows in FP32.
+    let width: u64 = if int8.is_some() { 1 } else { 4 };
+    let probe_dots = index.k_clusters() as u64;
+    let mut work = ScanStats::default();
 
-    let mut heaps: Vec<TopK> = (0..users).map(|_| TopK::new(k)).collect();
-    heaps
-        .par_chunks_mut(chunk)
-        .enumerate()
-        .for_each(|(chunk_idx, chunk_heaps)| {
-            let user0 = chunk_idx * chunk;
-            let (mut p, mut c, mut r) = (0u64, 0u64, 0u64);
-            for (du, heap) in chunk_heaps.iter_mut().enumerate() {
-                let xu = user_factors.row(user0 + du);
-                let clusters = index.probe(xu, n_probe);
-                p += clusters.len() as u64;
-                match int8 {
-                    Some(q) => {
-                        let mut pre = TopK::new(shortlist);
-                        for &cluster in &clusters {
-                            for &item in index.members(cluster as usize) {
-                                let v = item as usize;
-                                let s = q.dot(v, xu) + prior(v);
-                                pre.push(item, s);
-                                c += 1;
-                            }
-                        }
-                        for cand in pre.into_sorted() {
-                            let v = cand.item as usize;
-                            let s = kernel::dot_lanes(xu, view.item_row(v)) + prior(v);
-                            heap.push(cand.item, s);
-                            r += 1;
-                        }
+    let mut heaps: Vec<TopK> = (0..user_factors.rows()).map(|_| TopK::new(k)).collect();
+    for (u, heap) in heaps.iter_mut().enumerate() {
+        let xu = user_factors.row(u);
+        let clusters = index.probe(xu, n_probe);
+        work += ScanStats {
+            probed_clusters: clusters.len() as u64,
+            ..ScanStats::read(probe_dots, f, 4)
+        };
+        let mut members = 0u64;
+        match int8 {
+            Some(q) => {
+                let mut pre = TopK::new(shortlist);
+                for &cluster in &clusters {
+                    for &item in index.members(cluster as usize) {
+                        let v = item as usize;
+                        let s = q.dot(v, xu) + prior(v);
+                        pre.push(item, s);
+                        members += 1;
                     }
-                    None => {
-                        for &cluster in &clusters {
-                            for &item in index.members(cluster as usize) {
-                                let v = item as usize;
-                                let s = kernel::dot_lanes(xu, view.item_row(v)) + prior(v);
-                                heap.push(item, s);
-                                c += 1;
-                            }
-                        }
+                }
+                let shortlisted = pre.into_sorted();
+                for cand in &shortlisted {
+                    let v = cand.item as usize;
+                    let s = kernel::dot_lanes(xu, view.item_row(v)) + prior(v);
+                    heap.push(cand.item, s);
+                }
+                let rescored = shortlisted.len() as u64;
+                work += ScanStats {
+                    rescored,
+                    ..ScanStats::read(rescored, f, 4)
+                };
+            }
+            None => {
+                for &cluster in &clusters {
+                    for &item in index.members(cluster as usize) {
+                        let v = item as usize;
+                        let s = kernel::dot_lanes(xu, view.item_row(v)) + prior(v);
+                        heap.push(item, s);
+                        members += 1;
                     }
                 }
             }
-            probed.fetch_add(p, Ordering::Relaxed);
-            candidates.fetch_add(c, Ordering::Relaxed);
-            rescored.fetch_add(r, Ordering::Relaxed);
-        });
-
-    let probed = probed.into_inner();
-    let candidates = candidates.into_inner();
-    let rescored = rescored.into_inner();
-    // Measured traffic: every user reads all k_clusters centroid rows for
-    // the probe, stage 2 reads each candidate row at the scan width
-    // (1 byte/coord int8, 4 FP32), and the rescore re-reads shortlist
-    // rows in FP32.
-    let width: u64 = if int8.is_some() { 1 } else { 4 };
-    let probe_dots = users as u64 * index.k_clusters() as u64;
-    let bytes = probe_dots * f as u64 * 4 + candidates * f as u64 * width + rescored * f as u64 * 4;
-    let stats = ScanStats {
-        bytes,
-        probed_clusters: probed,
-        candidates,
-        rescored,
-        flops: 2 * f as u64 * (probe_dots + candidates + rescored),
-    };
-    (heaps.into_iter().map(TopK::into_sorted).collect(), stats)
+        }
+        work += ScanStats {
+            candidates: members,
+            ..ScanStats::read(members, f, width)
+        };
+    }
+    (heaps.into_iter().map(TopK::into_sorted).collect(), work)
 }
 
 /// The exact blocked full-scan kernel behind [`top_k_batch`]; returns the
-/// rankings and the factor bytes the tiles read.
+/// rankings and the work of the tiles.
 ///
-/// Each worker owns one `chunk × block` score tile that
-/// [`kernel::score_tile_prefetch`] fills per Θ-block while it requests the
-/// following block into L2, so the next block's first tiles find it
-/// there instead of waiting on memory. Each tile row then gets its
-/// priors, if any, added in place in one vectorizable pass and drains
-/// into its user's heap through [`TopK::push_slice`], which skips every
-/// 8-score chunk below the heap's current k-th score. A prior-less row
-/// drains as the tile wrote it: the kernel's lane reduction ends with
-/// `+ 0.0`, so no tile output is `−0.0` and the row already equals the
-/// reference path's `dot + 0.0` bit for bit. Each chunk sums
-/// the `len·f·4` bytes of the tiles it scores, not the blocks it
-/// prefetches, and publishes its total once.
+/// One `chunk × block` score tile is filled per Θ-block by
+/// [`kernel::score_tile_prefetch`] while it requests the following block
+/// into L2, so the next block's first tiles find it there instead of
+/// waiting on memory. Each tile row then gets its priors, if any, added
+/// in place in one vectorizable pass and drains into its user's heap
+/// through [`TopK::push_slice`], which skips every 8-score chunk below
+/// the heap's current k-th score. A prior-less row drains as the tile
+/// wrote it: the kernel's lane reduction ends with `+ 0.0`, so no tile
+/// output is `−0.0` and the row already equals the reference path's
+/// `dot + 0.0` bit for bit. Each tile counts the `len·f·4` bytes of the
+/// block it scores — once for the chunk's users, never for the block it
+/// prefetches — and `len` candidates per user.
 fn top_k_batch_exact(
     view: SnapshotView<'_>,
     user_factors: &DenseMatrix,
     k: usize,
     cfg: &ScoreConfig,
-) -> (Vec<Vec<ScoredItem>>, u64) {
+) -> (Vec<Vec<ScoredItem>>, ScanStats) {
     let n = view.n_items;
     let f = view.f;
     let users = user_factors.rows();
@@ -351,40 +371,36 @@ fn top_k_batch_exact(
     let chunk = cfg.user_chunk.max(1);
     let (theta, priors) = (view.rows, view.priors);
     let x = user_factors.as_slice();
-    let bytes = AtomicU64::new(0);
+    let mut work = ScanStats::default();
 
-    let tile_len = chunk.min(users.max(1)) * block;
+    let mut scores = vec![0.0f32; chunk.min(users.max(1)) * block];
     let mut heaps: Vec<TopK> = (0..users).map(|_| TopK::new(k)).collect();
-    heaps.par_chunks_mut(chunk).enumerate().for_each_init(
-        || vec![0.0f32; tile_len],
-        |scores, (chunk_idx, chunk_heaps)| {
-            let user0 = chunk_idx * chunk;
-            let cu = chunk_heaps.len();
-            let xs = &x[user0 * f..(user0 + cu) * f];
-            let mut start = 0;
-            let mut read = 0u64;
-            while start < n {
-                let len = block.min(n - start);
-                let end = start + len;
-                read += (len * f * 4) as u64;
-                let tile = &theta[start * f..end * f];
-                let next = &theta[end * f..(end + block.min(n - end)) * f];
-                kernel::score_tile_prefetch(xs, cu, tile, len, f, scores, next);
-                let tile_priors = (!priors.is_empty()).then(|| &priors[start..start + len]);
-                for (du, heap) in chunk_heaps.iter_mut().enumerate() {
-                    let row = &mut scores[du * len..(du + 1) * len];
-                    if let Some(p) = tile_priors {
-                        row.iter_mut().zip(p).for_each(|(s, &pr)| *s += pr);
-                    }
-                    heap.push_slice(start as u32, row);
+    for (chunk_idx, chunk_heaps) in heaps.chunks_mut(chunk).enumerate() {
+        let user0 = chunk_idx * chunk;
+        let cu = chunk_heaps.len();
+        let xs = &x[user0 * f..(user0 + cu) * f];
+        let mut start = 0;
+        while start < n {
+            let len = block.min(n - start);
+            let end = start + len;
+            work.bytes += (len * f * 4) as u64;
+            work.candidates += (len * cu) as u64;
+            work.flops += (2 * f * len * cu) as u64;
+            let tile = &theta[start * f..end * f];
+            let next = &theta[end * f..(end + block.min(n - end)) * f];
+            kernel::score_tile_prefetch(xs, cu, tile, len, f, &mut scores, next);
+            let tile_priors = (!priors.is_empty()).then(|| &priors[start..start + len]);
+            for (du, heap) in chunk_heaps.iter_mut().enumerate() {
+                let row = &mut scores[du * len..(du + 1) * len];
+                if let Some(p) = tile_priors {
+                    row.iter_mut().zip(p).for_each(|(s, &pr)| *s += pr);
                 }
-                start += len;
+                heap.push_slice(start as u32, row);
             }
-            bytes.fetch_add(read, Ordering::Relaxed);
-        },
-    );
-    let rows = heaps.into_iter().map(TopK::into_sorted).collect();
-    (rows, bytes.into_inner())
+            start += len;
+        }
+    }
+    (heaps.into_iter().map(TopK::into_sorted).collect(), work)
 }
 
 /// Unblocked reference: the full score row for one user (`n` entries, in

@@ -15,8 +15,9 @@
 //! shard counts 1–8 including tied scores straddling shard boundaries.
 //!
 //! Shard 0 scores on the calling thread and shards 1.. on scoped OS
-//! threads, one each (the rayon shim is sequential, so parallelism across
-//! shards comes from `std::thread`); a 1-shard snapshot spawns nothing.
+//! threads, one each; within a shard the scorer runs on its one thread,
+//! so shards are the only parallelism on the serving path, and a 1-shard
+//! snapshot spawns nothing.
 //! The merge order is fixed, so results never depend on the schedule.
 //! Beyond parallel scoring, contiguous range shards are the on-ramp to
 //! multi-node serving: each range could live in a different process and
@@ -25,7 +26,7 @@
 use crate::ann::{AnnParams, AnnPolicy, CentroidIndex, QuantizedFactors};
 use crate::error::ServeError;
 use crate::registry::ModelId;
-use crate::scorer::{scan_view, ScoreConfig};
+use crate::scorer::{scan_view, ScanStats, ScoreConfig};
 use crate::store::{ModelSnapshot, SnapshotView};
 use crate::topk::{merge_top_k, ScoredItem};
 use cumf_numeric::dense::DenseMatrix;
@@ -218,9 +219,9 @@ impl MemoryFootprint for ShardedSnapshot {
     }
 }
 
-/// Wall-clock accounting for one shard's scoring pass: the per-shard
-/// counters and the `serve.shard{i}.score` span the engine renders from
-/// its batch trace.
+/// One shard's scoring pass: when it began, how long it took and the
+/// [`ScanStats`] it counted. The engine renders the per-shard counters
+/// and the `serve.shard{i}.score` span from these in its batch trace.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardTiming {
     /// Shard index.
@@ -228,27 +229,13 @@ pub struct ShardTiming {
     /// When the pass began: the caller's `t_base` (the engine clock, in a
     /// batch) plus the pass's offset within the call.
     pub start: f64,
-    /// Stage-2 score evaluations the shard performed: `items × users` on
-    /// the exact path, the pruned candidate count on the approximate one.
-    pub scored: u64,
-    /// Factor bytes the pass read from the shard's rows, counted where it
-    /// read them ([`ScanStats::bytes`](crate::scorer::ScanStats::bytes)):
-    /// exact scans count every FP32 tile once per user chunk; approximate
-    /// scans count the centroid + member + rescore traffic.
-    pub bytes: u64,
-    /// Clusters the shard's pass probed, summed over users (0 on the
-    /// exact path).
-    pub probed_clusters: u64,
-    /// Shortlist rows the shard rescored exactly in FP32 (nonzero only on
-    /// the int8 approximate path).
-    pub rescored: u64,
-    /// Nominal floating-point operations of the shard's pass (`2·f` per
-    /// scored row, probe and rescore included) from
-    /// [`ScanStats`](crate::scorer::ScanStats) — the numerator of
-    /// effective GFLOP/s.
-    pub flops: u64,
     /// Host wall-clock seconds the shard's pass took.
     pub secs: f64,
+    /// The work of the pass over the shard's rows: factor bytes counted
+    /// where they were read, candidates scored (`items × users` on the
+    /// exact path, the pruned count on the approximate one, the slate
+    /// rows on a slate pass), clusters probed, rows rescored and FLOPs.
+    pub work: ScanStats,
 }
 
 /// The scatter half of sharded scoring: per-shard rankings (global item
@@ -308,7 +295,7 @@ pub fn scatter_top_k(
     let score_shard = |idx: usize, shard: &Shard| -> (Vec<Vec<ScoredItem>>, ShardTiming) {
         let start = t_base + anchor.elapsed().as_secs_f64();
         let t0 = Instant::now();
-        let (mut local, stats) = scan_view(shard.view(full), user_factors, k, cfg);
+        let (mut local, work) = scan_view(shard.view(full), user_factors, k, cfg);
         for user_ranking in &mut local {
             for item in user_ranking.iter_mut() {
                 item.item += shard.start as u32;
@@ -317,12 +304,8 @@ pub fn scatter_top_k(
         let timing = ShardTiming {
             shard: idx,
             start,
-            scored: stats.candidates,
-            bytes: stats.bytes,
-            probed_clusters: stats.probed_clusters,
-            rescored: stats.rescored,
-            flops: stats.flops,
             secs: t0.elapsed().as_secs_f64(),
+            work,
         };
         (local, timing)
     };
@@ -431,12 +414,11 @@ pub fn rank_slate_sharded(
         timings.push(ShardTiming {
             shard: idx,
             start,
-            scored,
-            bytes: scored * f as u64 * 4,
-            probed_clusters: 0,
-            rescored: 0,
-            flops: 2 * f as u64 * scored,
             secs: t0.elapsed().as_secs_f64(),
+            work: ScanStats {
+                candidates: scored,
+                ..ScanStats::read(scored, f, 4)
+            },
         });
     }
     all.sort_unstable_by(ScoredItem::rank_cmp);
@@ -593,7 +575,7 @@ impl MemoryFootprint for ShardedFactorStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scorer::{score_one, top_k_batch};
+    use crate::scorer::{score_one, top_k_batch, top_k_batch_stats};
     use crate::topk::naive_top_k;
 
     fn snap(n: usize, f: usize, priors: bool) -> ModelSnapshot {
@@ -661,7 +643,7 @@ mod tests {
             let (got, timings) = top_k_batch_sharded_timed(&sharded, &x, 9, &cfg);
             assert_eq!(got, want, "{s} shards");
             assert_eq!(timings.len(), sharded.n_shards());
-            let scored: u64 = timings.iter().map(|t| t.scored).sum();
+            let scored: u64 = timings.iter().map(|t| t.work.candidates).sum();
             assert_eq!(scored, 37 * 6, "{s} shards must cover every score");
         }
     }
@@ -705,11 +687,14 @@ mod tests {
             let sharded = ShardedSnapshot::build(full.clone(), s);
             let (got, timings) = rank_slate_sharded(&sharded, q, &slate, 4, 0.0);
             assert_eq!(got, want, "{s} shards");
-            let scored: u64 = timings.iter().map(|t| t.scored).sum();
+            let scored: u64 = timings.iter().map(|t| t.work.candidates).sum();
             assert_eq!(scored, slate.len() as u64, "{s} shards");
-            let bytes: u64 = timings.iter().map(|t| t.bytes).sum();
+            let bytes: u64 = timings.iter().map(|t| t.work.bytes).sum();
             assert_eq!(bytes, slate.len() as u64 * 5 * 4, "only slate rows read");
-            assert!(timings.iter().all(|t| t.scored > 0), "empty shards skipped");
+            assert!(
+                timings.iter().all(|t| t.work.candidates > 0),
+                "empty shards skipped"
+            );
         }
     }
 
@@ -765,13 +750,21 @@ mod tests {
         for s in [1, 3, 8] {
             let sharded = ShardedSnapshot::build(full.clone(), s);
             let (_, timings) = top_k_batch_sharded_timed(&sharded, &x, 9, &cfg);
-            let total: u64 = timings.iter().map(|t| t.bytes).sum();
+            let total: u64 = timings.iter().map(|t| t.work.bytes).sum();
             // 6 users fit one chunk; every shard streams its slice once,
             // so shards partition the unsharded scan exactly.
             assert_eq!(total, 37 * 5 * 4, "{s} shards");
             for (t, shard) in timings.iter().zip(sharded.shards()) {
-                assert_eq!(t.bytes, (shard.n_items() * 5 * 4) as u64);
+                assert_eq!(t.work.bytes, (shard.n_items() * 5 * 4) as u64);
             }
+            // Every count, not just bytes: the shards' records sum to the
+            // unsharded pass's.
+            let summed: ScanStats = timings.iter().map(|t| t.work).sum();
+            assert_eq!(
+                summed,
+                top_k_batch_stats(&full, &x, 9, &cfg).1,
+                "{s} shards"
+            );
         }
     }
 
@@ -815,9 +808,9 @@ mod tests {
         for s in [1, 3] {
             let sharded = ShardedSnapshot::build(full.clone(), s);
             let (_, timings) = top_k_batch_sharded_timed(&sharded, &x, 3, &cfg);
-            let probed: u64 = timings.iter().map(|t| t.probed_clusters).sum();
-            let scored: u64 = timings.iter().map(|t| t.scored).sum();
-            let rescored: u64 = timings.iter().map(|t| t.rescored).sum();
+            let probed: u64 = timings.iter().map(|t| t.work.probed_clusters).sum();
+            let scored: u64 = timings.iter().map(|t| t.work.candidates).sum();
+            let rescored: u64 = timings.iter().map(|t| t.work.rescored).sum();
             assert!(probed > 0, "{s} shards");
             assert!(scored < 400 * 5, "{s} shards must prune the scan");
             assert!(rescored > 0 && rescored <= scored, "{s} shards");
@@ -827,12 +820,12 @@ mod tests {
         let single = ShardedSnapshot::build(full.clone(), 1);
         let (_, timings) = top_k_batch_sharded_timed(&single, &x, 3, &cfg);
         let (_, exact) = top_k_batch_sharded_timed(&single, &x, 3, &ScoreConfig::default());
-        let exact_bytes = exact[0].bytes;
+        let exact_bytes = exact[0].work.bytes;
         assert_eq!(exact_bytes, 400 * 4 * 4, "one chunk over 400 × 4 FP32 rows");
         assert!(
-            timings[0].bytes < exact_bytes,
+            timings[0].work.bytes < exact_bytes,
             "{} vs {exact_bytes}",
-            timings[0].bytes
+            timings[0].work.bytes
         );
     }
 

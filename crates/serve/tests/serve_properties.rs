@@ -13,7 +13,7 @@ use cumf_serve::{
     admission_queue, canary_unit, merge_top_k, naive_top_k, overlap_at_k, score_one, top_k_batch,
     top_k_batch_sharded, top_k_batch_sharded_timed, AdmissionConfig, AnnParams, CanaryPolicy,
     Endpoint, ModelSnapshot, QuantMode, QuantizedFactors, Query, Request, Retrieval, ScoreConfig,
-    ScoredItem, ServeConfig, ServeEngine, ShardedSnapshot, SubmitError, UserRef,
+    ScoredItem, ServeConfig, ServeEngine, ServeError, ShardedSnapshot, SubmitError, UserRef,
 };
 use cumf_telemetry::{FootprintReport, MemoryRecorder, NOOP};
 use proptest::prelude::*;
@@ -802,6 +802,80 @@ fn publish_races_readers_without_tearing_a_batch() {
         "a stale epoch is still pinned"
     );
     assert_eq!(superseded.total_bytes(), 0);
+}
+
+/// A retire racing batch routing: one thread retires 200 registered
+/// models in turn while two others serve batches addressed to the next
+/// ones to go. Each batch routes from one consistent view of the
+/// registry, so every response is a recommendation or `RetiredModel` —
+/// never a panic from a router that resolved to an entry the batch's
+/// table lacks.
+#[test]
+fn retire_races_batch_routing_without_a_panic() {
+    let (models, f) = (200usize, 2usize);
+    let factors = |rows: usize, seed: usize| {
+        let values = (0..rows * f)
+            .map(|i| ((i * 7 + seed * 13) % 11) as f32 * 0.2 - 1.0)
+            .collect();
+        DenseMatrix::from_vec(rows, f, values)
+    };
+    let engine = ServeEngine::builder()
+        .config(ServeConfig::default().with_k(2))
+        .model(
+            "default",
+            factors(2, 0),
+            ModelSnapshot::new(0, factors(4, 1), vec![]),
+        )
+        .build()
+        .unwrap();
+    let ids: Vec<String> = (0..models).map(|m| format!("m{m}")).collect();
+    for (m, id) in ids.iter().enumerate() {
+        let snapshot = ModelSnapshot::new(0, factors(4, m + 2), vec![]);
+        engine
+            .registry()
+            .register(id.as_str(), factors(2, m), snapshot)
+            .unwrap();
+    }
+    // How many models are retired so far; the reader addresses the next
+    // two, the ones a retire is about to land on.
+    let retired = AtomicU64::new(0);
+    std::thread::scope(|scope| {
+        let read = || loop {
+            let next = retired.load(Ordering::Acquire) as usize;
+            if next == models {
+                return;
+            }
+            let batch: Vec<Request> = ids[next..(next + 2).min(models)]
+                .iter()
+                .enumerate()
+                .map(|(i, id)| Request::known(i as u64, 0).for_model(id.as_str()))
+                .collect();
+            for response in engine.recommend_batch(&batch, &NOOP) {
+                assert!(
+                    matches!(response, Ok(_) | Err(ServeError::RetiredModel(_))),
+                    "{response:?}"
+                );
+            }
+        };
+        let readers = [scope.spawn(read), scope.spawn(read)];
+        for id in &ids {
+            engine.registry().retire(&id.as_str().into()).unwrap();
+            retired.fetch_add(1, Ordering::Release);
+        }
+        for reader in readers {
+            reader
+                .join()
+                .expect("batch routing panicked during a retire");
+        }
+    });
+    let last: Vec<Request> = ids
+        .iter()
+        .map(|id| Request::known(0, 0).for_model(id.as_str()))
+        .collect();
+    assert!(engine
+        .recommend_batch(&last, &NOOP)
+        .iter()
+        .all(|r| matches!(r, Err(ServeError::RetiredModel(_)))));
 }
 
 /// One generated request for [`mixed_batches_equal_each_request_served_alone`],

@@ -166,7 +166,7 @@ fn main() {
     print!("{}", mem.render());
     println!(
         "bandwidth: {} streamed over {:.2} ms of score time — {:.2} GB/s effective",
-        human_bytes(report.scan_bytes),
+        human_bytes(report.work.bytes),
         report.score_secs * 1e3,
         report.effective_gbps()
     );
