@@ -135,6 +135,9 @@ pub struct KernelReport {
     /// One measurement per kernel, in fixed order (scalar baseline
     /// first).
     pub rows: Vec<KernelMeasurement>,
+    /// The compilation of the scoring tile the `score_tile` rows ran
+    /// ([`kernel::score_tile_compilation`]).
+    pub compilation: &'static str,
 }
 
 impl KernelReport {
@@ -175,6 +178,10 @@ impl KernelReport {
                 Value::Array(self.rows.iter().map(|r| r.to_value()).collect()),
             ),
             ("fp32_speedup".to_string(), Value::Num(self.fp32_speedup())),
+            (
+                "compilation".to_string(),
+                Value::Str(self.compilation.to_string()),
+            ),
         ])
     }
 
@@ -197,6 +204,7 @@ impl KernelReport {
             "fp32 speedup (score_tile / scalar_dot): {:.2}x\n",
             self.fp32_speedup()
         ));
+        out.push_str(&format!("score_tile compilation: {}\n", self.compilation));
         out
     }
 }
@@ -346,7 +354,11 @@ pub fn run_kernel_bench(cfg: &KernelBenchConfig) -> KernelReport {
     });
     rows.push(measure("dot_i8_scaled", "int8", 1, cfg.users, secs));
 
-    KernelReport { config: *cfg, rows }
+    KernelReport {
+        config: *cfg,
+        rows,
+        compilation: kernel::score_tile_compilation(),
+    }
 }
 
 #[cfg(test)]
@@ -402,6 +414,13 @@ mod tests {
             }
         }
         assert!(v.get("fp32_speedup").and_then(Value::as_f64).unwrap() > 0.0);
+        let compilation = v.get("compilation").and_then(Value::as_str);
+        assert!(
+            kernel::score_tile_compilations()
+                .iter()
+                .any(|(name, _)| Some(*name) == compilation),
+            "compilation {compilation:?} is not a score_tile compilation"
+        );
         // The block must round-trip through the shim parser (CI reads it
         // back with python's json, which is stricter still).
         let text = v.to_json();

@@ -67,10 +67,40 @@
 //!
 //! [`score_tile_prefetch`] streams Θ the way the paper stages the next
 //! feature vectors while the FMA pipes work on the current ones: the
-//! caller names the block it will score next, and the AVX2 tile spreads
-//! one `_MM_HINT_T1` prefetch of that whole block evenly over the
-//! current block's register tiles. A prefetch loads nothing into a
-//! register, so it cannot change a bit of the result.
+//! caller names the block it will score next, and the AVX2 and AVX-512
+//! tiles spread one `_MM_HINT_T1` prefetch of that whole block evenly
+//! over the current block's register tiles. A prefetch loads nothing
+//! into a register, so it cannot change a bit of the result.
+//!
+//! # The pair tile
+//!
+//! A 512-bit register holds sixteen `f32` lanes, two lane arrays. The
+//! AVX-512 compilation of [`score_tile_prefetch`] gives each half to a
+//! different user against the same Θ row, so every half is still
+//! exactly one pair's lane array:
+//!
+//! * **Packed users.** Each call packs its users pairwise, once: chunk
+//!   `c` of pair `p` is `[x₂ₚ chunk c | x₂ₚ₊₁ chunk c]`, sixteen floats,
+//!   with the `f % LANES` tail zero-padded and a missing odd partner all
+//!   zero (its scores are computed and dropped).
+//! * **Broadcast Θ.** Each Θ chunk is loaded once and broadcast into
+//!   both halves (`vbroadcastf32x8`); the tail chunk is a masked 256-bit
+//!   load, then the same broadcast. The masked-off lanes read `+0.0` on
+//!   both sides, as in the AVX2 tail, and the argument above carries
+//!   over unchanged.
+//! * **The tile.** Four user pairs by four Θ rows: sixteen accumulators
+//!   (thirty-two user×row pairs) fed by eight loads per sixteen fused
+//!   multiply-adds. One to three pairs left over run a narrower tile of
+//!   the same code, and a Θ row left over a `P × 1` tile.
+//! * **The permute tree.** `_mm512_permutex2var_ps` gathers the even
+//!   and the odd lanes of two registers, and one add of the two is one
+//!   level of [`reduce_lanes`]' tree, left operand first. Three levels
+//!   give `l0+l1, …`, then `(l0+l1)+(l2+l3)` and `(l4+l5)+(l6+l7)`,
+//!   then their sum, and a last `+ 0.0` — the tree
+//!   `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)) + 0.0` in its own operand
+//!   order, so every score keeps the bits of [`dot_lanes`]. The third
+//!   level's indices also put the sums in user-major order, so each
+//!   user's four scores are stored together.
 //!
 //! # The Gram kernel
 //!
@@ -112,7 +142,11 @@
 //! kernels' compilations are built with `avx2,fma` and taken only where
 //! both probes pass, so their `mul_add` is one `vfmadd`; on a host
 //! without FMA the portable body's `mul_add` calls libm's `fmaf`, which
-//! returns the same bits. The Gram and k-means compilations name `mul`
+//! returns the same bits. The scoring tile has a third compilation, the
+//! pair tile above, built with `avx512f,avx512dq,avx512vl` and taken
+//! first where those probes pass too (`avx512dq` is what keeps the
+//! 256-bit broadcast one instruction; without it in the feature list the
+//! intrinsic is an out-of-line call). The Gram and k-means compilations name `mul`
 //! and `add` and Rust never contracts them without explicit fast-math.
 //! Either way this is purely a throughput switch — the property tests
 //! cover every compilation the host can run.
@@ -127,17 +161,31 @@ fn avx2_fma() -> bool {
     std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
 }
 
+/// Whether this host also runs the AVX-512 compilation of the scoring
+/// tile, which needs `avx512f`, `avx512dq` (the 256-bit broadcast) and
+/// `avx512vl` (the masked 256-bit tail load) on top of [`avx2_fma`].
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn avx512() -> bool {
+    avx2_fma()
+        && std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512dq")
+        && std::arch::is_x86_feature_detected!("avx512vl")
+}
+
 /// Independent accumulator lanes per dot product. Eight `f32` lanes fill
 /// one 256-bit vector register; the fixed lane order below is part of the
 /// crate's determinism contract, not a tuning knob.
 pub const LANES: usize = 8;
 
-/// Users scored per register tile in [`score_tile`]. The AVX2
-/// compilation pairs them with two Θ rows: `TILE_USERS × 2 = 8`
-/// accumulator vectors plus the two Θ chunks and one user chunk fit the
-/// sixteen vector registers, each Θ load is shared by four users and
-/// each user load by two Θ rows, and eight independent `add` chains
-/// cover the FMA latency.
+/// Users scored per register tile in [`score_tile`]'s portable and AVX2
+/// compilations. The AVX2 compilation pairs them with two Θ rows:
+/// `TILE_USERS × 2 = 8` accumulator vectors plus the two Θ chunks and
+/// one user chunk fit the sixteen vector registers, each Θ load is
+/// shared by four users and each user load by two Θ rows, and eight
+/// independent `add` chains cover the FMA latency. The AVX-512 pair tile
+/// holds twice as many users (four pairs) by four Θ rows in its
+/// thirty-two registers.
 pub const TILE_USERS: usize = 4;
 
 /// Combine the [`LANES`] accumulators in the documented fixed order:
@@ -270,7 +318,9 @@ fn dot_i8_scaled_impl(a: &[f32], q: &[i8], scale: f32) -> f32 {
 /// Score an `n_users × n_items` tile: `out[u * n_items + v] =
 /// users_row(u) · theta_row(v)`, register-tiled so each Θ chunk is loaded
 /// once per [`TILE_USERS`] users (and, in the AVX2 compilation, each
-/// user chunk once per two Θ rows).
+/// user chunk once per two Θ rows; in the AVX-512 pair tile, each Θ
+/// chunk once per eight users and each packed user pair once per four
+/// Θ rows).
 ///
 /// `users` is `n_users` contiguous `f`-long rows; `theta` is `n_items`
 /// contiguous `f`-long rows. Every entry is bit-identical to
@@ -297,12 +347,13 @@ pub fn score_tile(
 /// scores after this one — into L2 while this tile computes. After each
 /// register tile the AVX2 compilation issues `_MM_HINT_T1` prefetches
 /// for `⌈lines(next) / tiles⌉` of `next`'s cache lines, so the whole
-/// block is requested once, spread evenly over this call. The portable
-/// body ignores `next`.
+/// block is requested once, spread evenly over this call; the AVX-512
+/// pair tile does the same. The portable body ignores `next`.
 ///
 /// `next` is only a hint: it may have any length (empty on the last
 /// block), and a prefetch loads nothing into a register, so the output
-/// is bit-identical to [`score_tile`]'s.
+/// is bit-identical to [`score_tile`]'s. The AVX-512 pair tile steps
+/// the same prefetch after each of its register tiles.
 ///
 /// Panics as [`score_tile`] does.
 pub fn score_tile_prefetch(
@@ -314,6 +365,12 @@ pub fn score_tile_prefetch(
     out: &mut [f32],
     next: &[f32],
 ) {
+    #[cfg(target_arch = "x86_64")]
+    if avx512() {
+        // SAFETY: the AVX-512 F/DQ/VL, AVX2 and FMA requirements were just
+        // probed on this host.
+        return unsafe { avx512::score_tile(users, n_users, theta, n_items, f, out, next) };
+    }
     #[cfg(target_arch = "x86_64")]
     if avx2_fma() {
         // SAFETY: the AVX2 and FMA requirements were just probed on this host.
@@ -392,8 +449,10 @@ fn score_tile_impl(
 pub type ScoreTileFn = fn(&[f32], usize, &[f32], usize, usize, &mut [f32], &[f32]);
 
 /// Every compilation of [`score_tile_prefetch`] this host can run, by
-/// name: the portable body, and the explicit AVX2 + FMA tile where the
-/// host has both. Tests iterate it to pin each compilation to
+/// name, in the order the public entry points prefer them, last first:
+/// the portable body, the explicit AVX2 + FMA tile where the host has
+/// both, and the AVX-512 pair tile where it has `avx512f`, `avx512dq`
+/// and `avx512vl` too. Tests iterate it to pin each compilation to
 /// [`dot_lanes`]; code outside tests calls [`score_tile`] or
 /// [`score_tile_prefetch`].
 #[doc(hidden)]
@@ -409,7 +468,26 @@ pub fn score_tile_compilations() -> Vec<(&'static str, ScoreTileFn)> {
             },
         ));
     }
+    #[cfg(target_arch = "x86_64")]
+    if avx512() {
+        all.push(("avx512", |users, n_users, theta, n_items, f, out, next| {
+            // SAFETY: this entry is only listed after the AVX-512, AVX2 and
+            // FMA probes above.
+            unsafe { avx512::score_tile(users, n_users, theta, n_items, f, out, next) }
+        }));
+    }
     all
+}
+
+/// The name, as [`score_tile_compilations`] lists it, of the compilation
+/// [`score_tile`] and [`score_tile_prefetch`] run on this host: the last
+/// one listed. Benchmarks report it beside their throughput rows.
+#[doc(hidden)]
+pub fn score_tile_compilation() -> &'static str {
+    score_tile_compilations()
+        .last()
+        .expect("the portable body is always listed")
+        .0
 }
 
 /// Rows of `A` held in one [`syrk_packed`] register tile. With [`LANES`]
@@ -714,7 +792,7 @@ mod avx2 {
 
     /// The cache lines of one slice, requested a fixed number per step
     /// until all have been.
-    struct Prefetch {
+    pub(super) struct Prefetch {
         /// The slice's first cache line (its start rounded down to
         /// [`LINE`]); only ever an argument to `_mm_prefetch`, which
         /// never faults.
@@ -726,7 +804,7 @@ mod avx2 {
 
     impl Prefetch {
         /// Spread `next`'s cache lines evenly over `steps` steps.
-        fn new(next: &[f32], steps: usize) -> Prefetch {
+        pub(super) fn new(next: &[f32], steps: usize) -> Prefetch {
             let start = next.as_ptr().cast::<u8>();
             let skew = start as usize % LINE;
             let lines = if next.is_empty() {
@@ -744,7 +822,7 @@ mod avx2 {
 
         /// Request the next `per_step` lines, or what is left of them.
         #[inline(always)]
-        fn step(&mut self) {
+        pub(super) fn step(&mut self) {
             let stop = self.lines.min(self.issued + self.per_step);
             while self.issued < stop {
                 let line = self.first.wrapping_add(self.issued * LINE);
@@ -875,6 +953,254 @@ mod avx2 {
     }
 }
 
+/// The AVX-512 compilation of [`score_tile_prefetch`]: the pair tile of
+/// the module doc. Two users share each 512-bit accumulator, one per
+/// 256-bit half, so every half is exactly one pair's lane array, as in
+/// the AVX2 tile. Callers must have verified `avx512f`, `avx512dq` and
+/// `avx512vl` (the public wrapper probes them).
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::avx2::Prefetch;
+    use super::LANES;
+    use core::arch::x86_64::*;
+
+    /// Floats per packed chunk: one [`LANES`]-chunk of each user of a
+    /// pair, side by side.
+    const PAIR: usize = 2 * LANES;
+
+    /// User pairs per register tile.
+    const TILE_PAIRS: usize = 4;
+
+    /// Θ rows per register tile; with [`TILE_PAIRS`] pairs that is
+    /// sixteen accumulators, thirty-two user×row pairs.
+    const TILE_ITEMS: usize = 4;
+
+    /// The explicit-vector [`super::score_tile_prefetch`]: the users
+    /// packed pairwise once, then pairs in [`TILE_PAIRS`]` × `[`TILE_ITEMS`]
+    /// tiles and the remaining one to three pairs in a narrower tile of
+    /// the same code, with a share of `next` prefetched after each. An
+    /// odd user is paired with a row of zeros whose scores are dropped.
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl,avx2,fma")]
+    pub unsafe fn score_tile(
+        users: &[f32],
+        n_users: usize,
+        theta: &[f32],
+        n_items: usize,
+        f: usize,
+        out: &mut [f32],
+        next: &[f32],
+    ) {
+        assert_eq!(users.len(), n_users * f, "score_tile: bad user slice");
+        assert_eq!(theta.len(), n_items * f, "score_tile: bad theta slice");
+        assert!(
+            out.len() >= n_users * n_items,
+            "score_tile: out too short ({} < {})",
+            out.len(),
+            n_users * n_items
+        );
+        let packed = pack_pairs(users, n_users, f);
+        let n_pairs = n_users.div_ceil(2);
+        let per_row = n_items / TILE_ITEMS + n_items % TILE_ITEMS;
+        let mut prefetch = Prefetch::new(next, n_pairs.div_ceil(TILE_PAIRS) * per_row);
+        let rows = Rows {
+            packed: &packed,
+            n_users,
+            theta,
+            n_items,
+            f,
+        };
+        let mut p0 = 0;
+        while p0 + TILE_PAIRS <= n_pairs {
+            pair_rows::<TILE_PAIRS>(&rows, p0, out, &mut prefetch);
+            p0 += TILE_PAIRS;
+        }
+        match n_pairs - p0 {
+            1 => pair_rows::<1>(&rows, p0, out, &mut prefetch),
+            2 => pair_rows::<2>(&rows, p0, out, &mut prefetch),
+            3 => pair_rows::<3>(&rows, p0, out, &mut prefetch),
+            _ => {}
+        }
+    }
+
+    /// Users `2p` and `2p + 1` as `⌈f / LANES⌉` chunks of [`PAIR`]
+    /// floats, chunk `c` being `[x_2p chunk c | x_2p+1 chunk c]`; the
+    /// tail chunk and a missing odd partner are zero.
+    fn pack_pairs(users: &[f32], n_users: usize, f: usize) -> Vec<f32> {
+        let chunks = f.div_ceil(LANES);
+        let mut packed = vec![0.0f32; n_users.div_ceil(2) * chunks * PAIR];
+        for u in 0..n_users {
+            let (p, h) = (u / 2, u % 2);
+            for (c, xc) in users[u * f..(u + 1) * f].chunks(LANES).enumerate() {
+                let at = (p * chunks + c) * PAIR + h * LANES;
+                packed[at..at + xc.len()].copy_from_slice(xc);
+            }
+        }
+        packed
+    }
+
+    /// What every tile of one call reads.
+    struct Rows<'a> {
+        packed: &'a [f32],
+        n_users: usize,
+        theta: &'a [f32],
+        n_items: usize,
+        f: usize,
+    }
+
+    /// Pairs `p0..p0 + P` against every Θ row: `P × TILE_ITEMS` tiles,
+    /// then one `P × 1` tile per Θ row left over, each followed by one
+    /// prefetch step.
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl,avx2,fma")]
+    #[inline]
+    unsafe fn pair_rows<const P: usize>(
+        rows: &Rows<'_>,
+        p0: usize,
+        out: &mut [f32],
+        prefetch: &mut Prefetch,
+    ) {
+        let mut v0 = 0;
+        while v0 + TILE_ITEMS <= rows.n_items {
+            tile::<P, TILE_ITEMS>(rows, p0, v0, out);
+            prefetch.step();
+            v0 += TILE_ITEMS;
+        }
+        for v in v0..rows.n_items {
+            tile::<P, 1>(rows, p0, v, out);
+            prefetch.step();
+        }
+    }
+
+    /// `_mm512_permutex2var_ps` indices picking the even and the odd
+    /// lanes of `a ++ b`.
+    const EVEN: [i32; 16] = [0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30];
+    const ODD: [i32; 16] = [1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31];
+
+    /// The last permute of the reduction, for a tile `V` rows wide: its
+    /// `a ++ b` holds accumulators `k = 0..8` of the group, half `h`'s
+    /// two partial sums at `4k + 2h` (left subtree) and `4k + 2h + 1`
+    /// (right subtree), and output lane `(k / V)·2V + h·V + k % V` takes
+    /// them, so the sums come out user-major, `V` rows per user. `odd`
+    /// picks the right subtree.
+    const fn last_level(v: usize, odd: bool) -> [i32; 16] {
+        let mut idx = [0; 16];
+        let mut k = 0;
+        while k < 8 {
+            let mut h = 0;
+            while h < 2 {
+                idx[(k / v) * 2 * v + h * v + k % v] = (4 * k + 2 * h + odd as usize) as i32;
+                h += 1;
+            }
+            k += 1;
+        }
+        idx
+    }
+
+    /// Even lanes plus odd lanes of `a ++ b`: each adjacent pair of
+    /// partial sums becomes one, left operand first.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn fold(a: __m512, b: __m512, even: __m512i, odd: __m512i) -> __m512 {
+        _mm512_add_ps(
+            _mm512_permutex2var_ps(a, even, b),
+            _mm512_permutex2var_ps(a, odd, b),
+        )
+    }
+
+    /// One fused multiply-add of packed chunk `c` of each pair in `xs`
+    /// with each broadcast Θ chunk in `t`.
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl,avx2,fma")]
+    #[inline]
+    unsafe fn fma_chunk<const P: usize, const V: usize>(
+        acc: &mut [[__m512; V]; P],
+        xs: [&[f32]; P],
+        c: usize,
+        t: &[__m512; V],
+    ) {
+        for (ap, xp) in acc.iter_mut().zip(xs) {
+            let x = _mm512_loadu_ps(xp.as_ptr().add(c * PAIR));
+            for (a, &tv) in ap.iter_mut().zip(t) {
+                *a = _mm512_fmadd_ps(x, tv, *a);
+            }
+        }
+    }
+
+    /// One `P × V` register tile: user pairs `p0..p0 + P` against Θ rows
+    /// `v0..v0 + V`. Accumulator `acc[p][v]` holds two portable lane
+    /// arrays, user `2p` in its low half and `2p + 1` in its high half —
+    /// one fused multiply-add per full chunk in ascending order, then the
+    /// masked tail — and the reduction folds them [`reduce_lanes`]' way.
+    ///
+    /// [`reduce_lanes`]: super::reduce_lanes
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl,avx2,fma")]
+    #[inline]
+    unsafe fn tile<const P: usize, const V: usize>(
+        rows: &Rows<'_>,
+        p0: usize,
+        v0: usize,
+        out: &mut [f32],
+    ) {
+        const { assert!(P * V <= 16, "a tile holds at most sixteen accumulators") };
+        let f = rows.f;
+        let chunks = f.div_ceil(LANES);
+        let xs: [&[f32]; P] =
+            std::array::from_fn(|p| &rows.packed[(p0 + p) * chunks * PAIR..][..chunks * PAIR]);
+        let ts: [&[f32]; V] = std::array::from_fn(|v| &rows.theta[(v0 + v) * f..][..f]);
+        // Every packed pair is `chunks * PAIR` long and every Θ row `f`
+        // long: chunk `c` reads `c * PAIR..(c + 1) * PAIR` of the pair and
+        // `c * LANES..(c + 1) * LANES <= full` of the row, and the masked
+        // tail touches only the `f - full` lanes `tail` selects.
+        let full = f / LANES * LANES;
+        let tail: __mmask8 = (1u8 << (f % LANES)) - 1;
+        let mut acc = [[_mm512_setzero_ps(); V]; P];
+        let mut t = [_mm512_setzero_ps(); V];
+        for c in 0..full / LANES {
+            for (tv, row) in t.iter_mut().zip(ts) {
+                *tv = _mm512_broadcast_f32x8(_mm256_loadu_ps(row.as_ptr().add(c * LANES)));
+            }
+            fma_chunk(&mut acc, xs, c, &t);
+        }
+        if full < f {
+            for (tv, row) in t.iter_mut().zip(ts) {
+                *tv = _mm512_broadcast_f32x8(_mm256_maskz_loadu_ps(tail, row.as_ptr().add(full)));
+            }
+            fma_chunk(&mut acc, xs, full / LANES, &t);
+        }
+        // Three folds: `l0+l1, …` (level one), `(l0+l1)+(l2+l3)` and
+        // `(l4+l5)+(l6+l7)` (level two), their sum (level three), then
+        // `+ 0.0` — the tree of `reduce_lanes`, operands in its order.
+        let n = P * V;
+        let zero = _mm512_setzero_ps();
+        let mut flat = [zero; 16];
+        for (p, ap) in acc.iter().enumerate() {
+            flat[p * V..(p + 1) * V].copy_from_slice(ap);
+        }
+        let even = _mm512_loadu_epi32(EVEN.as_ptr());
+        let odd = _mm512_loadu_epi32(ODD.as_ptr());
+        let mut l1 = [zero; 8];
+        for (m, l) in l1.iter_mut().enumerate().take(n.div_ceil(2)) {
+            *l = fold(flat[2 * m], flat[2 * m + 1], even, odd);
+        }
+        let mut l2 = [zero; 4];
+        for (m, l) in l2.iter_mut().enumerate().take(n.div_ceil(4)) {
+            *l = fold(l1[2 * m], l1[2 * m + 1], even, odd);
+        }
+        let left = _mm512_loadu_epi32(const { last_level(V, false) }.as_ptr());
+        let right = _mm512_loadu_epi32(const { last_level(V, true) }.as_ptr());
+        let mut sums = [0.0f32; 32];
+        for r in 0..n.div_ceil(8) {
+            let s = fold(l2[2 * r], l2[2 * r + 1], left, right);
+            _mm512_storeu_ps(sums.as_mut_ptr().add(16 * r), _mm512_add_ps(s, zero));
+        }
+        for u in 0..2 * P {
+            let user = 2 * p0 + u;
+            if user < rows.n_users {
+                let row = user * rows.n_items + v0;
+                out[row..row + V].copy_from_slice(&sums[u * V..(u + 1) * V]);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -997,19 +1323,21 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Every compilation of the scoring tile against the per-pair
-        /// dots: every shape up to 9 × 9 (remainder users and odd item
-        /// counts included), `f` below, at and past the lane width,
-        /// special values, and an `out` longer than the tile whose tail
-        /// must stay as it was. No output is `−0.0`: the reduction ends
+        /// dots: every shape up to 19 × 13 — one to three user pairs, a
+        /// full eight-user group of the AVX-512 tile plus every user
+        /// remainder, and every row remainder of the four-row tiles —,
+        /// `f` below, at and past the lane width, with and without a
+        /// masked tail, special values, and an `out` longer than the
+        /// tile whose tail must stay as it was. No output is `−0.0`: the reduction ends
         /// with `+ 0.0`, which is what lets the scorer drain a
         /// prior-less tile row without a `+ 0.0` pass of its own. A
         /// `next` block to prefetch — a full one, a shorter one, or one
         /// that starts mid-line — leaves every bit as `next = &[]` does.
         #[test]
         fn every_score_tile_compilation_matches_the_per_pair_dots(
-            n_users in 0usize..=9,
-            n_items in 0usize..=9,
-            f in prop::sample::select(vec![1usize, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 100]),
+            n_users in 0usize..=19,
+            n_items in 0usize..=13,
+            f in prop::sample::select(vec![1usize, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 24, 100, 101]),
             seed in any::<u64>(),
             specials in any::<bool>(),
         ) {
@@ -1226,7 +1554,7 @@ mod tests {
                     assert_eq!(s.to_bits(), 0, "dot_lanes {name}: {x}·{t} f={f}: {s}");
                 }
                 for (name, tile) in score_tile_compilations() {
-                    for (n_users, n_items) in [(1, 1), (1, 5), (4, 2), (5, 3)] {
+                    for (n_users, n_items) in [(1, 1), (1, 5), (4, 2), (5, 3), (8, 4), (9, 5)] {
                         let users = vec![x; n_users * f];
                         let theta = vec![t; n_items * f];
                         let mut out = vec![f32::NAN; n_users * n_items];
@@ -1283,7 +1611,7 @@ mod tests {
                 assert_eq!(dot(&a, &b), want, "dot_lanes {name}, len {len}");
             }
             for (name, tile) in score_tile_compilations() {
-                for (n_users, n_items) in [(1, 1), (1, 5), (4, 2), (5, 3)] {
+                for (n_users, n_items) in [(1, 1), (1, 5), (4, 2), (5, 3), (8, 4), (9, 5)] {
                     let users: Vec<f32> = a.iter().copied().cycle().take(n_users * len).collect();
                     let theta: Vec<f32> = b.iter().copied().cycle().take(n_items * len).collect();
                     let mut out = vec![0.0f32; n_users * n_items];

@@ -39,9 +39,9 @@ use crate::shard::{ShardedFactorStore, ShardedSnapshot};
 use crate::store::ModelSnapshot;
 use cumf_numeric::dense::DenseMatrix;
 use cumf_telemetry::{FootprintReport, MemoryFootprint};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -261,6 +261,10 @@ pub(crate) struct ModelEntry {
     users: RwLock<Arc<ShardedSnapshot>>,
     retired: AtomicBool,
     pub(crate) metrics: ModelMetrics,
+    /// The `model` total its gauges were last set to; the `registry`
+    /// gauge is the sum of these. Written only under
+    /// [`ModelRegistry`]'s `gauged_total` lock.
+    gauged_bytes: AtomicU64,
 }
 
 impl ModelEntry {
@@ -366,6 +370,10 @@ pub struct ModelRegistry {
     /// never fall back to the exact scan just because a publisher forgot
     /// to attach the index.
     ann: Option<AnnPolicy>,
+    /// Sum of every entry's `gauged_bytes`: the value of the `registry`
+    /// gauge. The lock serializes gauge updates, so a gauge never goes
+    /// back to a value an earlier update computed.
+    gauged_total: Mutex<u64>,
 }
 
 impl std::fmt::Debug for ModelRegistry {
@@ -403,6 +411,7 @@ impl ModelRegistry {
             obs,
             memory_budget,
             ann,
+            gauged_total: Mutex::new(0),
         };
         registry.register(id, user_factors, snapshot)?;
         Ok(registry)
@@ -466,6 +475,7 @@ impl ModelRegistry {
             users: RwLock::new(users),
             retired: AtomicBool::new(false),
             metrics,
+            gauged_bytes: AtomicU64::new(0),
         });
         inner.models.insert(id.clone(), Arc::clone(&entry));
         drop(inner);
@@ -473,7 +483,7 @@ impl ModelRegistry {
             .metrics
             .publish_seconds
             .observe_duration(start.elapsed());
-        self.refresh_memory_gauges();
+        self.refresh_model_gauges(&entry);
         // Registration is also the model's first publish: journal both so
         // the audit trail always opens register → publish.
         self.journal(Some(&id), EventKind::ModelRegistered);
@@ -508,8 +518,12 @@ impl ModelRegistry {
             .observe_duration(start.elapsed());
         entry.metrics.epoch.set(epoch as f64);
         self.journal(Some(id), EventKind::SnapshotPublished { epoch, bytes });
-        let report = self.refresh_memory_gauges();
-        if let Some(budget) = self.memory_budget {
+        let gauged = self.refresh_model_gauges(&entry);
+        if let Some(budget) = self.memory_budget.filter(|&budget| gauged > budget) {
+            // The gauged sum can overstate the registry (another model's
+            // superseded epoch may have died since its last event), so a
+            // breach is confirmed against the full tree.
+            let report = self.refresh_memory_gauges();
             let total = report.total_bytes();
             if total > budget {
                 entry.metrics.budget_exceeded.inc();
@@ -547,8 +561,11 @@ impl ModelRegistry {
                 got: user_factors.cols(),
             });
         }
-        let mut users = entry.users.write();
-        *users = Arc::new(self.shard_users(users.epoch() + 1, user_factors));
+        {
+            let mut users = entry.users.write();
+            *users = Arc::new(self.shard_users(users.epoch() + 1, user_factors));
+        }
+        self.refresh_model_gauges(&entry);
         Ok(())
     }
 
@@ -563,7 +580,7 @@ impl ModelRegistry {
     /// alias and the canary candidate cannot be retired
     /// ([`ServeError::ModelInUse`]) — point routing elsewhere first.
     pub fn retire(&self, id: &ModelId) -> Result<(), ServeError> {
-        {
+        let entry = {
             let inner = self.inner.write();
             if inner.default_model == *id
                 || inner.canary.as_ref().is_some_and(|c| c.candidate == *id)
@@ -572,10 +589,11 @@ impl ModelRegistry {
             }
             let entry = Self::entry_of(&inner, id)?;
             entry.retired.store(true, Ordering::Release);
-        }
+            entry
+        };
         // Retirement stops routing but frees nothing (the entry and its
         // epochs stay resident); refresh so the gauges say so.
-        self.refresh_memory_gauges();
+        self.refresh_model_gauges(&entry);
         self.journal(Some(id), EventKind::Retired);
         Ok(())
     }
@@ -593,18 +611,17 @@ impl ModelRegistry {
     /// scraping supervisor sees `/readyz` flip to 503 the moment the
     /// drain lands.
     pub fn force_retire(&self, id: &ModelId) -> Result<(), ServeError> {
-        let cleared_canary = {
+        let (entry, cleared_canary) = {
             let mut inner = self.inner.write();
             let entry = Self::entry_of(&inner, id)?;
             entry.retired.store(true, Ordering::Release);
-            if inner.canary.as_ref().is_some_and(|c| c.candidate == *id) {
+            let cleared = inner.canary.as_ref().is_some_and(|c| c.candidate == *id);
+            if cleared {
                 inner.canary = None;
-                true
-            } else {
-                false
             }
+            (entry, cleared)
         };
-        self.refresh_memory_gauges();
+        self.refresh_model_gauges(&entry);
         self.journal(Some(id), EventKind::Retired);
         if cleared_canary {
             self.journal(Some(id), EventKind::RolledBack);
@@ -639,13 +656,16 @@ impl ModelRegistry {
     /// traffic. Returns the promoted id; [`ServeError::NoCanary`] when no
     /// policy is in place.
     pub fn promote(&self) -> Result<ModelId, ServeError> {
-        let candidate = {
+        let (candidate, entry) = {
             let mut inner = self.inner.write();
             let candidate = inner.canary.take().ok_or(ServeError::NoCanary)?.candidate;
             inner.default_model = candidate.clone();
-            candidate
+            let entry = inner.models.get(&candidate).cloned();
+            (candidate, entry)
         };
-        self.refresh_memory_gauges();
+        if let Some(entry) = entry {
+            self.refresh_model_gauges(&entry);
+        }
         self.journal(Some(&candidate), EventKind::Promoted);
         Ok(candidate)
     }
@@ -656,11 +676,15 @@ impl ModelRegistry {
     /// nothing it served can ever answer for another model. Returns the
     /// rolled-back candidate id.
     pub fn rollback(&self) -> Result<ModelId, ServeError> {
-        let candidate = {
+        let (candidate, entry) = {
             let mut inner = self.inner.write();
-            inner.canary.take().ok_or(ServeError::NoCanary)?.candidate
+            let candidate = inner.canary.take().ok_or(ServeError::NoCanary)?.candidate;
+            let entry = inner.models.get(&candidate).cloned();
+            (candidate, entry)
         };
-        self.refresh_memory_gauges();
+        if let Some(entry) = entry {
+            self.refresh_model_gauges(&entry);
+        }
         self.journal(Some(&candidate), EventKind::RolledBack);
         Ok(candidate)
     }
@@ -774,56 +798,80 @@ impl ModelRegistry {
     /// Refresh the `serve_mem_bytes{component=,model=}` gauges from the
     /// registry's current footprint and return the full tree.
     ///
-    /// Called automatically on register / publish / retire / promote /
-    /// rollback; call it yourself before scraping if byte-perfect gauges
-    /// matter between those events. To keep the series set bounded, each
-    /// model exports a fixed component set — `model` (total),
-    /// `model/store/current`, `model/store/superseded`,
-    /// `model/user_factors` — rather than one gauge per epoch; the full
-    /// per-epoch, per-shard breakdown lives in the returned
-    /// [`FootprintReport`].
+    /// Each lifecycle verb (register / publish / `set_user_factors` /
+    /// retire / promote / rollback) refreshes only the model it touched
+    /// and sets the `registry` gauge to the sum of every model's
+    /// last-set total, so the gauges are exact as of each model's last
+    /// event and a verb costs one model's footprint walk, not every
+    /// model's. Memory that changes between events — a superseded epoch
+    /// dropped by its last reader — shows at the model's next event or
+    /// here: call this before scraping if byte-perfect gauges matter. To
+    /// keep the series set bounded, each model exports a fixed component
+    /// set — `model` (total), `model/store/current`,
+    /// `model/store/superseded`, `model/user_factors` — rather than one
+    /// gauge per epoch; the full per-epoch, per-shard breakdown lives in
+    /// the returned [`FootprintReport`].
     pub fn refresh_memory_gauges(&self) -> FootprintReport {
-        fn child_bytes(r: &FootprintReport, name: &str) -> u64 {
-            r.children()
-                .iter()
-                .find(|c| c.name() == name)
-                .map_or(0, FootprintReport::total_bytes)
-        }
-        let entries = self.entries_sorted();
-        let mut children = Vec::with_capacity(entries.len());
-        for entry in entries {
-            let tree = entry.footprint();
-            let model = entry.id.as_str();
-            let store = tree
-                .children()
-                .iter()
-                .find(|c| c.name() == "store")
-                .cloned()
-                .unwrap_or_else(|| FootprintReport::leaf("store", 0));
-            self.obs
-                .metrics()
-                .mem_bytes("model", model)
-                .set(tree.total_bytes() as f64);
-            self.obs
-                .metrics()
-                .mem_bytes("model/store/current", model)
-                .set(child_bytes(&store, "current") as f64);
-            self.obs
-                .metrics()
-                .mem_bytes("model/store/superseded", model)
-                .set(child_bytes(&store, "superseded") as f64);
-            self.obs
-                .metrics()
-                .mem_bytes("model/user_factors", model)
-                .set(child_bytes(&tree, "user_factors") as f64);
-            children.push(tree);
-        }
+        // List the entries under the gauge lock: an entry registered
+        // after the listing must not have its total in the sum yet.
+        let mut total = self.gauged_total.lock();
+        let children: Vec<FootprintReport> = self
+            .entries_sorted()
+            .iter()
+            .map(|entry| {
+                let tree = entry.footprint();
+                self.set_model_gauges(entry, &tree);
+                entry
+                    .gauged_bytes
+                    .store(tree.total_bytes(), Ordering::Relaxed);
+                tree
+            })
+            .collect();
         let report = FootprintReport::branch("registry", children);
+        *total = report.total_bytes();
         self.obs
             .metrics()
             .mem_bytes("registry", "")
-            .set(report.total_bytes() as f64);
+            .set(*total as f64);
         report
+    }
+
+    /// Refresh one model's gauges and fold the change of its total into
+    /// the `registry` gauge; returns the new registry total.
+    fn refresh_model_gauges(&self, entry: &ModelEntry) -> u64 {
+        let mut total = self.gauged_total.lock();
+        let tree = entry.footprint();
+        self.set_model_gauges(entry, &tree);
+        let bytes = tree.total_bytes();
+        *total = *total - entry.gauged_bytes.swap(bytes, Ordering::Relaxed) + bytes;
+        self.obs
+            .metrics()
+            .mem_bytes("registry", "")
+            .set(*total as f64);
+        *total
+    }
+
+    /// Set `entry`'s four gauges from its footprint `tree`.
+    fn set_model_gauges(&self, entry: &ModelEntry, tree: &FootprintReport) {
+        fn child<'a>(r: &'a FootprintReport, name: &str) -> Option<&'a FootprintReport> {
+            r.children().iter().find(|c| c.name() == name)
+        }
+        let bytes = |r: Option<&FootprintReport>| r.map_or(0, FootprintReport::total_bytes) as f64;
+        let store = child(tree, "store");
+        let model = entry.id.as_str();
+        let metrics = self.obs.metrics();
+        metrics
+            .mem_bytes("model", model)
+            .set(tree.total_bytes() as f64);
+        metrics
+            .mem_bytes("model/store/current", model)
+            .set(bytes(store.and_then(|s| child(s, "current"))));
+        metrics
+            .mem_bytes("model/store/superseded", model)
+            .set(bytes(store.and_then(|s| child(s, "superseded"))));
+        metrics
+            .mem_bytes("model/user_factors", model)
+            .set(bytes(child(tree, "user_factors")));
     }
 
     /// The configured soft memory budget, if any.
@@ -1103,6 +1151,54 @@ mod tests {
             0.0,
             "no Arc held: the old epoch died at publish"
         );
+    }
+
+    /// Each verb refreshes only the model it touched, yet after any
+    /// sequence of verbs every gauge reads what a full refresh sets: a
+    /// model's gauges are exact as of its last event, and the `registry`
+    /// gauge sums them.
+    #[test]
+    fn per_model_gauges_equal_a_full_refresh_after_mixed_verbs() {
+        let o = obs();
+        let reg = registry_on(Arc::clone(&o));
+        let ids: Vec<ModelId> = ["champion", "a", "b", "c"].map(ModelId::from).into();
+        for (i, id) in ids.iter().enumerate().skip(1) {
+            reg.register(id.clone(), DenseMatrix::identity(4), snap(0, 6 + i, 4))
+                .unwrap();
+        }
+        // A reader pins `a`'s epoch 0 past its publish: a superseded epoch.
+        let held = reg.snapshot(&ids[1]).unwrap();
+        reg.publish(&ids[1], snap(1, 20, 4)).unwrap();
+        reg.publish(&ids[3], snap(1, 3, 4)).unwrap();
+        reg.set_user_factors(&ids[2], DenseMatrix::zeros(9, 4))
+            .unwrap();
+        reg.set_canary(CanaryPolicy::new("b", 0.5)).unwrap();
+        reg.promote().unwrap();
+        reg.set_canary(CanaryPolicy::new("c", 0.5)).unwrap();
+        reg.rollback().unwrap();
+        reg.retire(&ids[0]).unwrap();
+        reg.force_retire(&ids[3]).unwrap();
+        let m = o.metrics().clone();
+        let read = || -> Vec<f64> {
+            let mut v = vec![m.mem_bytes("registry", "").get()];
+            for id in &ids {
+                for c in [
+                    "model",
+                    "model/store/current",
+                    "model/store/superseded",
+                    "model/user_factors",
+                ] {
+                    v.push(m.mem_bytes(c, id.as_str()).get());
+                }
+            }
+            v
+        };
+        let by_verbs = read();
+        assert!(by_verbs[1 + 4 + 2] > 0.0, "a's pinned epoch is superseded");
+        let report = reg.refresh_memory_gauges();
+        assert_eq!(by_verbs, read());
+        assert_eq!(by_verbs[0], report.total_bytes() as f64);
+        drop(held);
     }
 
     #[test]

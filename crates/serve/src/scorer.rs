@@ -471,13 +471,22 @@ mod tests {
     #[test]
     fn blocked_equals_naive_across_tilings() {
         let snap = random_snapshot(137, 9, 1);
-        let users = random_users(11, 9, 2);
+        // 19 users: chunks of 8, 9 and 17 leave every kind of remainder
+        // (a lone user, an odd pair, a full eight-user group plus pairs).
+        let users = random_users(19, 9, 2);
         // Reference: naive argsort over the unblocked score rows.
         let want: Vec<Vec<ScoredItem>> = (0..users.rows())
             .map(|u| naive_top_k(&score_one(&snap, users.row(u)), 10))
             .collect();
-        for (block_items, user_chunk) in [(Some(1), 1), (Some(7), 3), (Some(64), 32), (None, 1000)]
-        {
+        for (block_items, user_chunk) in [
+            (Some(1), 1),
+            (Some(7), 3),
+            (Some(13), 8),
+            (Some(64), 9),
+            (None, 17),
+            (Some(64), 32),
+            (None, 1000),
+        ] {
             let cfg = ScoreConfig {
                 block_items,
                 user_chunk,
