@@ -627,8 +627,9 @@ fn main() {
     };
     // Optional single-thread microkernel sweep, after the replay so it
     // never competes with the admission worker for the core. Always the
-    // reference shape: a catalog too big for the last-level cache, so the
-    // scans stream Θ from memory as a full exact scan does.
+    // reference shape: a catalog too big for most last-level caches (a
+    // 300 MiB L3 may hold it), so the scans stream Θ from memory as a
+    // full exact scan does.
     let kernels = flags.kernels.then(|| {
         let cfg = KernelBenchConfig::reference();
         eprintln!(

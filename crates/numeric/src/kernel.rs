@@ -81,8 +81,8 @@
 //!
 //! * **Packed users.** Each call packs its users pairwise, once: chunk
 //!   `c` of pair `p` is `[x₂ₚ chunk c | x₂ₚ₊₁ chunk c]`, sixteen floats,
-//!   with the `f % LANES` tail zero-padded and a missing odd partner all
-//!   zero (its scores are computed and dropped).
+//!   with the `f % LANES` tail zero-padded. An odd last user, who would
+//!   fill half of every register, runs the AVX2 `1 × 4` tiles instead.
 //! * **Broadcast Θ.** Each Θ chunk is loaded once and broadcast into
 //!   both halves (`vbroadcastf32x8`); the tail chunk is a masked 256-bit
 //!   load, then the same broadcast. The masked-off lanes read `+0.0` on
@@ -858,7 +858,7 @@ mod avx2 {
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2,fma")]
     #[inline]
-    unsafe fn tile_rows<const U: usize, const V: usize>(
+    pub(super) unsafe fn tile_rows<const U: usize, const V: usize>(
         users: &[f32],
         u0: usize,
         theta: &[f32],
@@ -960,7 +960,7 @@ mod avx2 {
 /// `avx512vl` (the public wrapper probes them).
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::avx2::Prefetch;
+    use super::avx2::{self, Prefetch};
     use super::LANES;
     use core::arch::x86_64::*;
 
@@ -979,7 +979,16 @@ mod avx512 {
     /// packed pairwise once, then pairs in [`TILE_PAIRS`]` × `[`TILE_ITEMS`]
     /// tiles and the remaining one to three pairs in a narrower tile of
     /// the same code, with a share of `next` prefetched after each. An
-    /// odd user is paired with a row of zeros whose scores are dropped.
+    /// odd last user runs the AVX2 `1 × 4` tiles: alone it would fill
+    /// half of every register, and the AVX2 tile is as fast without the
+    /// packing.
+    ///
+    /// # Safety
+    ///
+    /// The host must support `avx512f`, `avx512dq`, `avx512vl`, `avx2`
+    /// and `fma`. Every slice access is bounds-checked or, for the
+    /// unaligned and masked loads, inside a slice whose length the
+    /// assertions above pin.
     #[target_feature(enable = "avx512f,avx512dq,avx512vl,avx2,fma")]
     pub unsafe fn score_tile(
         users: &[f32],
@@ -998,13 +1007,13 @@ mod avx512 {
             out.len(),
             n_users * n_items
         );
-        let packed = pack_pairs(users, n_users, f);
-        let n_pairs = n_users.div_ceil(2);
-        let per_row = n_items / TILE_ITEMS + n_items % TILE_ITEMS;
-        let mut prefetch = Prefetch::new(next, n_pairs.div_ceil(TILE_PAIRS) * per_row);
+        let n_pairs = n_users / 2;
+        let packed = pack_pairs(users, n_pairs, f);
+        let per_row = |v: usize| n_items / v + n_items % v;
+        let tiles = n_pairs.div_ceil(TILE_PAIRS) * per_row(TILE_ITEMS) + n_users % 2 * per_row(4);
+        let mut prefetch = Prefetch::new(next, tiles);
         let rows = Rows {
             packed: &packed,
-            n_users,
             theta,
             n_items,
             f,
@@ -1020,15 +1029,24 @@ mod avx512 {
             3 => pair_rows::<3>(&rows, p0, out, &mut prefetch),
             _ => {}
         }
+        if n_users % 2 == 1 {
+            let tail = _mm256_cmpgt_epi32(
+                _mm256_set1_epi32((f % LANES) as i32),
+                _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+            );
+            let u = n_users - 1;
+            avx2::tile_rows::<1, 4>(users, u, theta, n_items, f, tail, out, &mut prefetch);
+        }
     }
 
-    /// Users `2p` and `2p + 1` as `⌈f / LANES⌉` chunks of [`PAIR`]
-    /// floats, chunk `c` being `[x_2p chunk c | x_2p+1 chunk c]`; the
-    /// tail chunk and a missing odd partner are zero.
-    fn pack_pairs(users: &[f32], n_users: usize, f: usize) -> Vec<f32> {
+    /// The first `2 · n_pairs` of the `f`-long rows in `users`, users
+    /// `2p` and `2p + 1` as `⌈f / LANES⌉` chunks of [`PAIR`] floats,
+    /// chunk `c` being `[x_2p chunk c | x_2p+1 chunk c]`, the tail chunk
+    /// zero-padded.
+    fn pack_pairs(users: &[f32], n_pairs: usize, f: usize) -> Vec<f32> {
         let chunks = f.div_ceil(LANES);
-        let mut packed = vec![0.0f32; n_users.div_ceil(2) * chunks * PAIR];
-        for u in 0..n_users {
+        let mut packed = vec![0.0f32; n_pairs * chunks * PAIR];
+        for u in 0..2 * n_pairs {
             let (p, h) = (u / 2, u % 2);
             for (c, xc) in users[u * f..(u + 1) * f].chunks(LANES).enumerate() {
                 let at = (p * chunks + c) * PAIR + h * LANES;
@@ -1041,7 +1059,6 @@ mod avx512 {
     /// What every tile of one call reads.
     struct Rows<'a> {
         packed: &'a [f32],
-        n_users: usize,
         theta: &'a [f32],
         n_items: usize,
         f: usize,
@@ -1139,7 +1156,10 @@ mod avx512 {
         v0: usize,
         out: &mut [f32],
     ) {
-        const { assert!(P * V <= 16, "a tile holds at most sixteen accumulators") };
+        const {
+            assert!(P * V <= 16, "a tile holds at most sixteen accumulators");
+            assert!(8 % V == 0, "the last fold's indices need V to divide 8");
+        };
         let f = rows.f;
         let chunks = f.div_ceil(LANES);
         let xs: [&[f32]; P] =
@@ -1192,11 +1212,8 @@ mod avx512 {
             _mm512_storeu_ps(sums.as_mut_ptr().add(16 * r), _mm512_add_ps(s, zero));
         }
         for u in 0..2 * P {
-            let user = 2 * p0 + u;
-            if user < rows.n_users {
-                let row = user * rows.n_items + v0;
-                out[row..row + V].copy_from_slice(&sums[u * V..(u + 1) * V]);
-            }
+            let row = (2 * p0 + u) * rows.n_items + v0;
+            out[row..row + V].copy_from_slice(&sums[u * V..(u + 1) * V]);
         }
     }
 }

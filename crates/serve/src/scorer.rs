@@ -10,7 +10,8 @@
 //! `get_hermitian`, applied to inference. Inside a tile the arithmetic is
 //! the register-blocked microkernel of [`cumf_numeric::kernel`]:
 //! [`kernel::score_tile_prefetch`] scores [`kernel::TILE_USERS`] users per
-//! Θ pass with [`kernel::LANES`] accumulator lanes each. The kernel's
+//! Θ pass (eight, as four pairs, in the AVX-512 pair tile) with
+//! [`kernel::LANES`] accumulator lanes each. The kernel's
 //! fixed lane order is the determinism contract:
 //! every scoring surface (blocked, sharded, approximate, and the
 //! [`score_one`] reference) reduces through the same lanes, so they stay
