@@ -146,8 +146,9 @@
 //! pair tile above, built with `avx512f,avx512dq,avx512vl` and taken
 //! first where those probes pass too (`avx512dq` is what keeps the
 //! 256-bit broadcast one instruction; without it in the feature list the
-//! intrinsic is an out-of-line call). The Gram and k-means compilations name `mul`
-//! and `add` and Rust never contracts them without explicit fast-math.
+//! intrinsic is an out-of-line call). The Gram and k-means compilations
+//! name `mul` and `add` and Rust never contracts them without explicit
+//! fast-math.
 //! Either way this is purely a throughput switch — the property tests
 //! cover every compilation the host can run.
 

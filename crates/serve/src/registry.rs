@@ -812,23 +812,15 @@ impl ModelRegistry {
     /// gauge per epoch; the full per-epoch, per-shard breakdown lives in
     /// the returned [`FootprintReport`].
     pub fn refresh_memory_gauges(&self) -> FootprintReport {
-        // List the entries under the gauge lock: an entry registered
-        // after the listing must not have its total in the sum yet.
+        // List the entries under the gauge lock, so every model already
+        // in the sum is in the report and the two totals agree.
         let mut total = self.gauged_total.lock();
-        let children: Vec<FootprintReport> = self
+        let children = self
             .entries_sorted()
             .iter()
-            .map(|entry| {
-                let tree = entry.footprint();
-                self.set_model_gauges(entry, &tree);
-                entry
-                    .gauged_bytes
-                    .store(tree.total_bytes(), Ordering::Relaxed);
-                tree
-            })
+            .map(|entry| self.gauge_model(&mut total, entry))
             .collect();
         let report = FootprintReport::branch("registry", children);
-        *total = report.total_bytes();
         self.obs
             .metrics()
             .mem_bytes("registry", "")
@@ -836,14 +828,11 @@ impl ModelRegistry {
         report
     }
 
-    /// Refresh one model's gauges and fold the change of its total into
-    /// the `registry` gauge; returns the new registry total.
+    /// Refresh one model's gauges and the `registry` gauge; returns the
+    /// new registry total.
     fn refresh_model_gauges(&self, entry: &ModelEntry) -> u64 {
         let mut total = self.gauged_total.lock();
-        let tree = entry.footprint();
-        self.set_model_gauges(entry, &tree);
-        let bytes = tree.total_bytes();
-        *total = *total - entry.gauged_bytes.swap(bytes, Ordering::Relaxed) + bytes;
+        self.gauge_model(&mut total, entry);
         self.obs
             .metrics()
             .mem_bytes("registry", "")
@@ -851,13 +840,16 @@ impl ModelRegistry {
         *total
     }
 
-    /// Set `entry`'s four gauges from its footprint `tree`.
-    fn set_model_gauges(&self, entry: &ModelEntry, tree: &FootprintReport) {
+    /// Set `entry`'s four gauges from its footprint, move the registry
+    /// `total` (the caller holds its lock) by the change of the model's
+    /// total, and return the footprint.
+    fn gauge_model(&self, total: &mut u64, entry: &ModelEntry) -> FootprintReport {
         fn child<'a>(r: &'a FootprintReport, name: &str) -> Option<&'a FootprintReport> {
             r.children().iter().find(|c| c.name() == name)
         }
         let bytes = |r: Option<&FootprintReport>| r.map_or(0, FootprintReport::total_bytes) as f64;
-        let store = child(tree, "store");
+        let tree = entry.footprint();
+        let store = child(&tree, "store");
         let model = entry.id.as_str();
         let metrics = self.obs.metrics();
         metrics
@@ -871,7 +863,12 @@ impl ModelRegistry {
             .set(bytes(store.and_then(|s| child(s, "superseded"))));
         metrics
             .mem_bytes("model/user_factors", model)
-            .set(bytes(child(tree, "user_factors")));
+            .set(bytes(child(&tree, "user_factors")));
+        let last = entry
+            .gauged_bytes
+            .swap(tree.total_bytes(), Ordering::Relaxed);
+        *total = *total - last + tree.total_bytes();
+        tree
     }
 
     /// The configured soft memory budget, if any.

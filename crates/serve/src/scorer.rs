@@ -472,8 +472,8 @@ mod tests {
     #[test]
     fn blocked_equals_naive_across_tilings() {
         let snap = random_snapshot(137, 9, 1);
-        // 19 users: chunks of 8, 9 and 17 leave every kind of remainder
-        // (a lone user, an odd pair, a full eight-user group plus pairs).
+        // 19 users: chunks of 8, 9 and 17 give full eight-user groups,
+        // one to three leftover pairs and a lone odd user.
         let users = random_users(19, 9, 2);
         // Reference: naive argsort over the unblocked score rows.
         let want: Vec<Vec<ScoredItem>> = (0..users.rows())
