@@ -1,10 +1,13 @@
 //! Criterion microbenchmarks of the solve step: exact Cholesky/LU vs.
-//! truncated FP32 CG at the paper's f=100, and the trainer's whole
-//! per-row solve (`solve_row` with the default solver: narrow `A_u` to
-//! FP16, widen it once, then six CG iterations) — the FP16-storage CG.
+//! truncated FP32 CG at the paper's f=100, and the whole per-row solve
+//! with the default solver (`solve_row`: narrow `A_u` to FP16, widen it
+//! once, then six CG iterations) — the FP16-storage CG — beside the
+//! trainer's lane-batched form of it (`SolveBatch`: sixteen rows
+//! narrowed, interleaved and solved as one 16-lane CG), reported per
+//! row.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use cumf_als::kernels::solve::solve_row;
+use cumf_als::kernels::solve::{solve_row, SolveBatch};
 use cumf_als::SolverKind;
 use cumf_numeric::cg::cg_solve;
 use cumf_numeric::cholesky::cholesky_solve;
@@ -12,6 +15,7 @@ use cumf_numeric::lu::lu_solve;
 use cumf_numeric::stats::XorShift64;
 use cumf_numeric::sym::SymPacked;
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 fn spd(f: usize, seed: u64) -> SymPacked {
     let mut rng = XorShift64::new(seed);
@@ -51,6 +55,43 @@ fn bench_solvers(c: &mut Criterion) {
         })
     });
     group.finish();
+
+    // Sixteen different systems, one per lane, solved as one batch.
+    let systems: Vec<SymPacked> = (0..16).map(|k| spd(f, 10 + k)).collect();
+    let mut batch = SolveBatch::new(&solver, f);
+    let x0 = vec![0.0f32; f];
+    let per_row = median_per_call(|| {
+        for (k, a) in systems.iter().enumerate() {
+            batch.push(k, black_box(a), &b, &x0);
+        }
+        batch.solve(|_, x, stats| {
+            black_box((x[0], stats.iterations));
+        });
+    }) / 16;
+    println!("solve_f100/solve_batch16_cumf_default/{f}: {per_row:>12?} per row");
+}
+
+/// Median time of one call of `routine` over nine timed batches of at
+/// least a millisecond each, after a warm-up.
+fn median_per_call(mut routine: impl FnMut()) -> Duration {
+    for _ in 0..3 {
+        routine();
+    }
+    let probe = Instant::now();
+    routine();
+    let once = probe.elapsed().max(Duration::from_nanos(50));
+    let calls = (Duration::from_millis(1).as_nanos() / once.as_nanos()).clamp(1, 10_000) as u32;
+    let mut samples: Vec<Duration> = (0..9)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..calls {
+                routine();
+            }
+            start.elapsed() / calls
+        })
+        .collect();
+    samples.sort();
+    samples[samples.len() / 2]
 }
 
 criterion_group!(benches, bench_solvers);

@@ -141,6 +141,9 @@ pub struct KernelReport {
     /// The compilation of the scoring tile the `score_tile` rows ran
     /// ([`kernel::score_tile_compilation`]).
     pub compilation: &'static str,
+    /// The compilation of the training side's Gram kernel on this host
+    /// ([`kernel::syrk_compilation`]), which `get_hermitian` runs.
+    pub gram_compilation: &'static str,
 }
 
 impl KernelReport {
@@ -185,6 +188,10 @@ impl KernelReport {
                 "compilation".to_string(),
                 Value::Str(self.compilation.to_string()),
             ),
+            (
+                "gram_compilation".to_string(),
+                Value::Str(self.gram_compilation.to_string()),
+            ),
         ])
     }
 
@@ -208,6 +215,7 @@ impl KernelReport {
             self.fp32_speedup()
         ));
         out.push_str(&format!("score_tile compilation: {}\n", self.compilation));
+        out.push_str(&format!("gram compilation: {}\n", self.gram_compilation));
         out
     }
 }
@@ -361,6 +369,7 @@ pub fn run_kernel_bench(cfg: &KernelBenchConfig) -> KernelReport {
         config: *cfg,
         rows,
         compilation: kernel::score_tile_compilation(),
+        gram_compilation: kernel::syrk_compilation(),
     }
 }
 
@@ -423,6 +432,13 @@ mod tests {
                 .iter()
                 .any(|(name, _)| Some(*name) == compilation),
             "compilation {compilation:?} is not a score_tile compilation"
+        );
+        let gram = v.get("gram_compilation").and_then(Value::as_str);
+        assert!(
+            kernel::syrk_compilations()
+                .iter()
+                .any(|(name, _)| Some(*name) == gram),
+            "gram_compilation {gram:?} is not a syrk_packed compilation"
         );
         // The block must round-trip through the shim parser (CI reads it
         // back with python's json, which is stricter still).

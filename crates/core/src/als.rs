@@ -13,9 +13,7 @@ use crate::kernels::bias::{bias_cost, bias_row};
 use crate::kernels::hermitian::{
     hermitian_phases, hermitian_row, HermitianPhases, HermitianShape, HermitianWorkload,
 };
-use crate::kernels::solve::{
-    solve_cost, solve_row_traced, solve_row_with, SolveScratch, SolveTrace,
-};
+use crate::kernels::solve::{solve_cost, solve_row_traced, SolveBatch, SolveStats, SolveTrace};
 use crate::metrics::test_rmse;
 use cumf_datasets::MfDataset;
 use cumf_gpu_sim::interconnect::Interconnect;
@@ -31,9 +29,7 @@ use cumf_sparse::CsrMatrix;
 use cumf_telemetry::{
     CounterSample, KernelLaunchRecord, PhaseSpan, Recorder, SolverExit, SolverRecord, NOOP,
 };
-use rayon::prelude::*;
 use serde::Serialize;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Simulated per-phase times of one epoch (one update-X + one update-Θ).
 #[derive(Clone, Copy, Debug, Default, Serialize)]
@@ -360,12 +356,27 @@ pub fn price_epoch(
 }
 
 /// Functional-sweep counters gathered for one side's [`SolverRecord`].
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 struct SweepCounts {
     rows: u64,
     total_cg_iters: u64,
     max_cg_iters: u64,
     rows_converged: u64,
     rows_capped: u64,
+}
+
+impl SweepCounts {
+    /// Count one solved row.
+    fn add(&mut self, stats: SolveStats) {
+        let iters = stats.iterations as u64;
+        self.total_cg_iters += iters;
+        self.max_cg_iters = self.max_cg_iters.max(iters);
+        if stats.converged {
+            self.rows_converged += 1;
+        } else {
+            self.rows_capped += 1;
+        }
+    }
 }
 
 /// The cuMF_ALS trainer.
@@ -518,6 +529,11 @@ impl<'a> AlsTrainer<'a> {
     /// priced phases (at full-scale profile dimensions) and the measured
     /// mean CG iterations. `t0` is the simulated instant the sweep starts —
     /// kernel records and phase spans are laid out sequentially from it.
+    ///
+    /// The sweep runs on the calling thread: `get_hermitian` and
+    /// `get_bias` per row, and the solve per group of sixteen populated
+    /// rows, one row per SIMD lane ([`SolveBatch`]), which gives every
+    /// row the bits and the iteration count of its own solve.
     fn update_side(&mut self, side: Side, t0: f64) -> (EpochPhases, f64) {
         let f = self.config.f;
         let shape = HermitianShape {
@@ -533,52 +549,41 @@ impl<'a> AlsTrainer<'a> {
         let solver = self.config.solver;
         let tracing = self.recorder.enabled();
 
-        // --- functional sweep (fused hermitian + bias + solve per row) ---
-        let total_cg_iters = AtomicU64::new(0);
-        let max_cg_iters = AtomicU64::new(0);
-        let rows_converged = AtomicU64::new(0);
-        let rows_capped = AtomicU64::new(0);
+        // --- functional sweep: hermitian + bias per row, then the solve
+        // of each group of CG_LANES populated rows as one lane batch ---
+        let mut counts = SweepCounts {
+            rows: r.rows() as u64,
+            ..SweepCounts::default()
+        };
         let mut new_factors = DenseMatrix::zeros(r.rows(), f);
         let old_factors: &DenseMatrix = match side {
             Side::X => &self.x,
             Side::Theta => &self.theta,
         };
-        new_factors
-            .as_mut_slice()
-            .par_chunks_mut(f)
-            .enumerate()
-            .for_each_init(
-                || {
-                    (
-                        SymPacked::zeros(f),
-                        Vec::new(),
-                        vec![0.0f32; f],
-                        SolveScratch::new(f),
-                    )
-                },
-                |(a, staging, b, solve), (u, out_row)| {
-                    let cols = r.row_cols(u);
-                    if cols.is_empty() {
-                        // No observations: the regularized optimum is 0.
-                        out_row.fill(0.0);
-                        return;
-                    }
-                    hermitian_row(cols, features, lambda, &shape, staging, a);
-                    bias_row(cols, r.row_values(u), features, b);
-                    // Warm start from the previous sweep's factors.
-                    out_row.copy_from_slice(old_factors.row(u));
-                    let stats = solve_row_with(&solver, a, out_row, b, solve);
-                    total_cg_iters.fetch_add(stats.iterations as u64, Ordering::Relaxed);
-                    if tracing {
-                        max_cg_iters.fetch_max(stats.iterations as u64, Ordering::Relaxed);
-                        if stats.converged {
-                            rows_converged.fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            rows_capped.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                },
-            );
+        let (mut a, mut staging, mut b) = (SymPacked::zeros(f), Vec::new(), vec![0.0f32; f]);
+        let mut batch = SolveBatch::new(&solver, f);
+        let mut drain = |batch: &mut SolveBatch| {
+            batch.solve(|u, x, stats| {
+                new_factors.row_mut(u).copy_from_slice(x);
+                counts.add(stats);
+            })
+        };
+        for u in 0..r.rows() {
+            let cols = r.row_cols(u);
+            if cols.is_empty() {
+                // No observations: the regularized optimum is 0, which
+                // `new_factors` already holds.
+                continue;
+            }
+            hermitian_row(cols, features, lambda, &shape, &mut staging, &mut a);
+            bias_row(cols, r.row_values(u), features, &mut b);
+            if batch.is_full() {
+                drain(&mut batch);
+            }
+            // Warm start from the previous sweep's factors.
+            batch.push(u, &a, &b, old_factors.row(u));
+        }
+        drain(&mut batch);
 
         // Representative-row trace: re-solve the first populated row on
         // scratch buffers (before the factor swap, so the warm start matches
@@ -607,8 +612,7 @@ impl<'a> AlsTrainer<'a> {
             Side::X => self.x = new_factors,
             Side::Theta => self.theta = new_factors,
         }
-        let functional_rows = r.rows() as u64;
-        let mean_cg = total_cg_iters.load(Ordering::Relaxed) as f64 / r.rows().max(1) as f64;
+        let mean_cg = counts.total_cg_iters as f64 / r.rows().max(1) as f64;
 
         // --- cost model at full-scale dimensions ---
         let costs = price_side_detailed(
@@ -620,20 +624,7 @@ impl<'a> AlsTrainer<'a> {
             mean_cg,
         );
         if tracing {
-            self.emit_side_telemetry(
-                side,
-                t0,
-                &costs,
-                mean_cg,
-                &solve_trace,
-                SweepCounts {
-                    rows: functional_rows,
-                    total_cg_iters: total_cg_iters.load(Ordering::Relaxed),
-                    max_cg_iters: max_cg_iters.load(Ordering::Relaxed),
-                    rows_converged: rows_converged.load(Ordering::Relaxed),
-                    rows_capped: rows_capped.load(Ordering::Relaxed),
-                },
-            );
+            self.emit_side_telemetry(side, t0, &costs, mean_cg, &solve_trace, counts);
         }
         (costs.phases, mean_cg)
     }
@@ -925,6 +916,121 @@ mod tests {
         let bits = |m: &DenseMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&t.x), bits(&x), "user factors");
         assert_eq!(bits(&t.theta), bits(&theta), "item factors");
+    }
+
+    /// One sweep solved row by row with `solve_row_with`, and the counts
+    /// a [`SolverRecord`] reports for it.
+    fn per_row_sweep(
+        r: &CsrMatrix,
+        features: &DenseMatrix,
+        old: &DenseMatrix,
+        cfg: &AlsConfig,
+    ) -> (DenseMatrix, SweepCounts) {
+        let f = cfg.f;
+        let shape = HermitianShape {
+            f,
+            bin: cfg.bin,
+            tile: cfg.tile,
+        };
+        let mut out = DenseMatrix::zeros(r.rows(), f);
+        let mut counts = SweepCounts {
+            rows: r.rows() as u64,
+            ..SweepCounts::default()
+        };
+        let (mut a, mut staging, mut b) = (SymPacked::zeros(f), Vec::new(), vec![0.0f32; f]);
+        let mut scratch = crate::kernels::solve::SolveScratch::new(f);
+        for u in 0..r.rows() {
+            let cols = r.row_cols(u);
+            if cols.is_empty() {
+                continue;
+            }
+            hermitian_row(cols, features, cfg.lambda, &shape, &mut staging, &mut a);
+            bias_row(cols, r.row_values(u), features, &mut b);
+            let x = out.row_mut(u);
+            x.copy_from_slice(old.row(u));
+            let stats = crate::kernels::solve::solve_row_with(&cfg.solver, &a, x, &b, &mut scratch);
+            counts.add(stats);
+        }
+        (out, counts)
+    }
+
+    /// The trainer's lane-batched sweep against a row-by-row one, on a
+    /// dataset whose user and item counts (600 and 200) are not
+    /// multiples of the lane group and whose empty rows and columns
+    /// shift every group boundary: the same factor bits, the same mean
+    /// CG iterations, and the same converged and capped counts, for the
+    /// default FP16 CG, FP32 CG and a direct solver.
+    #[test]
+    fn batched_epochs_match_a_per_row_sweep() {
+        let mut data = tiny();
+        let kept: Vec<_> = data
+            .train_coo
+            .entries()
+            .iter()
+            .copied()
+            .filter(|e| e.row % 7 != 3 && e.col % 11 != 5)
+            .collect();
+        let coo = cumf_sparse::coo::CooMatrix::from_entries(data.m(), data.n(), kept);
+        data.r = CsrMatrix::from_coo(&coo);
+        data.rt = CsrMatrix::from_coo(&coo.transpose());
+        assert!(!data.m().is_multiple_of(16) && !data.n().is_multiple_of(16));
+        assert!(data.r.row_cols(3).is_empty() && data.rt.row_cols(5).is_empty());
+        let solvers = [
+            SolverKind::cumf_default(),
+            SolverKind::Cg {
+                fs: 6,
+                tolerance: 1e-3,
+                precision: Precision::Fp32,
+            },
+            SolverKind::BatchCholesky,
+        ];
+        for solver in solvers {
+            let mut cfg = fast_config(&data, solver);
+            cfg.f = 21;
+            let recorder = cumf_telemetry::MemoryRecorder::new();
+            let mut t = AlsTrainer::with_recorder(
+                &data,
+                cfg.clone(),
+                GpuSpec::maxwell_titan_x(),
+                1,
+                &recorder,
+            );
+            let (mut x, mut theta) = (t.x.clone(), t.theta.clone());
+            for epoch in 0..2 {
+                let (_, mean_cg) = t.run_epoch();
+                let (nx, cx) = per_row_sweep(&data.r, &theta, &x, &cfg);
+                let (nt, ct) = per_row_sweep(&data.rt, &nx, &theta, &cfg);
+                (x, theta) = (nx, nt);
+                let bits =
+                    |m: &DenseMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&t.x), bits(&x), "{solver:?} epoch {epoch}: X");
+                assert_eq!(bits(&t.theta), bits(&theta), "{solver:?} epoch {epoch}: Θ");
+                let mean = |c: &SweepCounts| c.total_cg_iters as f64 / c.rows as f64;
+                assert_eq!(mean_cg, (mean(&cx) + mean(&ct)) / 2.0, "{solver:?}");
+                let records: Vec<_> = recorder
+                    .take_events()
+                    .into_iter()
+                    .filter_map(|e| match e {
+                        cumf_telemetry::Event::Solver { record } => Some(record),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(records.len(), 2);
+                for (rec, want) in records.iter().zip([cx, ct]) {
+                    let got = SweepCounts {
+                        rows: rec.rows,
+                        total_cg_iters: want.total_cg_iters,
+                        max_cg_iters: rec.max_cg_iters as u64,
+                        rows_converged: rec.rows_converged,
+                        rows_capped: rec.rows_iteration_capped,
+                    };
+                    assert_eq!(got, want, "{solver:?} epoch {epoch} side {}", rec.side);
+                    if matches!(solver, SolverKind::Cg { .. }) {
+                        assert_eq!(rec.total_cg_iters, want.total_cg_iters);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,9 +15,11 @@
 //! stored once — the host form of the paper's register tiling
 //! (Solution 1).
 //!
-//! The host tile is a constant of that kernel
-//! ([`GRAM_ROWS`](cumf_numeric::kernel::GRAM_ROWS) rows ×
-//! [`LANES`] columns, sized to the vector registers), not
+//! The host tile is a constant of that kernel's compilation
+//! ([`GRAM_ROWS`](cumf_numeric::kernel::GRAM_ROWS) rows × [`LANES`]
+//! columns in AVX2,
+//! [`GRAM_ROWS_WIDE`](cumf_numeric::kernel::GRAM_ROWS_WIDE) × 16 in
+//! AVX-512, sized to the vector registers), not
 //! [`HermitianShape::tile`]: the paper's `T × T` tile (`T` = 10 at
 //! f = 100) is device geometry, and it is what `gpu-sim` prices —
 //! register demand, occupancy, the launch below. [`tiled_rank1_update`]

@@ -2,8 +2,11 @@
 //! approximate CG with optional FP16 storage.
 //!
 //! Functionally, each row's SPD system `A_u x_u = b_u` is solved
-//! independently (the GPU batches them across blocks; we batch across rayon
-//! tasks in the caller). The cost side reproduces Figure 5: exact solvers
+//! independently. The GPU batches them across blocks; the trainer
+//! batches the CG solves across SIMD lanes, sixteen rows per
+//! [`SolveBatch`], each lane bit-identical to [`solve_row_with`] on its
+//! row. Fold-in (`fold_in_batch`), the implicit trainer and the direct
+//! solvers solve one row at a time. The cost side reproduces Figure 5: exact solvers
 //! are compute-bound `O(f³)` per row; CG is memory-bound at `fs` reads of
 //! `A_u` per row, and FP16 storage halves those bytes.
 
@@ -11,11 +14,14 @@ use crate::config::{Precision, SolverKind};
 use cumf_gpu_sim::kernel::{KernelCost, LU_BATCHED_PIPE_EFFICIENCY};
 use cumf_gpu_sim::memory::STREAM_READ_EFFICIENCY;
 use cumf_gpu_sim::GpuSpec;
-use cumf_numeric::cg::{cg_solve_in, CgOutcome, CgScratch};
+use cumf_numeric::cg::{
+    cg_solve_in, cg_solve_lanes, CgLaneScratch, CgOutcome, CgScratch, CG_LANES,
+};
 use cumf_numeric::cholesky::cholesky_solve;
-use cumf_numeric::f16::widen_slice;
+use cumf_numeric::f16::{narrow_slice, widen_slice, F16};
+use cumf_numeric::kernel::widen_interleave;
 use cumf_numeric::lu::{lu_flops, lu_solve};
-use cumf_numeric::sym::{SymPacked, SymPackedF16};
+use cumf_numeric::sym::{packed_len, SymPacked, SymPackedF16};
 
 /// Outcome of one row's solve — the trainer averages `iterations` across
 /// rows to feed the cost model the *actual* CG work done.
@@ -179,30 +185,20 @@ fn solve_row_impl(
             Precision::Fp16 => {
                 // Narrow A_u to half precision — the reduced-precision read
                 // path of Solution 4. b and x stay FP32 (as on the GPU).
-                //
-                // Overflow guard: binary16 tops out at 65504, and Gram
-                // entries scale with n_u·r². Solving (A/s)·x = b/s is the
-                // same system, so rescale into range before narrowing (the
-                // tolerance applies to the scaled residual, which only makes
-                // the stop criterion stricter).
                 let SolveScratch {
                     a16,
                     scaled,
                     b_scaled,
                     cg,
                 } = scratch;
-                let amax = a.as_slice().iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-                let (narrowed, rhs) = if amax > 3.0e4 {
-                    let s = amax / 1.0e4;
-                    for (d, &v) in scaled.as_mut_slice().iter_mut().zip(a.as_slice()) {
-                        *d = v / s;
+                let (narrowed, rhs) = match fp16_rescale(a, scaled) {
+                    Some(s) => {
+                        for (d, &v) in b_scaled.iter_mut().zip(b) {
+                            *d = v / s;
+                        }
+                        (&*scaled, &b_scaled[..])
                     }
-                    for (d, &v) in b_scaled.iter_mut().zip(b) {
-                        *d = v / s;
-                    }
-                    (&*scaled, &b_scaled[..])
-                } else {
-                    (a, b)
+                    None => (a, b),
                 };
                 narrowed.to_f16_into(a16);
                 if let Some(t) = trace.as_deref_mut() {
@@ -224,6 +220,197 @@ fn solve_row_impl(
             }
         },
     }
+}
+
+/// Up to [`CG_LANES`] rows' systems, solved together — the trainer's
+/// solve step. With a CG solver the rows are the lanes of one
+/// [`cg_solve_lanes`]: each row's FP16 narrowing, with its overflow
+/// rescale, happens per row as in [`solve_row_with`], and the group's
+/// widened `A_u` are interleaved element by element into the lane
+/// layout, so every row gets the bits, the iteration count and the
+/// convergence flag [`solve_row_with`] gives it. The direct solvers
+/// keep the per-row path: [`SolveBatch::push`] solves their row at once.
+///
+/// The buffers are the group's: the FP16 copies of its `A_u`
+/// ([`CG_LANES`] × `f(f+1)/2` binary16 values), their interleaved
+/// widening (as many `f32`), one rescale buffer, and the interleaved
+/// `x`, `b` and CG work vectors.
+#[derive(Clone, Debug)]
+pub struct SolveBatch {
+    solver: SolverKind,
+    f: usize,
+    /// The caller's tag of each loaded lane, in lane order.
+    tags: Vec<usize>,
+    /// Lane `l`'s FP16 `A_u` at `l · f(f+1)/2` (FP16 CG only).
+    a16: Vec<F16>,
+    /// The overflow guard's rescaled `A_u` (FP16 CG only).
+    scaled: SymPacked,
+    /// The interleaved `A_u`, `x` and `b` of [`cg_solve_lanes`] (CG only).
+    a: Vec<f32>,
+    x: Vec<f32>,
+    b: Vec<f32>,
+    cg: CgLaneScratch,
+    /// Direct solvers: each lane's stats, and the per-row buffers.
+    direct: [SolveStats; CG_LANES],
+    row: SolveScratch,
+    /// One lane's solution, gathered for the caller.
+    out: Vec<f32>,
+}
+
+impl SolveBatch {
+    /// An empty batch of `solver` systems of dimension `f`.
+    pub fn new(solver: &SolverKind, f: usize) -> SolveBatch {
+        let (cg, half) = match solver {
+            SolverKind::Cg { precision, .. } => (true, *precision == Precision::Fp16),
+            _ => (false, false),
+        };
+        SolveBatch {
+            solver: *solver,
+            f,
+            tags: Vec::with_capacity(CG_LANES),
+            a16: vec![F16::ZERO; if half { CG_LANES * packed_len(f) } else { 0 }],
+            scaled: SymPacked::zeros(if half { f } else { 0 }),
+            a: vec![0.0; if cg { CG_LANES * packed_len(f) } else { 0 }],
+            x: vec![0.0; CG_LANES * f],
+            b: vec![0.0; if cg { CG_LANES * f } else { 0 }],
+            cg: CgLaneScratch::default(),
+            direct: [SolveStats::default(); CG_LANES],
+            row: SolveScratch::new(if cg { 0 } else { f }),
+            out: vec![0.0; f],
+        }
+    }
+
+    /// Whether the batch holds [`CG_LANES`] rows, so the next
+    /// [`SolveBatch::push`] needs a [`SolveBatch::solve`] first.
+    pub fn is_full(&self) -> bool {
+        self.tags.len() == CG_LANES
+    }
+
+    /// Load one row's system `a x = b`, warm-started from `x0`, as the
+    /// next lane; `tag` comes back with its solution.
+    ///
+    /// Panics if the batch is full or a dimension is not `f`.
+    pub fn push(&mut self, tag: usize, a: &SymPacked, b: &[f32], x0: &[f32]) {
+        let (f, lane) = (self.f, self.tags.len());
+        assert!(lane < CG_LANES, "solve batch is full");
+        assert!(
+            a.dim() == f && b.len() == f && x0.len() == f,
+            "solve batch: dimension"
+        );
+        self.tags.push(tag);
+        let SolverKind::Cg { precision, .. } = self.solver else {
+            self.out.copy_from_slice(x0);
+            self.direct[lane] = solve_row_with(&self.solver, a, &mut self.out, b, &mut self.row);
+            for (i, &v) in self.out.iter().enumerate() {
+                self.x[i * CG_LANES + lane] = v;
+            }
+            return;
+        };
+        let scale = match precision {
+            Precision::Fp32 => {
+                for (k, &v) in a.as_slice().iter().enumerate() {
+                    self.a[k * CG_LANES + lane] = v;
+                }
+                None
+            }
+            Precision::Fp16 => {
+                let scale = fp16_rescale(a, &mut self.scaled);
+                let narrowed = if scale.is_some() { &self.scaled } else { a };
+                let len = packed_len(f);
+                narrow_slice(
+                    narrowed.as_slice(),
+                    &mut self.a16[lane * len..(lane + 1) * len],
+                );
+                scale
+            }
+        };
+        for i in 0..f {
+            self.x[i * CG_LANES + lane] = x0[i];
+            self.b[i * CG_LANES + lane] = match scale {
+                Some(s) => b[i] / s,
+                None => b[i],
+            };
+        }
+    }
+
+    /// Solve the loaded rows and hand each one's tag, solution and stats
+    /// to `out`, in load order; the batch is then empty.
+    pub fn solve(&mut self, mut out: impl FnMut(usize, &[f32], SolveStats)) {
+        let live = self.tags.len();
+        if live == 0 {
+            return;
+        }
+        let stats = match self.solver {
+            SolverKind::Cg {
+                fs,
+                tolerance,
+                precision,
+            } => {
+                if precision == Precision::Fp16 {
+                    widen_interleave(&self.a16, &mut self.a);
+                }
+                let outcomes = cg_solve_lanes(
+                    &self.a,
+                    &mut self.x,
+                    &self.b,
+                    live,
+                    fs,
+                    tolerance,
+                    &mut self.cg,
+                );
+                outcomes.map(|o| SolveStats {
+                    iterations: o.iterations,
+                    converged: o.converged,
+                })
+            }
+            _ => self.direct,
+        };
+        for (lane, &tag) in self.tags.iter().enumerate() {
+            for (i, v) in self.out.iter_mut().enumerate() {
+                *v = self.x[i * CG_LANES + lane];
+            }
+            out(tag, &self.out, stats[lane]);
+        }
+        self.tags.clear();
+    }
+}
+
+/// The FP16 overflow guard: binary16 tops out at 65504, and Gram
+/// entries scale with n_u·r². Solving (A/s)·x = b/s is the same system,
+/// so when `a`'s largest `|a_ij|` exceeds 3·10⁴ this writes `a / s`
+/// into `scaled`, with `s = amax / 10⁴`, and returns `s`, by which the
+/// caller divides `b` (the tolerance then applies to the scaled
+/// residual, which only makes the stop criterion stricter). `None`:
+/// `a` narrows as it is.
+fn fp16_rescale(a: &SymPacked, scaled: &mut SymPacked) -> Option<f32> {
+    let amax = abs_max(a.as_slice());
+    if amax <= 3.0e4 {
+        return None;
+    }
+    let s = amax / 1.0e4;
+    for (d, &v) in scaled.as_mut_slice().iter_mut().zip(a.as_slice()) {
+        *d = v / s;
+    }
+    Some(s)
+}
+
+/// The largest `|v|` of `values`, NaNs skipped, at least `0.0` — the
+/// FP16 overflow guard's `amax`. `f32::max` returns one of its
+/// arguments and skips a NaN, and every `|v|` is `≥ +0.0`, so the
+/// result does not depend on the order the values are met in: sixteen
+/// running maxima, then their maximum, give the bits of one left-to-
+/// right fold, in a loop that vectorizes.
+fn abs_max(values: &[f32]) -> f32 {
+    let mut lanes = [0.0f32; 16];
+    let (chunks, rest) = values.as_chunks::<16>();
+    for c in chunks {
+        for (m, &v) in lanes.iter_mut().zip(c) {
+            *m = m.max(v.abs());
+        }
+    }
+    rest.iter()
+        .chain(&lanes)
+        .fold(0.0f32, |m, &v| m.max(v.abs()))
 }
 
 /// Cost of a batched solve over `rows` systems of dimension `f`.
@@ -538,6 +725,143 @@ mod tests {
             assert_eq!(bits(&got), bits(&want), "rescaled: {rescaled}");
             assert_eq!(stats.iterations, outcome.iterations);
         }
+    }
+
+    /// Row `k` of a lane group, cycling through every way a lane can
+    /// stop and every input the per-row path treats specially: `b = 0`
+    /// from `x = 0` (0 iterations), the zero matrix (`pAp = 0`), a
+    /// negative-definite matrix (`pAp < 0`), Gram entries past the FP16
+    /// overflow guard (the rescale runs in this lane only), NaN in `A`,
+    /// +∞ in `b`, a −0.0 in the warm start, and small right-hand sides
+    /// that converge after a few steps.
+    fn group_row(f: usize, k: usize) -> (SymPacked, Vec<f32>, Vec<f32>) {
+        let mut a = spd(f, 40 + k as u64);
+        let mut b: Vec<f32> = (0..f).map(|i| ((i + k) % 5) as f32 * 0.4 - 0.8).collect();
+        let mut x = vec![0.05f32 * k as f32; f];
+        match k % 9 {
+            0 => {
+                b.fill(0.0);
+                x.fill(0.0);
+            }
+            1 => a = SymPacked::zeros(f),
+            2 => a.as_mut_slice().iter_mut().for_each(|v| *v = -v.abs()),
+            3 => a.as_mut_slice().iter_mut().for_each(|v| *v *= 1.0e6),
+            4 => a.as_mut_slice()[f] = f32::NAN,
+            5 => b[1] = f32::INFINITY,
+            6 => x[0] = -0.0,
+            7 | 8 => {
+                // A small residual that a few steps take below 1e-4 (row
+                // 7) or 1e-3 (row 8).
+                x.fill(0.0);
+                let s = if k % 9 == 7 { 3e-4 } else { 3e-3 };
+                b.iter_mut().for_each(|v| *v *= s);
+            }
+            _ => {}
+        }
+        (a, b, x)
+    }
+
+    /// A [`SolveBatch`] of 1 to 16 rows gives every row the bits and
+    /// the stats [`solve_row_with`] gives it alone, for FP16 and FP32
+    /// CG and for a direct solver; a NaN or ±∞ row leaves its
+    /// neighbours' bits alone (its own solution is NaN in both, whose
+    /// payload the two paths need not share). The batch is reused
+    /// across groups, as the trainer reuses it.
+    #[test]
+    fn solve_batch_matches_solve_row_with_per_row() {
+        let f = 13;
+        let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        let solvers = [
+            SolverKind::cumf_default(),
+            SolverKind::Cg {
+                fs: 8,
+                tolerance: 1e-3,
+                precision: Precision::Fp16,
+            },
+            SolverKind::Cg {
+                fs: 6,
+                tolerance: 1e-4,
+                precision: Precision::Fp32,
+            },
+            SolverKind::Cg {
+                fs: 4,
+                tolerance: 0.0,
+                precision: Precision::Fp32,
+            },
+            SolverKind::BatchLu,
+        ];
+        for solver in &solvers {
+            let mut batch = SolveBatch::new(solver, f);
+            let mut exits = std::collections::BTreeSet::new();
+            for live in 1..=CG_LANES {
+                let rows: Vec<_> = (0..live).map(|k| group_row(f, k + live)).collect();
+                for (k, (a, b, x)) in rows.iter().enumerate() {
+                    batch.push(100 + k, a, b, x);
+                }
+                assert_eq!(batch.is_full(), live == CG_LANES);
+                let mut seen = 0;
+                batch.solve(|tag, x, stats| {
+                    let k = tag - 100;
+                    assert_eq!(k, seen, "rows come back in load order");
+                    seen += 1;
+                    let (a, b, x0) = &rows[k];
+                    let mut want = x0.clone();
+                    let alone = solve_row_with(solver, a, &mut want, b, &mut SolveScratch::new(f));
+                    let at = format!("{solver:?}: {live} rows, row {k}");
+                    assert!(x.iter().zip(&want).all(|(&g, &w)| same(g, w)), "{at}");
+                    if want.iter().all(|v| v.is_finite()) {
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(x), bits(&want), "{at}");
+                    }
+                    assert_eq!(stats.iterations, alone.iterations, "{at}");
+                    assert_eq!(stats.converged, alone.converged, "{at}");
+                    exits.insert((stats.iterations, stats.converged));
+                });
+                assert_eq!(seen, live);
+                batch.solve(|_, _, _| panic!("a solved batch is empty"));
+            }
+            if let SolverKind::Cg { fs, tolerance, .. } = solver {
+                assert!(exits.contains(&(1, false)), "{solver:?}: {exits:?}");
+                assert!(exits.contains(&(*fs, false)), "{solver:?}: {exits:?}");
+                if *tolerance > 0.0 {
+                    assert!(exits.contains(&(0, true)), "{solver:?}: {exits:?}");
+                    assert!(
+                        exits.iter().any(|&(i, c)| c && i > 0),
+                        "{solver:?}: {exits:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The chunked `abs_max` is the left-to-right fold, NaN, ±∞, −0.0
+    /// and subnormals included, at every length around the chunk.
+    #[test]
+    fn abs_max_is_the_left_to_right_fold() {
+        let specials = [f32::NAN, -0.0, 1e-42, -3.0e4, f32::NEG_INFINITY, 7.5, -7.5];
+        for len in 0..70 {
+            for nan_only in [false, true] {
+                let v: Vec<f32> = (0..len)
+                    .map(|i| {
+                        if nan_only {
+                            f32::NAN
+                        } else {
+                            specials[(i * 5 + len) % 7] * (i as f32 + 1.0)
+                        }
+                    })
+                    .collect();
+                let fold = v.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
+                assert_eq!(abs_max(&v).to_bits(), fold.to_bits(), "len {len}");
+            }
+        }
+    }
+
+    /// The FP16 overflow rescale ran in the lanes the group test gives it.
+    #[test]
+    fn group_rows_exercise_the_fp16_rescale_in_some_lanes() {
+        let amax = |a: &SymPacked| a.as_slice().iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+        let big: Vec<bool> = (0..9).map(|k| amax(&group_row(13, k).0) > 3.0e4).collect();
+        assert_eq!(big.iter().filter(|&&b| b).count(), 1, "{big:?}");
     }
 
     #[test]

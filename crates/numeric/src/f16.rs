@@ -9,6 +9,8 @@
 //! narrowing and exact widening, covering normals, subnormals, signed zeros,
 //! infinities and NaNs.
 
+use crate::kernel::{runnable, Compilation, Isa};
+
 /// An IEEE 754 binary16 value stored as its raw bit pattern.
 ///
 /// Layout: 1 sign bit, 5 exponent bits (bias 15), 10 mantissa bits.
@@ -178,16 +180,38 @@ impl core::fmt::Display for F16 {
 /// This is the store path of the paper's FP16 pipeline: `get_hermitian`
 /// writes `A_u` once in FP16; the CG solver then reads it many times.
 ///
-/// On x86-64 hosts with AVX2 the loop runs in an AVX2 compilation of the
-/// same body (the dispatch `kernel` uses); [`F16::from_f32`] is
-/// branch-free, so it vectorizes at either width with the same bits.
+/// On x86-64 the loop runs in an AVX2 or AVX-512 compilation of the same
+/// body, dispatched on [`crate::kernel::isa`] as the kernels are;
+/// [`F16::from_f32`] is branch-free, so it vectorizes at any width with
+/// the same bits.
 pub fn narrow_slice(src: &[f32], dst: &mut [F16]) {
+    (crate::kernel::best(NARROW).2)(src, dst)
+}
+
+/// Signature shared by the compilations of [`narrow_slice`].
+pub type NarrowFn = fn(&[f32], &mut [F16]);
+
+/// The compilations of [`narrow_slice`], portable body first.
+static NARROW: &[Compilation<NarrowFn>] = &[
+    ("portable", Isa::Portable, narrow_slice_impl),
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the AVX2 requirement was just probed on this host.
-        return unsafe { narrow_slice_avx2(src, dst) };
-    }
-    narrow_slice_impl(src, dst)
+    ("avx2", Isa::Avx2, |src, dst| {
+        // SAFETY: `best` and `runnable` only hand out an entry on a host
+        // that has the instruction set listed beside it.
+        unsafe { x86::narrow_slice_avx2(src, dst) }
+    }),
+    #[cfg(target_arch = "x86_64")]
+    ("avx512", Isa::Avx512, |src, dst| {
+        // SAFETY: as above.
+        unsafe { x86::narrow_slice_avx512(src, dst) }
+    }),
+];
+
+/// Every compilation of [`narrow_slice`] this host can run, by name,
+/// portable body first. Tests iterate it.
+#[doc(hidden)]
+pub fn narrow_slice_compilations() -> Vec<(&'static str, NarrowFn)> {
+    runnable(NARROW)
 }
 
 #[inline(always)]
@@ -198,12 +222,21 @@ fn narrow_slice_impl(src: &[f32], dst: &mut [F16]) {
     }
 }
 
-/// [`narrow_slice_impl`] compiled for AVX2. Callers must have verified
-/// AVX2 support.
+/// [`narrow_slice_impl`] compiled for AVX2 and for AVX-512. Callers
+/// must have verified the features.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn narrow_slice_avx2(src: &[f32], dst: &mut [F16]) {
-    narrow_slice_impl(src, dst)
+mod x86 {
+    use super::*;
+
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn narrow_slice_avx2(src: &[f32], dst: &mut [F16]) {
+        narrow_slice_impl(src, dst)
+    }
+
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl,avx2,fma")]
+    pub unsafe fn narrow_slice_avx512(src: &[f32], dst: &mut [F16]) {
+        narrow_slice_impl(src, dst)
+    }
 }
 
 /// Widen a whole `F16` slice into a pre-allocated `f32` buffer, through
@@ -322,6 +355,34 @@ mod tests {
             for (&x, h) in src.iter().zip(&dst) {
                 let want = from_f32_reference(x);
                 assert_eq!(h.to_bits(), want.to_bits(), "input {:#010x}", x.to_bits());
+            }
+        }
+    }
+
+    /// Every compilation of [`narrow_slice`] against the branchy
+    /// reference encoder: every sign, exponent and top mantissa bits
+    /// (all 2¹⁶ high halves), each with low halves at and around the
+    /// rounding boundaries, in a slice long enough to fill the widest
+    /// vector loop and leave a remainder.
+    #[test]
+    fn every_narrow_compilation_matches_the_reference_encoder() {
+        let lows = [
+            0x0000u32, 0x0001, 0x0FFF, 0x1000, 0x1001, 0x2000, 0x7FFF, 0xFFFF,
+        ];
+        let src: Vec<f32> = (0u32..1 << 16)
+            .flat_map(|hi| lows.map(|lo| f32::from_bits(hi << 16 | lo)))
+            .collect();
+        for (name, narrow) in narrow_slice_compilations() {
+            let mut dst = vec![F16::ZERO; src.len() - 3];
+            narrow(&src[..dst.len()], &mut dst);
+            for (&x, h) in src.iter().zip(&dst) {
+                let want = from_f32_reference(x);
+                assert_eq!(
+                    h.to_bits(),
+                    want.to_bits(),
+                    "{name}: input {:#010x}",
+                    x.to_bits()
+                );
             }
         }
     }

@@ -109,11 +109,40 @@
 //! because it has no reduction: every element of `A_u` is its own
 //! accumulator, receiving one `mul` then `add` per staged vector in the
 //! vectors' order, exactly as a loop of rank-1 updates does. Register
-//! blocking — a [`GRAM_ROWS`]` × `[`LANES`] tile of `A_u` held in
-//! registers while the whole staged batch streams through it — changes
-//! only the loop nest, so the result is bit-identical to the rank-1 loop
-//! whatever the tile. The tile is a host constant; the paper's `T × T`
-//! register tile is device geometry that only the GPU cost model prices.
+//! blocking — a tile of `A_u` held in registers while the whole staged
+//! batch streams through it — changes only the loop nest, so the result
+//! is bit-identical to the rank-1 loop whatever the tile. The portable
+//! and AVX2 tile is [`GRAM_ROWS`]` × `[`LANES`]; the AVX-512 tile is
+//! [`GRAM_ROWS_WIDE`]` × 16`, one 512-bit accumulator per row, whose
+//! diagonal tile loads and stores under per-row masks. Per staged
+//! vector its inner loop is one column load, eight multiplies by a
+//! broadcast row value and eight adds, so the arithmetic bounds it: the
+//! `8 × 16` tile ran at 48–57 GFLOP/s against 39–43 for the `4 × 8`
+//! AVX2 tile on the same host. The tiles are host constants; the
+//! paper's `T × T` register tile is device geometry that only the GPU
+//! cost model prices.
+//!
+//! # The lane-batched CG
+//!
+//! [`crate::cg::cg_solve_lanes`] solves [`CG_LANES`] rows' systems at
+//! once, the way cuMF_ALS batches every row's CG on the device. It uses
+//! the trick that makes the two kernels above bit-identical: the lanes
+//! hold independent problems, not pieces of one. Sixteen `A_u` are
+//! interleaved element by element ([`widen_interleave`] widens a group's
+//! FP16 copies and transposes sixteen-by-sixteen blocks in registers),
+//! so one 512-bit load brings the same packed element of every system,
+//! and each lane runs exactly the operations `cg_solve_in` runs on its
+//! own system — the matvec's scatter and `mul`-then-`add` chain, the
+//! `f64` dot chains, `axpy`, `xpby` — with no operation across lanes.
+//! Early exits differ per lane, so a mask freezes each lane's `x`,
+//! residual and iteration count at its own exit while the others go on.
+//! The driver is written once over a small lane-arithmetic trait, and
+//! its portable, AVX2 and AVX-512 compilations instantiate it; the
+//! matvec runs four rows side by side so four `acc` chains overlap. On
+//! the FP16 default solver at f = 100 a row's solve fell from about
+//! 24–39 µs alone to about 7 µs in a group of sixteen
+//! (`bench_solvers`). The trainer's sweeps use it; fold-in, the
+//! implicit trainer and the direct solvers keep the per-row path.
 //!
 //! # The k-means distance kernel
 //!
@@ -122,11 +151,16 @@
 //! either. Each lane is one (row, centroid) pair's own accumulator and
 //! runs the scalar `d += e·e` chain in ascending `j`, against centroids
 //! stored transposed so that [`LANES`] centroids sit side by side, and
-//! the distances are the scalar loop's bits.
+//! the distances are the scalar loop's bits. It has no AVX-512
+//! compilation: each lane's chain is `add`-latency-bound, so at the
+//! publish path's `k = 32` two 512-bit chains are no faster than four
+//! 256-bit ones, and the argmin that reads the distances back right
+//! after the store stalls on a 512-bit store (see
+//! [`sq_dists_compilations`]).
 //!
-//! The Gram and k-means kernels below keep a `mul` then an `add` per
-//! step: their bits pin the training RMSE and the centroid index, which
-//! the scoring contract does not touch.
+//! The Gram, CG and k-means kernels keep a `mul` then an `add` per step:
+//! their bits pin the training RMSE and the centroid index, which the
+//! scoring contract does not touch.
 //!
 //! # Vector-width multiversioning
 //!
@@ -134,44 +168,102 @@
 //! computes it: eight independent `f32` accumulators vectorize equally
 //! well at SSE2 (two 128-bit registers) and AVX2 (one 256-bit register),
 //! and IEEE lane arithmetic is width-independent — the bits cannot
-//! change. On x86-64 each public kernel therefore dispatches, via the
-//! cached `is_x86_feature_detected!` probe, to an AVX2 compilation when
-//! the host supports it: the *same* portable body, or, for the scoring
-//! tile, an intrinsic transcription of it (on the batched scan the
-//! autovectorizer reached about a fifth of the host's peak). The scoring
-//! kernels' compilations are built with `avx2,fma` and taken only where
-//! both probes pass, so their `mul_add` is one `vfmadd`; on a host
-//! without FMA the portable body's `mul_add` calls libm's `fmaf`, which
-//! returns the same bits. The scoring tile has a third compilation, the
-//! pair tile above, built with `avx512f,avx512dq,avx512vl` and taken
-//! first where those probes pass too (`avx512dq` is what keeps the
-//! 256-bit broadcast one instruction; without it in the feature list the
-//! intrinsic is an out-of-line call). The Gram and k-means compilations
-//! name `mul` and `add` and Rust never contracts them without explicit
-//! fast-math.
-//! Either way this is purely a throughput switch — the property tests
-//! cover every compilation the host can run.
+//! change. The host is probed once: [`isa`] caches which of the
+//! [`Isa`] levels it runs (portable, AVX2, AVX2 + FMA, AVX-512 with
+//! `avx512f`, `avx512dq` and `avx512vl`). Each kernel has one
+//! compilations table, listing every compilation with the level it
+//! needs; its public entry point runs the last entry the host can run,
+//! and its tests iterate every entry the host can run
+//! ([`score_tile_compilations`], [`syrk_compilations`],
+//! [`sq_dists_compilations`], [`widen_interleave_compilations`],
+//! [`crate::cg::cg_lanes_compilations`],
+//! [`crate::f16::narrow_slice_compilations`]). A compilation is the
+//! *same* portable body under `#[target_feature]`, or an intrinsic
+//! transcription of it where the autovectorizer fell short (the scoring
+//! tile reached about a fifth of the host's peak that way). The scoring
+//! kernels' compilations are built with `avx2,fma`, so their `mul_add`
+//! is one `vfmadd`; on a host without FMA the portable body's `mul_add`
+//! calls libm's `fmaf`, which returns the same bits. The scoring tile's
+//! AVX-512 compilation, the pair tile above, needs `avx512dq` too: it
+//! keeps the 256-bit broadcast one instruction (without it in the
+//! feature list the intrinsic is an out-of-line call). The Gram, CG and
+//! k-means compilations name `mul` and `add`, and Rust never contracts
+//! them without explicit fast-math. Either way this is purely a
+//! throughput switch — the property tests cover every compilation the
+//! host can run.
 
+use crate::cg::CG_LANES;
 use crate::f16::F16;
 
-/// Whether this host runs the `avx2,fma` compilations of the scoring
-/// kernels. Both probes are cached after the first call.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn avx2_fma() -> bool {
-    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+/// The instruction sets this module's compilations are built for, in
+/// increasing order: each needs everything the ones before it do.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Isa {
+    /// Any host: the portable bodies.
+    Portable,
+    /// `avx2`: the Gram, k-means, lane-CG and FP16-narrowing compilations.
+    Avx2,
+    /// `avx2` and `fma`: the scoring kernels' compilations.
+    Avx2Fma,
+    /// `avx2`, `fma`, `avx512f`, `avx512dq` and `avx512vl`: the pair tile,
+    /// the 8 × 16 Gram tile, the FP16 widen-and-interleave and the
+    /// 16-lane CG.
+    Avx512,
 }
 
-/// Whether this host also runs the AVX-512 compilation of the scoring
-/// tile, which needs `avx512f`, `avx512dq` (the 256-bit broadcast) and
-/// `avx512vl` (the masked 256-bit tail load) on top of [`avx2_fma`].
-#[cfg(target_arch = "x86_64")]
+/// What this host runs, probed once and cached: every public kernel
+/// dispatches on it, and every compilations table is filtered by it.
 #[inline]
-fn avx512() -> bool {
-    avx2_fma()
-        && std::arch::is_x86_feature_detected!("avx512f")
-        && std::arch::is_x86_feature_detected!("avx512dq")
-        && std::arch::is_x86_feature_detected!("avx512vl")
+pub fn isa() -> Isa {
+    static PROBED: std::sync::OnceLock<Isa> = std::sync::OnceLock::new();
+    *PROBED.get_or_init(probe)
+}
+
+#[cold]
+fn probe() -> Isa {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::is_x86_feature_detected as has;
+        if !has!("avx2") {
+            return Isa::Portable;
+        }
+        if !has!("fma") {
+            return Isa::Avx2;
+        }
+        if has!("avx512f") && has!("avx512dq") && has!("avx512vl") {
+            return Isa::Avx512;
+        }
+        Isa::Avx2Fma
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    Isa::Portable
+}
+
+/// One compilation of a kernel: its name, the instruction set it needs,
+/// and its entry point.
+pub(crate) type Compilation<F> = (&'static str, Isa, F);
+
+/// The entries of a kernel's compilations table this host can run, in
+/// table order (portable first). Tests iterate them.
+pub(crate) fn runnable<F: Copy>(table: &[Compilation<F>]) -> Vec<(&'static str, F)> {
+    let host = isa();
+    table
+        .iter()
+        .filter(|c| c.1 <= host)
+        .map(|c| (c.0, c.2))
+        .collect()
+}
+
+/// The compilation of `table` a public entry point runs on this host:
+/// the last one it can run.
+#[inline]
+pub(crate) fn best<F: Copy>(table: &[Compilation<F>]) -> Compilation<F> {
+    let host = isa();
+    *table
+        .iter()
+        .rev()
+        .find(|c| c.1 <= host)
+        .expect("every table starts with the portable body")
 }
 
 /// Independent accumulator lanes per dot product. Eight `f32` lanes fill
@@ -217,7 +309,7 @@ pub fn reduce_lanes(acc: [f32; LANES]) -> f32 {
 #[inline]
 pub fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
     #[cfg(target_arch = "x86_64")]
-    if avx2_fma() {
+    if isa() >= Isa::Avx2Fma {
         // SAFETY: the AVX2 and FMA requirements were just probed on this host.
         return unsafe { avx2::dot_lanes(a, b) };
     }
@@ -276,6 +368,65 @@ pub fn decode_f16(h: F16) -> f32 {
     f32::from_bits(val.to_bits() | sign)
 }
 
+/// Widen [`CG_LANES`] binary16 blocks and interleave them — the load of
+/// a group's FP16 Gram matrices into [`crate::cg::cg_solve_lanes`]: with
+/// `n = src.len() / CG_LANES`, block `l` is `src[l·n..(l+1)·n]`, and
+/// `dst[k · CG_LANES + l] = decode_f16(src[l·n + k])`.
+///
+/// Each value goes through [`decode_f16`]'s operations (the AVX-512
+/// compilation transcribes them sixteen values at a time, then
+/// transposes sixteen-by-sixteen blocks in registers), so every output
+/// is [`F16::to_f32`] of its input, for every bit pattern.
+///
+/// Panics if `src` is not [`CG_LANES`] blocks of one length or `dst` is
+/// not as long as `src`.
+pub fn widen_interleave(src: &[F16], dst: &mut [f32]) {
+    (best(WIDEN_INTERLEAVE).2)(src, dst)
+}
+
+/// Signature shared by the compilations of [`widen_interleave`].
+pub type WidenInterleaveFn = fn(&[F16], &mut [f32]);
+
+/// The compilations of [`widen_interleave`], portable body first.
+static WIDEN_INTERLEAVE: &[Compilation<WidenInterleaveFn>] = &[
+    ("portable", Isa::Portable, widen_interleave_impl),
+    #[cfg(target_arch = "x86_64")]
+    ("avx512", Isa::Avx512, |src, dst| {
+        // SAFETY: `best` and `runnable` only hand out an entry on a host
+        // that has the instruction set listed beside it.
+        unsafe { avx512::widen_interleave(src, dst) }
+    }),
+];
+
+/// Every compilation of [`widen_interleave`] this host can run, by name,
+/// portable body first. Tests iterate it.
+#[doc(hidden)]
+pub fn widen_interleave_compilations() -> Vec<(&'static str, WidenInterleaveFn)> {
+    runnable(WIDEN_INTERLEAVE)
+}
+
+/// The block length of a [`widen_interleave`] call, after its checks.
+#[inline(always)]
+fn widen_interleave_checks(src: &[F16], dst: &[f32]) -> usize {
+    assert!(
+        src.len().is_multiple_of(CG_LANES),
+        "widen_interleave: {} values is not {CG_LANES} blocks",
+        src.len()
+    );
+    assert_eq!(dst.len(), src.len(), "widen_interleave: length mismatch");
+    src.len() / CG_LANES
+}
+
+#[inline(always)]
+fn widen_interleave_impl(src: &[F16], dst: &mut [f32]) {
+    let n = widen_interleave_checks(src, dst);
+    for (k, d) in dst.chunks_exact_mut(CG_LANES).enumerate() {
+        for (l, v) in d.iter_mut().enumerate() {
+            *v = decode_f16(src[l * n + k]);
+        }
+    }
+}
+
 /// Inner product of an `f32` vector against an int8 row with one scale:
 /// the weights are widened to `f32` in the accumulation loop (fused
 /// dequant, one byte read per weight) and the scale is applied **once**
@@ -289,7 +440,7 @@ pub fn decode_f16(h: F16) -> f32 {
 #[inline]
 pub fn dot_i8_scaled(a: &[f32], q: &[i8], scale: f32) -> f32 {
     #[cfg(target_arch = "x86_64")]
-    if avx2_fma() {
+    if isa() >= Isa::Avx2Fma {
         // SAFETY: the AVX2 and FMA requirements were just probed on this host.
         return unsafe { avx2::dot_i8_scaled(a, q, scale) };
     }
@@ -366,18 +517,7 @@ pub fn score_tile_prefetch(
     out: &mut [f32],
     next: &[f32],
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if avx512() {
-        // SAFETY: the AVX-512 F/DQ/VL, AVX2 and FMA requirements were just
-        // probed on this host.
-        return unsafe { avx512::score_tile(users, n_users, theta, n_items, f, out, next) };
-    }
-    #[cfg(target_arch = "x86_64")]
-    if avx2_fma() {
-        // SAFETY: the AVX2 and FMA requirements were just probed on this host.
-        return unsafe { avx2::score_tile(users, n_users, theta, n_items, f, out, next) };
-    }
-    score_tile_impl(users, n_users, theta, n_items, f, out, next)
+    (best(SCORE_TILE).2)(users, n_users, theta, n_items, f, out, next)
 }
 
 #[inline(always)]
@@ -449,35 +589,39 @@ fn score_tile_impl(
 /// Signature shared by the compilations of [`score_tile_prefetch`].
 pub type ScoreTileFn = fn(&[f32], usize, &[f32], usize, usize, &mut [f32], &[f32]);
 
+/// The compilations of [`score_tile_prefetch`], in the order the
+/// public entry points prefer them, last first: the portable body, the
+/// explicit AVX2 + FMA tile, and the AVX-512 pair tile.
+static SCORE_TILE: &[Compilation<ScoreTileFn>] = &[
+    ("portable", Isa::Portable, score_tile_impl),
+    #[cfg(target_arch = "x86_64")]
+    (
+        "avx2+fma",
+        Isa::Avx2Fma,
+        |users, n_users, theta, n_items, f, out, next| {
+            // SAFETY: `best` and `runnable` only hand out an entry on a host
+            // that has the instruction set listed beside it.
+            unsafe { avx2::score_tile(users, n_users, theta, n_items, f, out, next) }
+        },
+    ),
+    #[cfg(target_arch = "x86_64")]
+    (
+        "avx512",
+        Isa::Avx512,
+        |users, n_users, theta, n_items, f, out, next| {
+            // SAFETY: as above.
+            unsafe { avx512::score_tile(users, n_users, theta, n_items, f, out, next) }
+        },
+    ),
+];
+
 /// Every compilation of [`score_tile_prefetch`] this host can run, by
-/// name, in the order the public entry points prefer them, last first:
-/// the portable body, the explicit AVX2 + FMA tile where the host has
-/// both, and the AVX-512 pair tile where it has `avx512f`, `avx512dq`
-/// and `avx512vl` too. Tests iterate it to pin each compilation to
-/// [`dot_lanes`]; code outside tests calls [`score_tile`] or
+/// name, portable body first. Tests iterate it to pin each compilation
+/// to [`dot_lanes`]; code outside tests calls [`score_tile`] or
 /// [`score_tile_prefetch`].
 #[doc(hidden)]
 pub fn score_tile_compilations() -> Vec<(&'static str, ScoreTileFn)> {
-    let mut all: Vec<(&'static str, ScoreTileFn)> = vec![("portable", score_tile_impl)];
-    #[cfg(target_arch = "x86_64")]
-    if avx2_fma() {
-        all.push((
-            "avx2+fma",
-            |users, n_users, theta, n_items, f, out, next| {
-                // SAFETY: this entry is only listed after the AVX2 and FMA probes above.
-                unsafe { avx2::score_tile(users, n_users, theta, n_items, f, out, next) }
-            },
-        ));
-    }
-    #[cfg(target_arch = "x86_64")]
-    if avx512() {
-        all.push(("avx512", |users, n_users, theta, n_items, f, out, next| {
-            // SAFETY: this entry is only listed after the AVX-512, AVX2 and
-            // FMA probes above.
-            unsafe { avx512::score_tile(users, n_users, theta, n_items, f, out, next) }
-        }));
-    }
-    all
+    runnable(SCORE_TILE)
 }
 
 /// The name, as [`score_tile_compilations`] lists it, of the compilation
@@ -485,16 +629,22 @@ pub fn score_tile_compilations() -> Vec<(&'static str, ScoreTileFn)> {
 /// one listed. Benchmarks report it beside their throughput rows.
 #[doc(hidden)]
 pub fn score_tile_compilation() -> &'static str {
-    score_tile_compilations()
-        .last()
-        .expect("the portable body is always listed")
-        .0
+    best(SCORE_TILE).0
 }
 
-/// Rows of `A` held in one [`syrk_packed`] register tile. With [`LANES`]
-/// columns that is four 8-lane accumulators; every staged vector is
-/// streamed through the tile before it is stored back.
+/// Rows of `A` held in one register tile of [`syrk_packed`]'s portable
+/// and AVX2 compilations. With [`LANES`] columns that is four 8-lane
+/// accumulators; every staged vector is streamed through the tile
+/// before it is stored back. The AVX-512 compilation holds
+/// [`GRAM_ROWS_WIDE`] rows of sixteen columns.
 pub const GRAM_ROWS: usize = 4;
+
+/// Rows of `A` held in one tile of [`syrk_packed`]'s AVX-512
+/// compilation: eight rows of sixteen columns, one 512-bit accumulator
+/// per row. Each staged vector costs one column load, eight broadcasts
+/// and sixteen `mul`/`add`s per tile, and the eight independent `add`
+/// chains cover the adder's latency.
+pub const GRAM_ROWS_WIDE: usize = 8;
 
 /// Symmetric rank-k update of a packed lower triangle — the Gram kernel
 /// of `get_hermitian`: for every `i ≥ j` and every staged vector `θ` in
@@ -505,37 +655,80 @@ pub const GRAM_ROWS: usize = 4;
 /// stride `ld`, which must be at least `f` rounded up to [`LANES`]: the
 /// diagonal tiles read whole [`LANES`]-wide column chunks, and the
 /// padding lanes they read are multiplied but never stored, so their
-/// contents do not matter.
+/// contents do not matter. (The AVX-512 compilation's sixteen-wide
+/// diagonal chunk reads under a mask, so the same stride serves it.)
 ///
 /// The triangle is walked in [`GRAM_ROWS`]` × `[`LANES`] register tiles
-/// (the tile on the diagonal stores only its lower part), and each tile
-/// is loaded once, updated by every staged vector, then stored once.
-/// That is only a change of loop nest: each element still receives one
-/// `mul` then `add` per staged vector, in the vectors' order, so the
-/// result is bit-identical to one rank-1 update per vector.
+/// ([`GRAM_ROWS_WIDE`]` × 16` in the AVX-512 compilation; the tile on
+/// the diagonal stores only its lower part), and each tile is loaded
+/// once, updated by every staged vector, then stored once. That is only
+/// a change of loop nest: each element still receives one `mul` then
+/// `add` per staged vector, in the vectors' order, so the result is
+/// bit-identical to one rank-1 update per vector.
 ///
 /// Panics if `acc` is not `f(f+1)/2` long, `ld` is too small, or
 /// `staged` is not a whole number of rows.
 pub fn syrk_packed(acc: &mut [f32], f: usize, staged: &[f32], ld: usize) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the AVX2 requirement was just probed on this host.
-        return unsafe { avx2::syrk_packed(acc, f, staged, ld) };
-    }
-    syrk_packed_impl(acc, f, staged, ld)
+    (best(SYRK).2)(acc, f, staged, ld)
 }
 
+/// Signature shared by the compilations of [`syrk_packed`].
+pub type SyrkFn = fn(&mut [f32], usize, &[f32], usize);
+
+/// The compilations of [`syrk_packed`], portable body first: the
+/// portable `4 × 8` tile, its AVX2 compilation, and the AVX-512
+/// `8 × 16` tile.
+static SYRK: &[Compilation<SyrkFn>] = &[
+    ("portable", Isa::Portable, syrk_packed_impl),
+    #[cfg(target_arch = "x86_64")]
+    ("avx2", Isa::Avx2, |acc, f, staged, ld| {
+        // SAFETY: `best` and `runnable` only hand out an entry on a host
+        // that has the instruction set listed beside it.
+        unsafe { avx2::syrk_packed(acc, f, staged, ld) }
+    }),
+    #[cfg(target_arch = "x86_64")]
+    ("avx512", Isa::Avx512, |acc, f, staged, ld| {
+        // SAFETY: as above.
+        unsafe { avx512::syrk_packed(acc, f, staged, ld) }
+    }),
+];
+
+/// Every compilation of [`syrk_packed`] this host can run, by name,
+/// portable body first. Tests iterate it to pin each compilation to the
+/// rank-1 loop; code outside tests calls [`syrk_packed`].
+#[doc(hidden)]
+pub fn syrk_compilations() -> Vec<(&'static str, SyrkFn)> {
+    runnable(SYRK)
+}
+
+/// The name, as [`syrk_compilations`] lists it, of the compilation
+/// [`syrk_packed`] runs on this host. Benchmarks report it.
+#[doc(hidden)]
+pub fn syrk_compilation() -> &'static str {
+    best(SYRK).0
+}
+
+/// The argument checks every compilation of [`syrk_packed`] makes;
+/// `false` when there is nothing to do (`f = 0`).
 #[inline(always)]
-fn syrk_packed_impl(acc: &mut [f32], f: usize, staged: &[f32], ld: usize) {
+fn syrk_checks(acc: &[f32], f: usize, staged: &[f32], ld: usize) -> bool {
     assert_eq!(acc.len(), f * (f + 1) / 2, "syrk_packed: bad packed length");
     if f == 0 {
-        return;
+        return false;
     }
     assert!(
         ld >= f.next_multiple_of(LANES),
         "syrk_packed: stride {ld} is shorter than the padded row"
     );
     assert_eq!(staged.len() % ld, 0, "syrk_packed: partial staged row");
+    true
+}
+
+#[inline(always)]
+fn syrk_packed_impl(acc: &mut [f32], f: usize, staged: &[f32], ld: usize) {
+    if !syrk_checks(acc, f, staged, ld) {
+        return;
+    }
     let mut i0 = 0;
     while i0 + GRAM_ROWS <= f {
         gram_row_block::<GRAM_ROWS>(acc, staged, ld, i0);
@@ -631,32 +824,38 @@ pub const DIST_CHUNKS: usize = 4;
 /// Panics if `k_pad` is not a positive multiple of [`LANES`], `cen_t` is
 /// not `f × k_pad` long, or `out` is not `k_pad` long.
 pub fn sq_dists_transposed(row: &[f32], cen_t: &[f32], k_pad: usize, out: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the AVX2 requirement was just probed on this host.
-        return unsafe { avx2::sq_dists_transposed(row, cen_t, k_pad, out) };
-    }
-    sq_dists_transposed_impl(row, cen_t, k_pad, out)
+    (best(SQ_DISTS).2)(row, cen_t, k_pad, out)
 }
 
 /// Signature shared by the compilations of [`sq_dists_transposed`].
 pub type SqDistsFn = fn(&[f32], &[f32], usize, &mut [f32]);
 
+/// The compilations of [`sq_dists_transposed`], portable body first:
+/// the portable [`DIST_CHUNKS`]` × `[`LANES`] tile and its AVX2
+/// compilation. There is no AVX-512 one: each lane's chain is
+/// `add`-latency-bound, so at the publish path's `k = 32` two 512-bit
+/// chains are no faster than four 256-bit ones, and the k-means argmin
+/// reads the distances back right after the store, which a 512-bit
+/// store does not forward to. A sixteen-centroid tile made the
+/// publish-time build 36 → 50 ms, and with 256-bit stores and a 256-bit
+/// tail it still read 3% slower at `k = 64`; it won only from
+/// `k = 128`, which no caller uses.
+static SQ_DISTS: &[Compilation<SqDistsFn>] = &[
+    ("portable", Isa::Portable, sq_dists_transposed_impl),
+    #[cfg(target_arch = "x86_64")]
+    ("avx2", Isa::Avx2, |row, cen_t, k_pad, out| {
+        // SAFETY: `best` and `runnable` only hand out an entry on a host
+        // that has the instruction set listed beside it.
+        unsafe { avx2::sq_dists_transposed(row, cen_t, k_pad, out) }
+    }),
+];
+
 /// Every compilation of [`sq_dists_transposed`] this host can run, by
-/// name: the portable body, and its AVX2 compilation where the host has
-/// AVX2. Tests iterate it to pin each compilation to a reference; code
-/// outside tests calls [`sq_dists_transposed`].
+/// name, portable body first. Tests iterate it to pin each compilation
+/// to a reference; code outside tests calls [`sq_dists_transposed`].
 #[doc(hidden)]
 pub fn sq_dists_compilations() -> Vec<(&'static str, SqDistsFn)> {
-    let mut all: Vec<(&'static str, SqDistsFn)> = vec![("portable", sq_dists_transposed_impl)];
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        all.push(("avx2", |row, cen_t, k_pad, out| {
-            // SAFETY: this entry is only listed after the AVX2 probe above.
-            unsafe { avx2::sq_dists_transposed(row, cen_t, k_pad, out) }
-        }));
-    }
-    all
+    runnable(SQ_DISTS)
 }
 
 #[inline(always)]
@@ -714,8 +913,8 @@ fn dist_tile<const B: usize>(row: &[f32], cen_t: &[f32], k_pad: usize, c0: usize
 /// libm call, change. `score_tile` is written in intrinsics instead, one
 /// vector per portable lane array, under the same order. The scoring
 /// kernels enable `avx2,fma`, the Gram and k-means kernels `avx2` alone.
-/// Callers must have verified those features (the public wrappers probe
-/// `is_x86_feature_detected!`).
+/// Callers must have verified those features (the public wrappers
+/// dispatch on [`isa`]).
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::*;
@@ -954,16 +1153,205 @@ mod avx2 {
     }
 }
 
-/// The AVX-512 compilation of [`score_tile_prefetch`]: the pair tile of
-/// the module doc. Two users share each 512-bit accumulator, one per
-/// 256-bit half, so every half is exactly one pair's lane array, as in
-/// the AVX2 tile. Callers must have verified `avx512f`, `avx512dq` and
-/// `avx512vl` (the public wrapper probes them).
+/// The AVX-512 compilations: the pair tile of [`score_tile_prefetch`]
+/// (the module doc's "pair tile"), the `8 × 16` tile of [`syrk_packed`]
+/// and the transposing [`widen_interleave`]. In the pair tile two users
+/// share each 512-bit accumulator, one per 256-bit half, so every half
+/// is exactly one pair's lane array, as in the AVX2 tile; in the Gram
+/// tile every lane is its own chain, as in its portable body. Callers
+/// must have verified `avx512f`, `avx512dq` and `avx512vl` (the public
+/// wrappers dispatch on [`isa`](super::isa)).
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     use super::avx2::{self, Prefetch};
-    use super::LANES;
+    use super::{decode_f16, syrk_checks, widen_interleave_checks, GRAM_ROWS_WIDE, LANES};
+    use crate::f16::F16;
     use core::arch::x86_64::*;
+
+    /// Floats in one 512-bit register.
+    const WIDE: usize = 2 * LANES;
+
+    /// The `8 × 16` compilation of [`super::syrk_packed`]: rows in
+    /// blocks of [`GRAM_ROWS_WIDE`] (one to seven left over run a
+    /// narrower block of the same code), each block's sixteen-column
+    /// tiles left of the diagonal, then its diagonal tile.
+    ///
+    /// # Safety
+    ///
+    /// The host must support `avx512f`, `avx512dq`, `avx512vl`, `avx2`
+    /// and `fma`.
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl,avx2,fma")]
+    pub unsafe fn syrk_packed(acc: &mut [f32], f: usize, staged: &[f32], ld: usize) {
+        if !syrk_checks(acc, f, staged, ld) {
+            return;
+        }
+        let mut i0 = 0;
+        while i0 + GRAM_ROWS_WIDE <= f {
+            gram_rows::<GRAM_ROWS_WIDE>(acc, staged, ld, i0);
+            i0 += GRAM_ROWS_WIDE;
+        }
+        match f - i0 {
+            1 => gram_rows::<1>(acc, staged, ld, i0),
+            2 => gram_rows::<2>(acc, staged, ld, i0),
+            3 => gram_rows::<3>(acc, staged, ld, i0),
+            4 => gram_rows::<4>(acc, staged, ld, i0),
+            5 => gram_rows::<5>(acc, staged, ld, i0),
+            6 => gram_rows::<6>(acc, staged, ld, i0),
+            7 => gram_rows::<7>(acc, staged, ld, i0),
+            _ => {}
+        }
+    }
+
+    /// Rows `i0..i0 + R` of the triangle: the full tiles left of the
+    /// diagonal, then the diagonal tile, which starts at `i0` rounded
+    /// down to [`WIDE`] and in which row `r` keeps its first
+    /// `i0 + r + 1 − diag ≤ WIDE` columns. `i0` is a multiple of
+    /// [`GRAM_ROWS_WIDE`], so a block never straddles two diagonal
+    /// chunks.
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl,avx2,fma")]
+    #[inline]
+    unsafe fn gram_rows<const R: usize>(acc: &mut [f32], staged: &[f32], ld: usize, i0: usize) {
+        let diag = i0 / WIDE * WIDE;
+        let mut j0 = 0;
+        while j0 < diag {
+            gram_tile::<R>(acc, staged, ld, i0, j0, [u16::MAX; R]);
+            j0 += WIDE;
+        }
+        let keep = std::array::from_fn(|r| ((1u32 << (i0 + r + 1 - diag)) - 1) as u16);
+        gram_tile::<R>(acc, staged, ld, i0, diag, keep);
+    }
+
+    /// One register tile: rows `i0..i0 + R`, columns `j0..j0 + WIDE`,
+    /// of which row `r` loads and stores the lanes of `keep[r]` (a
+    /// prefix). Each staged vector's column chunk is read under the
+    /// widest row's mask, so the diagonal tile never reads past column
+    /// `i0 + R − 1 < f ≤ ld`; the lanes it does not store are
+    /// multiplied but dropped, as in the portable tile.
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl,avx2,fma")]
+    #[inline]
+    unsafe fn gram_tile<const R: usize>(
+        acc: &mut [f32],
+        staged: &[f32],
+        ld: usize,
+        i0: usize,
+        j0: usize,
+        keep: [__mmask16; R],
+    ) {
+        let base: [usize; R] = std::array::from_fn(|r| (i0 + r) * (i0 + r + 1) / 2 + j0);
+        // Row `i0 + r` holds columns `0..=i0 + r` at `base[r] - j0`, and
+        // `keep[r]` selects at most `i0 + r + 1 - j0` lanes of it; the
+        // column chunk's lanes under `keep[R - 1]` end at `i0 + R <= f`.
+        assert!(i0 + R <= ld && base[R - 1] + (keep[R - 1].count_ones() as usize) <= acc.len());
+        let cols = keep[R - 1];
+        let mut t: [__m512; R] =
+            std::array::from_fn(|r| _mm512_maskz_loadu_ps(keep[r], acc.as_ptr().add(base[r])));
+        for theta in staged.chunks_exact(ld) {
+            let tj = _mm512_maskz_loadu_ps(cols, theta.as_ptr().add(j0));
+            for (r, tr) in t.iter_mut().enumerate() {
+                let ti = _mm512_set1_ps(*theta.get_unchecked(i0 + r));
+                *tr = _mm512_add_ps(*tr, _mm512_mul_ps(ti, tj));
+            }
+        }
+        for (r, &tr) in t.iter().enumerate() {
+            _mm512_mask_storeu_ps(acc.as_mut_ptr().add(base[r]), keep[r], tr);
+        }
+    }
+
+    /// The AVX-512 [`super::widen_interleave`]: sixteen values of each
+    /// block at a time, each decoded as [`super::decode_f16`] decodes
+    /// it, the sixteen-by-sixteen block transposed in registers and
+    /// stored as sixteen interleaved elements; the last `n % 16`
+    /// elements run the portable loop.
+    ///
+    /// # Safety
+    ///
+    /// The host must support `avx512f`, `avx512dq`, `avx512vl`, `avx2`
+    /// and `fma`.
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl,avx2,fma")]
+    pub unsafe fn widen_interleave(src: &[F16], dst: &mut [f32]) {
+        let n = widen_interleave_checks(src, dst);
+        let full = n / WIDE * WIDE;
+        for k0 in (0..full).step_by(WIDE) {
+            // Block `l`'s values `k0..k0 + 16` lie in `src`, and their
+            // sixteen interleaved elements in `dst` (both checked above).
+            let rows: [__m512; WIDE] = std::array::from_fn(|l| {
+                let h = _mm256_loadu_si256(src.as_ptr().add(l * n + k0).cast());
+                decode16(_mm512_cvtepu16_epi32(h))
+            });
+            for (c, col) in transpose16(rows).into_iter().enumerate() {
+                _mm512_storeu_ps(dst.as_mut_ptr().add((k0 + c) * WIDE), col);
+            }
+        }
+        for k in full..n {
+            for l in 0..WIDE {
+                dst[k * WIDE + l] = decode_f16(src[l * n + k]);
+            }
+        }
+    }
+
+    /// [`super::decode_f16`] of sixteen zero-extended binary16 patterns,
+    /// operation for operation: the magnitude shifted into place and
+    /// multiplied by `2¹¹²`, or rebased when the exponent is saturated,
+    /// then the sign.
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl,avx2,fma")]
+    #[inline]
+    unsafe fn decode16(bits: __m512i) -> __m512 {
+        let mag = _mm512_slli_epi32::<13>(_mm512_and_si512(bits, _mm512_set1_epi32(0x7FFF)));
+        let sign = _mm512_slli_epi32::<16>(_mm512_and_si512(bits, _mm512_set1_epi32(0x8000)));
+        let scale = _mm512_set1_ps(f32::from_bits(0x7780_0000));
+        let finite = _mm512_mul_ps(_mm512_castsi512_ps(mag), scale);
+        let special = _mm512_castsi512_ps(_mm512_add_epi32(mag, _mm512_set1_epi32(0x7000_0000)));
+        let saturated = _mm512_cmpeq_epi32_mask(
+            _mm512_and_si512(bits, _mm512_set1_epi32(0x7C00)),
+            _mm512_set1_epi32(0x7C00),
+        );
+        let val = _mm512_mask_blend_ps(saturated, finite, special);
+        _mm512_castsi512_ps(_mm512_or_si512(_mm512_castps_si512(val), sign))
+    }
+
+    /// Transpose sixteen registers: lane `l` of output `k` is lane `k`
+    /// of input `l`. Two unpack levels transpose each 128-bit quarter's
+    /// four-by-four blocks, and two 128-bit shuffle levels move the
+    /// blocks; no lane's value changes.
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl,avx2,fma")]
+    #[inline]
+    unsafe fn transpose16(r: [__m512; WIDE]) -> [__m512; WIDE] {
+        // t[2m], t[2m + 1]: rows 2m, 2m + 1 interleaved, low and high
+        // pairs of each quarter.
+        let t: [__m512; WIDE] = std::array::from_fn(|i| {
+            let (a, b) = (r[i & !1], r[i | 1]);
+            if i % 2 == 0 {
+                _mm512_unpacklo_ps(a, b)
+            } else {
+                _mm512_unpackhi_ps(a, b)
+            }
+        });
+        // u[4g + c]: quarter q holds rows 4g..4g + 4 of column 4q + c.
+        let u: [__m512; WIDE] = std::array::from_fn(|i| {
+            let (g, c) = (i / 4, i % 4);
+            let a = _mm512_castps_pd(t[4 * g + c / 2]);
+            let b = _mm512_castps_pd(t[4 * g + 2 + c / 2]);
+            _mm512_castpd_ps(if c % 2 == 0 {
+                _mm512_unpacklo_pd(a, b)
+            } else {
+                _mm512_unpackhi_pd(a, b)
+            })
+        });
+        // Column 4q + c is quarter q of u[c], u[4 + c], u[8 + c] and
+        // u[12 + c], in that order: a four-by-four transpose of quarters.
+        let mut out = [_mm512_setzero_ps(); WIDE];
+        for c in 0..4 {
+            let x0 = _mm512_shuffle_f32x4::<0x44>(u[c], u[4 + c]);
+            let x1 = _mm512_shuffle_f32x4::<0xEE>(u[c], u[4 + c]);
+            let x2 = _mm512_shuffle_f32x4::<0x44>(u[8 + c], u[12 + c]);
+            let x3 = _mm512_shuffle_f32x4::<0xEE>(u[8 + c], u[12 + c]);
+            out[c] = _mm512_shuffle_f32x4::<0x88>(x0, x2);
+            out[4 + c] = _mm512_shuffle_f32x4::<0xDD>(x0, x2);
+            out[8 + c] = _mm512_shuffle_f32x4::<0x88>(x1, x3);
+            out[12 + c] = _mm512_shuffle_f32x4::<0xDD>(x1, x3);
+        }
+        out
+    }
 
     /// Floats per packed chunk: one [`LANES`]-chunk of each user of a
     /// pair, side by side.
@@ -1465,6 +1853,33 @@ mod tests {
         }
     }
 
+    /// Every entry of [`syrk_compilations`] against the rank-1 loop:
+    /// `f` on both sides of the eight- and sixteen-column chunks and of
+    /// the four- and eight-row blocks, and 0, 1 and 33 staged vectors
+    /// (33 is a full BIN and one more, with repeated rows and NaN
+    /// padding lanes), from a non-zero starting triangle.
+    #[test]
+    fn every_syrk_compilation_matches_rank1_updates() {
+        let names: Vec<&str> = syrk_compilations().iter().map(|c| c.0).collect();
+        assert_eq!(names.last(), Some(&syrk_compilation()));
+        for (name, kernel) in syrk_compilations() {
+            for f in [1usize, 7, 8, 15, 16, 17, 100] {
+                for n in [0usize, 1, 33] {
+                    let (start, _) = vecs(f * (f + 1) / 2, 5 + f as u64);
+                    let (staged, ld) = staged_batch(f, n.max(4), 31 * f as u64 + n as u64);
+                    let staged = &staged[..n * ld];
+                    let mut got = start.clone();
+                    kernel(&mut got, f, staged, ld);
+                    let mut want = start;
+                    reference_syrk(&mut want, f, staged, ld);
+                    let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                    let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, want, "{name}: f={f} n={n}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn syrk_packed_accepts_a_wider_stride_and_an_empty_batch() {
         let f = 10;
@@ -1547,7 +1962,7 @@ mod tests {
     fn dot_lanes_compilations() -> Vec<(&'static str, DotFn)> {
         let mut all: Vec<(&'static str, DotFn)> = vec![("portable", dot_lanes_impl)];
         #[cfg(target_arch = "x86_64")]
-        if avx2_fma() {
+        if isa() >= Isa::Avx2Fma {
             // SAFETY: only listed after the AVX2 and FMA probes.
             all.push(("avx2+fma", |a, b| unsafe { avx2::dot_lanes(a, b) }));
         }
@@ -1615,7 +2030,7 @@ mod tests {
         let dots = dot_lanes_compilations();
         let mut i8_dots: Vec<(&str, DotI8)> = vec![("portable", dot_i8_scaled_impl)];
         #[cfg(target_arch = "x86_64")]
-        if avx2_fma() {
+        if isa() >= Isa::Avx2Fma {
             // SAFETY: only listed after the AVX2 and FMA probes.
             i8_dots.push(("avx2+fma", |a, q, s| unsafe {
                 avx2::dot_i8_scaled(a, q, s)
@@ -1655,6 +2070,36 @@ mod tests {
         assert_eq!(dot_i8_scaled(&[], &[], 2.0), 0.0);
         let mut out = [0.0f32; 0];
         score_tile(&[], 0, &[], 0, 7, &mut out);
+    }
+
+    /// Every compilation of [`widen_interleave`] puts `F16::to_f32` of
+    /// each input in its interleaved place, for all 65536 patterns
+    /// (sixteen blocks of 4096, signaling NaNs included) and for block
+    /// lengths on both sides of the sixteen-value register block.
+    #[test]
+    fn every_widen_interleave_compilation_is_exact_and_interleaved() {
+        for (name, widen) in widen_interleave_compilations() {
+            for n in [0usize, 1, 15, 16, 17, 33, 4096] {
+                let src: Vec<F16> = (0..CG_LANES * n)
+                    .map(|i| {
+                        F16::from_bits(if n == 4096 {
+                            i as u16
+                        } else {
+                            (i * 7919) as u16
+                        })
+                    })
+                    .collect();
+                let mut dst = vec![f32::NAN; src.len()];
+                widen(&src, &mut dst);
+                for l in 0..CG_LANES {
+                    for k in 0..n {
+                        let h = src[l * n + k];
+                        let got = dst[k * CG_LANES + l];
+                        assert_eq!(got.to_bits(), h.to_f32().to_bits(), "{name}: n={n} {h:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

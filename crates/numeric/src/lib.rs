@@ -11,10 +11,12 @@
 //! * [`cholesky`] / [`lu`] — exact direct solvers (the cuBLAS batched-LU
 //!   analog the paper replaces);
 //! * [`cg`] — the truncated conjugate-gradient solver of the paper's
-//!   Algorithm 1, generic over the precision the system matrix is read in;
+//!   Algorithm 1, generic over the precision the system matrix is read in,
+//!   and its lane-batched form (sixteen systems, one per SIMD lane);
 //! * [`kernel`] — register-blocked SIMD scoring microkernels with fused
 //!   int8 decode and a documented fixed lane-reduction order (the
-//!   serving hot path), the FP16 widen and the solver's Gram kernel;
+//!   serving hot path), the FP16 widen and interleave, the solver's Gram
+//!   kernel, and the one cached ISA probe every kernel dispatches on;
 //! * [`stats`] — RMSE and streaming statistics used by the experiment
 //!   protocol.
 //!
