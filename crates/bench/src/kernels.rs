@@ -144,6 +144,14 @@ pub struct KernelReport {
     /// The compilation of the training side's Gram kernel on this host
     /// ([`kernel::syrk_compilation`]), which `get_hermitian` runs.
     pub gram_compilation: &'static str,
+    /// The compilation of the publish side's k-means distance kernel
+    /// ([`kernel::sq_dists_compilation`]), which `CentroidIndex::build`
+    /// runs.
+    pub dist_compilation: &'static str,
+    /// The compilation of the int8 quantizer
+    /// ([`kernel::quantize_i8_compilation`]), which
+    /// `QuantizedFactors::build` runs.
+    pub quant_compilation: &'static str,
 }
 
 impl KernelReport {
@@ -192,6 +200,14 @@ impl KernelReport {
                 "gram_compilation".to_string(),
                 Value::Str(self.gram_compilation.to_string()),
             ),
+            (
+                "dist_compilation".to_string(),
+                Value::Str(self.dist_compilation.to_string()),
+            ),
+            (
+                "quant_compilation".to_string(),
+                Value::Str(self.quant_compilation.to_string()),
+            ),
         ])
     }
 
@@ -216,6 +232,14 @@ impl KernelReport {
         ));
         out.push_str(&format!("score_tile compilation: {}\n", self.compilation));
         out.push_str(&format!("gram compilation: {}\n", self.gram_compilation));
+        out.push_str(&format!(
+            "k-means distance compilation: {}\n",
+            self.dist_compilation
+        ));
+        out.push_str(&format!(
+            "int8 quantizer compilation: {}\n",
+            self.quant_compilation
+        ));
         out
     }
 }
@@ -370,6 +394,8 @@ pub fn run_kernel_bench(cfg: &KernelBenchConfig) -> KernelReport {
         rows,
         compilation: kernel::score_tile_compilation(),
         gram_compilation: kernel::syrk_compilation(),
+        dist_compilation: kernel::sq_dists_compilation(),
+        quant_compilation: kernel::quantize_i8_compilation(),
     }
 }
 
@@ -426,20 +452,28 @@ mod tests {
             }
         }
         assert!(v.get("fp32_speedup").and_then(Value::as_f64).unwrap() > 0.0);
-        let compilation = v.get("compilation").and_then(Value::as_str);
-        assert!(
-            kernel::score_tile_compilations()
-                .iter()
-                .any(|(name, _)| Some(*name) == compilation),
-            "compilation {compilation:?} is not a score_tile compilation"
-        );
-        let gram = v.get("gram_compilation").and_then(Value::as_str);
-        assert!(
-            kernel::syrk_compilations()
-                .iter()
-                .any(|(name, _)| Some(*name) == gram),
-            "gram_compilation {gram:?} is not a syrk_packed compilation"
-        );
+        // Each kernel's compilation, by its name in the kernel's table:
+        // the last one this host can run, which its entry point runs.
+        for (key, want) in [
+            (
+                "compilation",
+                kernel::score_tile_compilations().last().map(|c| c.0),
+            ),
+            (
+                "gram_compilation",
+                kernel::syrk_compilations().last().map(|c| c.0),
+            ),
+            (
+                "dist_compilation",
+                kernel::sq_dists_compilations().last().map(|c| c.0),
+            ),
+            (
+                "quant_compilation",
+                kernel::quantize_i8_compilations().last().map(|c| c.0),
+            ),
+        ] {
+            assert_eq!(v.get(key).and_then(Value::as_str), want, "{key}");
+        }
         // The block must round-trip through the shim parser (CI reads it
         // back with python's json, which is stricter still).
         let text = v.to_json();

@@ -151,12 +151,29 @@
 //! either. Each lane is one (row, centroid) pair's own accumulator and
 //! runs the scalar `d += e·e` chain in ascending `j`, against centroids
 //! stored transposed so that [`LANES`] centroids sit side by side, and
-//! the distances are the scalar loop's bits. It has no AVX-512
-//! compilation: each lane's chain is `add`-latency-bound, so at the
-//! publish path's `k = 32` two 512-bit chains are no faster than four
-//! 256-bit ones, and the argmin that reads the distances back right
-//! after the store stalls on a 512-bit store (see
-//! [`sq_dists_compilations`]).
+//! the distances are the scalar loop's bits. Each call takes a group of
+//! rows. The AVX-512 compilation holds a [`DIST_ROWS`]` × 32` tile — four
+//! rows by thirty-two centroids, eight 512-bit accumulators — while the
+//! centroid lines stream through it, so each centroid load serves four
+//! rows and each broadcast row element two registers. Four rows per call
+//! is what made the 512-bit tile pay: with one row, each lane's chain is
+//! `add`-latency-bound, so at the publish path's `k = 32` two 512-bit
+//! chains were no faster than four 256-bit ones, and the argmin that
+//! reads the distances back right after the store stalled on it. With
+//! eight independent chains the tile is bound by its three rounded
+//! operations per element on the two 512-bit ports, read-back included.
+//! The portable and AVX2 compilations stay one row per tile.
+//!
+//! # The int8 quantizer
+//!
+//! [`quantize_i8`] builds the approximate scan's int8 copy one row block
+//! at a time: the block's largest finite magnitude, then each element
+//! divided by the scale, rounded half away from zero, clamped and
+//! converted. Rust's `as i8` saturates and maps NaN to 0, which no vector
+//! conversion does, so the autovectorizer leaves one scalar conversion
+//! per element; the AVX2 and AVX-512 compilations round with a truncate,
+//! an exact subtraction and a masked `± 1`, clamp, and zero NaN lanes
+//! before one vector conversion, and every weight keeps its bits.
 //!
 //! The Gram, CG and k-means kernels keep a `mul` then an `add` per step:
 //! their bits pin the training RMSE and the centroid index, which the
@@ -175,7 +192,8 @@
 //! needs; its public entry point runs the last entry the host can run,
 //! and its tests iterate every entry the host can run
 //! ([`score_tile_compilations`], [`syrk_compilations`],
-//! [`sq_dists_compilations`], [`widen_interleave_compilations`],
+//! [`sq_dists_compilations`], [`quantize_i8_compilations`],
+//! [`widen_interleave_compilations`],
 //! [`crate::cg::cg_lanes_compilations`],
 //! [`crate::f16::narrow_slice_compilations`]). A compilation is the
 //! *same* portable body under `#[target_feature]`, or an intrinsic
@@ -201,13 +219,14 @@ use crate::f16::F16;
 pub enum Isa {
     /// Any host: the portable bodies.
     Portable,
-    /// `avx2`: the Gram, k-means, lane-CG and FP16-narrowing compilations.
+    /// `avx2`: the Gram, k-means, int8-quantizer, lane-CG and
+    /// FP16-narrowing compilations.
     Avx2,
     /// `avx2` and `fma`: the scoring kernels' compilations.
     Avx2Fma,
     /// `avx2`, `fma`, `avx512f`, `avx512dq` and `avx512vl`: the pair tile,
-    /// the 8 × 16 Gram tile, the FP16 widen-and-interleave and the
-    /// 16-lane CG.
+    /// the 8 × 16 Gram tile, the 4 × 32 k-means tile, the int8
+    /// quantizer, the FP16 widen-and-interleave and the 16-lane CG.
     Avx512,
 }
 
@@ -797,56 +816,75 @@ fn gram_tile<const R: usize>(
     }
 }
 
-/// Centroid chunks of [`LANES`] held in one [`sq_dists_transposed`]
-/// register tile: four independent accumulator vectors, enough to hide
-/// the `add` latency of each lane's chain behind the other three.
+/// Centroid chunks of [`LANES`] held in one register tile of
+/// [`sq_dists_transposed`]'s portable and AVX2 compilations: four
+/// independent accumulator vectors, enough to hide the `add` latency of
+/// each lane's chain behind the other three.
 pub const DIST_CHUNKS: usize = 4;
 
-/// Squared Euclidean distances from one row to every centroid of a
-/// transposed centroid block — the assign step of k-means:
-/// `out[c] = Σ_j (row[j] − cen_t[j·k_pad + c])²`.
+/// Rows held in one register tile of [`sq_dists_transposed`]'s AVX-512
+/// compilation: four rows by thirty-two centroids, eight 512-bit
+/// accumulators. One row alone gives a 512-bit register too few
+/// independent chains at `k = 32`; four rows per call made the wide tile
+/// pay, the argmin's read-back of the distances included. Callers pass
+/// rows in groups of this many.
+pub const DIST_ROWS: usize = 4;
+
+/// Squared Euclidean distances from each of `n_rows` rows to every
+/// centroid of a transposed centroid block — the assign step of k-means:
+/// `out[r·k_pad + c] = Σ_j (rows[r·f + j] − cen_t[j·k_pad + c])²`.
 ///
-/// `cen_t` is `f × k_pad` (`f = row.len()`): line `j` holds element `j`
-/// of every centroid, one centroid per column, and `k_pad` is a multiple
-/// of [`LANES`]. Padding columns are computed like the rest; their
+/// `cen_t` is `f × k_pad`: line `j` holds element `j` of every centroid,
+/// one centroid per column, and `k_pad` is a multiple of [`LANES`].
+/// `rows` is `n_rows` contiguous `f`-long rows and `out` is `n_rows`
+/// lines of `k_pad`. Padding columns are computed like the rest; their
 /// contents do not matter, and callers must not read their outputs.
 ///
 /// Each output is its own accumulator, one centroid per lane, so there is
-/// no reduction tree: lane `c` starts from `0.0` and, for `j` ascending,
-/// computes `e = row[j] − cen_t[j·k_pad + c]` then `d += e·e` as a `mul`
-/// followed by an `add`. That is exactly the scalar loop over one
-/// (row, centroid) pair, so every distance is bit-identical to it,
-/// non-finite values included. The kernel walks the columns in
-/// [`DIST_CHUNKS`]` × `[`LANES`] register tiles, each held in registers
-/// while the whole row streams through it; the tile changes only which
+/// no reduction tree: lane `c` of row `r` starts from `0.0` and, for `j`
+/// ascending, computes `e = row[j] − cen_t[j·k_pad + c]` then `d += e·e`
+/// as a `mul` followed by an `add`. That is exactly the scalar loop over
+/// one (row, centroid) pair, so every distance is bit-identical to it,
+/// non-finite values included. The portable and AVX2 compilations walk
+/// one row at a time in [`DIST_CHUNKS`]` × `[`LANES`] register tiles; the
+/// AVX-512 compilation walks [`DIST_ROWS`]` × 32` tiles. Each tile is held
+/// in registers while its rows stream through it, and changes only which
 /// independent chains run side by side.
 ///
 /// Panics if `k_pad` is not a positive multiple of [`LANES`], `cen_t` is
-/// not `f × k_pad` long, or `out` is not `k_pad` long.
-pub fn sq_dists_transposed(row: &[f32], cen_t: &[f32], k_pad: usize, out: &mut [f32]) {
-    (best(SQ_DISTS).2)(row, cen_t, k_pad, out)
+/// not a whole number of `k_pad`-long lines, `rows` is not `n_rows` rows
+/// of that many elements, or `out` is not `n_rows × k_pad` long.
+pub fn sq_dists_transposed(
+    rows: &[f32],
+    n_rows: usize,
+    cen_t: &[f32],
+    k_pad: usize,
+    out: &mut [f32],
+) {
+    (best(SQ_DISTS).2)(rows, n_rows, cen_t, k_pad, out)
 }
 
 /// Signature shared by the compilations of [`sq_dists_transposed`].
-pub type SqDistsFn = fn(&[f32], &[f32], usize, &mut [f32]);
+pub type SqDistsFn = fn(&[f32], usize, &[f32], usize, &mut [f32]);
 
 /// The compilations of [`sq_dists_transposed`], portable body first:
-/// the portable [`DIST_CHUNKS`]` × `[`LANES`] tile and its AVX2
-/// compilation. There is no AVX-512 one: each lane's chain is
-/// `add`-latency-bound, so at the publish path's `k = 32` two 512-bit
-/// chains are no faster than four 256-bit ones, and the k-means argmin
-/// reads the distances back right after the store, which a 512-bit
-/// store does not forward to. A sixteen-centroid tile made the
-/// publish-time build 36 → 50 ms, and with 256-bit stores and a 256-bit
-/// tail it still read 3% slower at `k = 64`; it won only from
-/// `k = 128`, which no caller uses.
+/// the portable one-row [`DIST_CHUNKS`]` × `[`LANES`] tile, its AVX2
+/// compilation, and the AVX-512 [`DIST_ROWS`]` × 32` tile. The AVX2
+/// compilation stays one row per tile: four chains of three rounded
+/// operations per element already fill its 256-bit ports, so more rows
+/// per tile give it no more throughput.
 static SQ_DISTS: &[Compilation<SqDistsFn>] = &[
     ("portable", Isa::Portable, sq_dists_transposed_impl),
     #[cfg(target_arch = "x86_64")]
-    ("avx2", Isa::Avx2, |row, cen_t, k_pad, out| {
+    ("avx2", Isa::Avx2, |rows, n_rows, cen_t, k_pad, out| {
         // SAFETY: `best` and `runnable` only hand out an entry on a host
         // that has the instruction set listed beside it.
-        unsafe { avx2::sq_dists_transposed(row, cen_t, k_pad, out) }
+        unsafe { avx2::sq_dists_transposed(rows, n_rows, cen_t, k_pad, out) }
+    }),
+    #[cfg(target_arch = "x86_64")]
+    ("avx512", Isa::Avx512, |rows, n_rows, cen_t, k_pad, out| {
+        // SAFETY: as above.
+        unsafe { avx512::sq_dists_transposed(rows, n_rows, cen_t, k_pad, out) }
     }),
 ];
 
@@ -858,33 +896,62 @@ pub fn sq_dists_compilations() -> Vec<(&'static str, SqDistsFn)> {
     runnable(SQ_DISTS)
 }
 
+/// The name, as [`sq_dists_compilations`] lists it, of the compilation
+/// [`sq_dists_transposed`] runs on this host. Benchmarks report it.
+#[doc(hidden)]
+pub fn sq_dists_compilation() -> &'static str {
+    best(SQ_DISTS).0
+}
+
+/// The argument checks every compilation of [`sq_dists_transposed`]
+/// makes; returns the row length `f`.
 #[inline(always)]
-fn sq_dists_transposed_impl(row: &[f32], cen_t: &[f32], k_pad: usize, out: &mut [f32]) {
+fn sq_dists_checks(rows: &[f32], n_rows: usize, cen_t: &[f32], k_pad: usize, out: &[f32]) -> usize {
     assert!(
         k_pad > 0 && k_pad.is_multiple_of(LANES),
         "sq_dists_transposed: k_pad {k_pad} is not a positive multiple of {LANES}"
     );
-    assert_eq!(
-        cen_t.len(),
-        row.len() * k_pad,
+    assert!(
+        cen_t.len().is_multiple_of(k_pad),
         "sq_dists_transposed: bad centroid block"
     );
-    assert_eq!(out.len(), k_pad, "sq_dists_transposed: bad output length");
-    let mut c0 = 0;
-    while c0 + DIST_CHUNKS * LANES <= k_pad {
-        dist_tile::<DIST_CHUNKS>(row, cen_t, k_pad, c0, out);
-        c0 += DIST_CHUNKS * LANES;
-    }
-    match (k_pad - c0) / LANES {
-        1 => dist_tile::<1>(row, cen_t, k_pad, c0, out),
-        2 => dist_tile::<2>(row, cen_t, k_pad, c0, out),
-        3 => dist_tile::<3>(row, cen_t, k_pad, c0, out),
-        _ => {}
+    let f = cen_t.len() / k_pad;
+    assert_eq!(rows.len(), n_rows * f, "sq_dists_transposed: bad row block");
+    assert_eq!(
+        out.len(),
+        n_rows * k_pad,
+        "sq_dists_transposed: bad output length"
+    );
+    f
+}
+
+#[inline(always)]
+fn sq_dists_transposed_impl(
+    rows: &[f32],
+    n_rows: usize,
+    cen_t: &[f32],
+    k_pad: usize,
+    out: &mut [f32],
+) {
+    let f = sq_dists_checks(rows, n_rows, cen_t, k_pad, out);
+    for (r, out) in out.chunks_exact_mut(k_pad).enumerate() {
+        let row = &rows[r * f..(r + 1) * f];
+        let mut c0 = 0;
+        while c0 + DIST_CHUNKS * LANES <= k_pad {
+            dist_tile::<DIST_CHUNKS>(row, cen_t, k_pad, c0, out);
+            c0 += DIST_CHUNKS * LANES;
+        }
+        match (k_pad - c0) / LANES {
+            1 => dist_tile::<1>(row, cen_t, k_pad, c0, out),
+            2 => dist_tile::<2>(row, cen_t, k_pad, c0, out),
+            3 => dist_tile::<3>(row, cen_t, k_pad, c0, out),
+            _ => {}
+        }
     }
 }
 
-/// Columns `c0..c0 + B·LANES`: `B` accumulator vectors, one `sub`, `mul`
-/// and `add` per lane per row element, in ascending `j`.
+/// Columns `c0..c0 + B·LANES` of one row: `B` accumulator vectors, one
+/// `sub`, `mul` and `add` per lane per row element, in ascending `j`.
 #[inline(always)]
 fn dist_tile<const B: usize>(row: &[f32], cen_t: &[f32], k_pad: usize, c0: usize, out: &mut [f32]) {
     let mut acc = [[0.0f32; LANES]; B];
@@ -905,16 +972,102 @@ fn dist_tile<const B: usize>(row: &[f32], cen_t: &[f32], k_pad: usize, c0: usize
     }
 }
 
+/// Quantize one block to int8 with one scale, the publish-time copy
+/// behind the approximate scan's shortlist: returns
+/// `scale = max|v| / 127` over the block's finite elements and writes
+/// `dst[i] = round(src[i] / scale)` clamped to `[−127, 127]`, rounding
+/// half away from zero (`f32::round`). NaN becomes `0` and ±∞ becomes
+/// `±127`, so a non-finite element neither sets the scale nor zeroes its
+/// block-mates. A block with no finite non-zero element gets scale `0`
+/// and all-zero weights.
+///
+/// Every compilation divides by `scale` (no reciprocal) and rounds and
+/// clamps explicitly, so each weight is the scalar expression's, bit
+/// for bit; the maximum is exact in any order.
+///
+/// Panics if the slices differ in length.
+pub fn quantize_i8(src: &[f32], dst: &mut [i8]) -> f32 {
+    (best(QUANTIZE_I8).2)(src, dst)
+}
+
+/// Signature shared by the compilations of [`quantize_i8`].
+pub type QuantizeI8Fn = fn(&[f32], &mut [i8]) -> f32;
+
+/// The compilations of [`quantize_i8`], portable body first. The
+/// autovectorizer leaves the portable body one scalar `vcvttss2si` per
+/// element (Rust's `as i8` saturates and maps NaN to 0, which no vector
+/// conversion does), so the AVX2 and AVX-512 compilations round, clamp
+/// and zero NaN lanes in registers before one vector conversion.
+static QUANTIZE_I8: &[Compilation<QuantizeI8Fn>] = &[
+    ("portable", Isa::Portable, quantize_i8_impl),
+    #[cfg(target_arch = "x86_64")]
+    ("avx2", Isa::Avx2, |src, dst| {
+        // SAFETY: `best` and `runnable` only hand out an entry on a host
+        // that has the instruction set listed beside it.
+        unsafe { avx2::quantize_i8(src, dst) }
+    }),
+    #[cfg(target_arch = "x86_64")]
+    ("avx512", Isa::Avx512, |src, dst| {
+        // SAFETY: as above.
+        unsafe { avx512::quantize_i8(src, dst) }
+    }),
+];
+
+/// Every compilation of [`quantize_i8`] this host can run, by name,
+/// portable body first. Tests iterate it; code outside tests calls
+/// [`quantize_i8`].
+#[doc(hidden)]
+pub fn quantize_i8_compilations() -> Vec<(&'static str, QuantizeI8Fn)> {
+    runnable(QUANTIZE_I8)
+}
+
+/// The name, as [`quantize_i8_compilations`] lists it, of the
+/// compilation [`quantize_i8`] runs on this host. Benchmarks report it.
+#[doc(hidden)]
+pub fn quantize_i8_compilation() -> &'static str {
+    best(QUANTIZE_I8).0
+}
+
+/// The largest `|v|` over the finite elements of `vals`, and `init`.
+#[inline(always)]
+fn max_abs_finite(init: f32, vals: &[f32]) -> f32 {
+    vals.iter()
+        .filter(|v| v.is_finite())
+        .fold(init, |m, v| m.max(v.abs()))
+}
+
+/// One weight of [`quantize_i8`]: `as i8` saturates and maps NaN to 0.
+#[inline(always)]
+fn quantize_one(v: f32, scale: f32) -> i8 {
+    (v / scale).round().clamp(-127.0, 127.0) as i8
+}
+
+#[inline(always)]
+fn quantize_i8_impl(src: &[f32], dst: &mut [i8]) -> f32 {
+    assert_eq!(src.len(), dst.len(), "quantize_i8: length mismatch");
+    let max_abs = max_abs_finite(0.0, src);
+    if max_abs == 0.0 {
+        dst.fill(0);
+        return 0.0;
+    }
+    let scale = max_abs / 127.0;
+    for (q, &v) in dst.iter_mut().zip(src) {
+        *q = quantize_one(v, scale);
+    }
+    scale
+}
+
 /// AVX2 compilations of the portable kernel bodies. Most functions
 /// simply inline the matching `*_impl` under `#[target_feature]`, so the
 /// evaluation order — and therefore every bit of the result — is
 /// identical to the portable build; only the vector width the
 /// autovectorizer may use, and whether `mul_add` is an instruction or a
 /// libm call, change. `score_tile` is written in intrinsics instead, one
-/// vector per portable lane array, under the same order. The scoring
-/// kernels enable `avx2,fma`, the Gram and k-means kernels `avx2` alone.
-/// Callers must have verified those features (the public wrappers
-/// dispatch on [`isa`]).
+/// vector per portable lane array, under the same order, and so is
+/// `quantize_i8`, one lane per element. The scoring kernels enable
+/// `avx2,fma`, the Gram, k-means and int8 kernels `avx2` alone. Callers
+/// must have verified those features (the public wrappers dispatch on
+/// [`isa`]).
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::*;
@@ -931,8 +1084,84 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub unsafe fn sq_dists_transposed(row: &[f32], cen_t: &[f32], k_pad: usize, out: &mut [f32]) {
-        sq_dists_transposed_impl(row, cen_t, k_pad, out)
+    pub unsafe fn sq_dists_transposed(
+        rows: &[f32],
+        n_rows: usize,
+        cen_t: &[f32],
+        k_pad: usize,
+        out: &mut [f32],
+    ) {
+        sq_dists_transposed_impl(rows, n_rows, cen_t, k_pad, out)
+    }
+
+    /// The AVX2 [`super::quantize_i8`]: the finite maximum and the
+    /// weights eight lanes at a time, the last `len % 8` elements through
+    /// the portable expressions.
+    ///
+    /// # Safety
+    ///
+    /// The host must support `avx2`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn quantize_i8(src: &[f32], dst: &mut [i8]) -> f32 {
+        assert_eq!(src.len(), dst.len(), "quantize_i8: length mismatch");
+        let full = src.len() / LANES * LANES;
+        // `i + LANES <= full <= len` for every load and store below.
+        let sign = _mm256_set1_ps(-0.0);
+        let inf = _mm256_set1_ps(f32::INFINITY);
+        let mut m = _mm256_setzero_ps();
+        for i in (0..full).step_by(LANES) {
+            let a = _mm256_andnot_ps(sign, _mm256_loadu_ps(src.as_ptr().add(i)));
+            let finite = _mm256_cmp_ps::<_CMP_LT_OQ>(a, inf);
+            m = _mm256_max_ps(m, _mm256_and_ps(a, finite));
+        }
+        let mut lanes = [0.0f32; LANES];
+        _mm256_storeu_ps(lanes.as_mut_ptr(), m);
+        let max_abs = max_abs_finite(max_abs_finite(0.0, &lanes), &src[full..]);
+        if max_abs == 0.0 {
+            dst.fill(0);
+            return 0.0;
+        }
+        let scale = max_abs / 127.0;
+        let s = _mm256_set1_ps(scale);
+        for i in (0..full).step_by(LANES) {
+            let w = to_i32(_mm256_div_ps(_mm256_loadu_ps(src.as_ptr().add(i)), s));
+            let w16 = _mm_packs_epi32(_mm256_castsi256_si128(w), _mm256_extracti128_si256::<1>(w));
+            _mm_storel_epi64(dst.as_mut_ptr().add(i).cast(), _mm_packs_epi16(w16, w16));
+        }
+        for (q, &v) in dst[full..].iter_mut().zip(&src[full..]) {
+            *q = quantize_one(v, scale);
+        }
+        scale
+    }
+
+    /// `f32::round` of each lane — half away from zero, the sign of a
+    /// zero kept: `t = trunc(q)`, and `t + copysign(1, q)` where
+    /// `|q − t| ≥ 0.5`. `q − t` is exact, and so is `t ± 1` whenever it
+    /// is taken (`|q| < 2²³`, since larger floats are integers).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    pub(super) unsafe fn round_half_away(q: __m256) -> __m256 {
+        let sign = _mm256_set1_ps(-0.0);
+        let t = _mm256_round_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(q);
+        let frac = _mm256_andnot_ps(sign, _mm256_sub_ps(q, t));
+        let up = _mm256_cmp_ps::<_CMP_GE_OQ>(frac, _mm256_set1_ps(0.5));
+        let one = _mm256_or_ps(_mm256_set1_ps(1.0), _mm256_and_ps(q, sign));
+        _mm256_blendv_ps(t, _mm256_add_ps(t, one), up)
+    }
+
+    /// [`super::quantize_one`]'s `round().clamp(−127, 127) as i8` of
+    /// each lane, as `i32`: rounded, clamped, and NaN lanes zeroed before
+    /// a conversion that is then exact.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn to_i32(q: __m256) -> __m256i {
+        let r = round_half_away(q);
+        let r = _mm256_min_ps(
+            _mm256_max_ps(r, _mm256_set1_ps(-127.0)),
+            _mm256_set1_ps(127.0),
+        );
+        let ordered = _mm256_cmp_ps::<_CMP_ORD_Q>(q, q);
+        _mm256_cvttps_epi32(_mm256_and_ps(r, ordered))
     }
 
     #[target_feature(enable = "avx2,fma")]
@@ -1154,17 +1383,22 @@ mod avx2 {
 }
 
 /// The AVX-512 compilations: the pair tile of [`score_tile_prefetch`]
-/// (the module doc's "pair tile"), the `8 × 16` tile of [`syrk_packed`]
-/// and the transposing [`widen_interleave`]. In the pair tile two users
-/// share each 512-bit accumulator, one per 256-bit half, so every half
-/// is exactly one pair's lane array, as in the AVX2 tile; in the Gram
-/// tile every lane is its own chain, as in its portable body. Callers
+/// (the module doc's "pair tile"), the `8 × 16` tile of [`syrk_packed`],
+/// the `4 × 32` tile of [`sq_dists_transposed`], the [`quantize_i8`]
+/// loop and the transposing [`widen_interleave`]. In the pair tile two
+/// users share each 512-bit accumulator, one per 256-bit half, so every
+/// half is exactly one pair's lane array, as in the AVX2 tile; in the
+/// Gram and distance tiles every lane is its own chain, as in their
+/// portable bodies. Callers
 /// must have verified `avx512f`, `avx512dq` and `avx512vl` (the public
 /// wrappers dispatch on [`isa`](super::isa)).
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     use super::avx2::{self, Prefetch};
-    use super::{decode_f16, syrk_checks, widen_interleave_checks, GRAM_ROWS_WIDE, LANES};
+    use super::{
+        decode_f16, max_abs_finite, sq_dists_checks, syrk_checks, widen_interleave_checks,
+        DIST_ROWS, GRAM_ROWS_WIDE, LANES,
+    };
     use crate::f16::F16;
     use core::arch::x86_64::*;
 
@@ -1255,6 +1489,181 @@ mod avx512 {
         for (r, &tr) in t.iter().enumerate() {
             _mm512_mask_storeu_ps(acc.as_mut_ptr().add(base[r]), keep[r], tr);
         }
+    }
+
+    /// The [`DIST_ROWS`]` × 32` compilation of
+    /// [`super::sq_dists_transposed`]: rows in groups of [`DIST_ROWS`]
+    /// (one to three left over run a narrower group of the same code),
+    /// each group's centroids in tiles of two registers, then the last
+    /// 8, 16 or 24 columns in one or two registers whose last one loads
+    /// and stores under a mask.
+    ///
+    /// # Safety
+    ///
+    /// The host must support `avx512f`, `avx512dq`, `avx512vl`, `avx2`
+    /// and `fma`.
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl,avx2,fma")]
+    pub unsafe fn sq_dists_transposed(
+        rows: &[f32],
+        n_rows: usize,
+        cen_t: &[f32],
+        k_pad: usize,
+        out: &mut [f32],
+    ) {
+        let f = sq_dists_checks(rows, n_rows, cen_t, k_pad, out);
+        let mut r0 = 0;
+        while r0 + DIST_ROWS <= n_rows {
+            dist_rows::<DIST_ROWS>(rows, r0, f, cen_t, k_pad, out);
+            r0 += DIST_ROWS;
+        }
+        match n_rows - r0 {
+            1 => dist_rows::<1>(rows, r0, f, cen_t, k_pad, out),
+            2 => dist_rows::<2>(rows, r0, f, cen_t, k_pad, out),
+            3 => dist_rows::<3>(rows, r0, f, cen_t, k_pad, out),
+            _ => {}
+        }
+    }
+
+    /// Rows `r0..r0 + R` against every centroid: `R × 32` tiles, then
+    /// one tile for the 8, 16 or 24 columns left over (`k_pad` is a
+    /// multiple of [`LANES`]).
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl,avx2,fma")]
+    #[inline]
+    unsafe fn dist_rows<const R: usize>(
+        rows: &[f32],
+        r0: usize,
+        f: usize,
+        cen_t: &[f32],
+        k_pad: usize,
+        out: &mut [f32],
+    ) {
+        let xs: [&[f32]; R] = std::array::from_fn(|r| &rows[(r0 + r) * f..][..f]);
+        let mut c0 = 0;
+        while c0 + 2 * WIDE <= k_pad {
+            dist_tile::<R, 2>(xs, cen_t, k_pad, c0, [u16::MAX; 2], out, r0);
+            c0 += 2 * WIDE;
+        }
+        match k_pad - c0 {
+            8 => dist_tile::<R, 1>(xs, cen_t, k_pad, c0, [0x00FF], out, r0),
+            16 => dist_tile::<R, 1>(xs, cen_t, k_pad, c0, [u16::MAX], out, r0),
+            24 => dist_tile::<R, 2>(xs, cen_t, k_pad, c0, [u16::MAX, 0x00FF], out, r0),
+            _ => {}
+        }
+    }
+
+    /// One `R × W` register tile: rows `xs` (rows `r0..r0 + R`) against
+    /// columns `c0..c0 + 16·W`, of which register `w` loads and stores
+    /// the lanes of `keep[w]` (a prefix). Accumulator `acc[r][w]` holds
+    /// sixteen (row, centroid) chains, each the scalar loop's: from
+    /// `0.0`, `j` ascending, `e = x − c` then `d = d + e·e`.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl,avx2,fma")]
+    #[inline]
+    unsafe fn dist_tile<const R: usize, const W: usize>(
+        xs: [&[f32]; R],
+        cen_t: &[f32],
+        k_pad: usize,
+        c0: usize,
+        keep: [__mmask16; W],
+        out: &mut [f32],
+        r0: usize,
+    ) {
+        let f = cen_t.len() / k_pad;
+        // Every row of `xs` is `f` long; line `j < f` of `cen_t` holds
+        // `k_pad` floats, of which register `w` reads the lanes of
+        // `keep[w]` from `c0 + 16w`, all below `k_pad` (the caller's
+        // split); `out` line `r0 + r < n_rows` is `k_pad` long and is
+        // written under the same masks.
+        assert!(c0 + WIDE * (W - 1) + keep[W - 1].count_ones() as usize <= k_pad);
+        assert!((r0 + R) * k_pad <= out.len());
+        let mut acc = [[_mm512_setzero_ps(); W]; R];
+        for j in 0..f {
+            let line = cen_t.as_ptr().add(j * k_pad + c0);
+            let c: [__m512; W] =
+                std::array::from_fn(|w| _mm512_maskz_loadu_ps(keep[w], line.add(WIDE * w)));
+            for (ar, x) in acc.iter_mut().zip(xs) {
+                let x = _mm512_set1_ps(x[j]);
+                for (a, &cw) in ar.iter_mut().zip(&c) {
+                    let e = _mm512_sub_ps(x, cw);
+                    *a = _mm512_add_ps(*a, _mm512_mul_ps(e, e));
+                }
+            }
+        }
+        for (r, ar) in acc.iter().enumerate() {
+            let line = out.as_mut_ptr().add((r0 + r) * k_pad + c0);
+            for (w, &a) in ar.iter().enumerate() {
+                _mm512_mask_storeu_ps(line.add(WIDE * w), keep[w], a);
+            }
+        }
+    }
+
+    /// The lanes of a 512-bit register that hold `len` elements from
+    /// its first lane on, for `len` up to sixteen and past.
+    #[inline]
+    fn head(len: usize) -> __mmask16 {
+        if len >= WIDE {
+            u16::MAX
+        } else {
+            (1u16 << len) - 1
+        }
+    }
+
+    /// The AVX-512 [`super::quantize_i8`]: the finite maximum and the
+    /// weights sixteen lanes at a time, the last `len % 16` under a mask.
+    ///
+    /// # Safety
+    ///
+    /// The host must support `avx512f`, `avx512dq`, `avx512vl`, `avx2`
+    /// and `fma`.
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl,avx2,fma")]
+    pub unsafe fn quantize_i8(src: &[f32], dst: &mut [i8]) -> f32 {
+        assert_eq!(src.len(), dst.len(), "quantize_i8: length mismatch");
+        let n = src.len();
+        // Every load and store touches only the `head(n − i)` lanes from
+        // `i < n` on, which lie inside both slices.
+        let inf = _mm512_set1_ps(f32::INFINITY);
+        let mut m = _mm512_setzero_ps();
+        for i in (0..n).step_by(WIDE) {
+            let a = _mm512_abs_ps(_mm512_maskz_loadu_ps(head(n - i), src.as_ptr().add(i)));
+            let finite = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(a, inf);
+            m = _mm512_mask_max_ps(m, finite, m, a);
+        }
+        let mut lanes = [0.0f32; WIDE];
+        _mm512_storeu_ps(lanes.as_mut_ptr(), m);
+        let max_abs = max_abs_finite(0.0, &lanes);
+        if max_abs == 0.0 {
+            dst.fill(0);
+            return 0.0;
+        }
+        let scale = max_abs / 127.0;
+        let s = _mm512_set1_ps(scale);
+        for i in (0..n).step_by(WIDE) {
+            let keep = head(n - i);
+            let q = _mm512_div_ps(_mm512_maskz_loadu_ps(keep, src.as_ptr().add(i)), s);
+            let r = round_half_away(q);
+            let r = _mm512_min_ps(
+                _mm512_max_ps(r, _mm512_set1_ps(-127.0)),
+                _mm512_set1_ps(127.0),
+            );
+            let ordered = _mm512_cmp_ps_mask::<_CMP_ORD_Q>(q, q);
+            let w = _mm512_maskz_cvttps_epi32(ordered, r);
+            _mm512_mask_cvtepi32_storeu_epi8(dst.as_mut_ptr().add(i), keep, w);
+        }
+        scale
+    }
+
+    /// `f32::round` of each lane, as the AVX2 `round_half_away` computes
+    /// it: `t = trunc(q)`, and `t + copysign(1, q)` where `|q − t| ≥ 0.5`.
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl,avx2,fma")]
+    #[inline]
+    pub(super) unsafe fn round_half_away(q: __m512) -> __m512 {
+        let t = _mm512_roundscale_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(q);
+        let up = _mm512_cmp_ps_mask::<_CMP_GE_OQ>(
+            _mm512_abs_ps(_mm512_sub_ps(q, t)),
+            _mm512_set1_ps(0.5),
+        );
+        let one = _mm512_or_ps(_mm512_set1_ps(1.0), _mm512_and_ps(q, _mm512_set1_ps(-0.0)));
+        _mm512_mask_add_ps(t, up, t, one)
     }
 
     /// The AVX-512 [`super::widen_interleave`]: sixteen values of each
@@ -1904,44 +2313,55 @@ mod tests {
 
     /// Every compilation of the distance kernel against one spelled-out
     /// scalar chain per (row, centroid) pair: `f` from empty to past
-    /// several chunks, `k` from one lane to past a full register tile, a
-    /// finite row (where any reordering shows in the bits), a row with
-    /// +∞ against a last centroid holding +∞ (∞ − ∞ is NaN in that lane
-    /// only), a row with NaN, and NaN in every padding column, whose
-    /// outputs are not compared.
+    /// several chunks; `k` from one lane to past a full 32-column tile,
+    /// with every 8-, 16- and 24-column tail; one to nine rows per call,
+    /// so every leftover of the four-row tile; finite rows (where any
+    /// reordering shows in the bits) side by side with a row holding +∞
+    /// against a last centroid holding +∞ (∞ − ∞ is NaN in that lane
+    /// only), a row with NaN and a row with −∞; and NaN in every padding
+    /// column, whose outputs are not compared.
     #[test]
     fn sq_dists_transposed_is_bit_identical_to_the_scalar_chain() {
         for (name, sq_dists) in sq_dists_compilations() {
             for f in [0usize, 1, 3, 7, 8, 9, 17, 100] {
-                for k in [1usize, 3, 8, 9, 31, 32, 33, 64, 70] {
+                for k in [1usize, 7, 8, 9, 16, 17, 32, 33, 41, 57, 64] {
                     let k_pad = k.next_multiple_of(LANES);
-                    let (finite, cen) = vecs(f * k.max(2), (31 * f + k) as u64);
-                    let finite = &finite[..f];
+                    let (cen, _) = vecs(f * k, (31 * f + k) as u64);
                     let mut cen_t = vec![f32::NAN; f * k_pad];
                     for c in 0..k {
                         for j in 0..f {
                             cen_t[j * k_pad + c] = cen[c * f + j];
                         }
                     }
-                    let mut rows = vec![finite.to_vec()];
                     if f > 0 {
-                        let mut inf = finite.to_vec();
-                        inf[0] = f32::INFINITY;
                         cen_t[k - 1] = f32::INFINITY; // line 0, last centroid
-                        let mut nan = finite.to_vec();
-                        nan[f / 2] = f32::NAN;
-                        rows.extend([inf, nan]);
                     }
-                    for row in &rows {
-                        let mut got = vec![0.0f32; k_pad];
-                        sq_dists(row, &cen_t, k_pad, &mut got);
-                        for c in 0..k {
-                            let mut d = 0.0f32;
-                            for j in 0..f {
-                                let e = row[j] - cen_t[j * k_pad + c];
-                                d += e * e;
+                    for n_rows in 1..=9 {
+                        let (mut rows, _) = vecs(n_rows * f, (7 * f + 3 * k + n_rows) as u64);
+                        for (r, row) in rows.chunks_exact_mut(f.max(1)).enumerate() {
+                            match r % 4 {
+                                1 => row[0] = f32::INFINITY,
+                                2 => row[f / 2] = f32::NAN,
+                                3 => row[f - 1] = f32::NEG_INFINITY,
+                                _ => {}
                             }
-                            assert_eq!(got[c].to_bits(), d.to_bits(), "{name}: f={f} k={k} c={c}");
+                        }
+                        let mut got = vec![0.0f32; n_rows * k_pad];
+                        sq_dists(&rows, n_rows, &cen_t, k_pad, &mut got);
+                        for r in 0..n_rows {
+                            let row = &rows[r * f..(r + 1) * f];
+                            for c in 0..k {
+                                let mut d = 0.0f32;
+                                for j in 0..f {
+                                    let e = row[j] - cen_t[j * k_pad + c];
+                                    d += e * e;
+                                }
+                                assert_eq!(
+                                    got[r * k_pad + c].to_bits(),
+                                    d.to_bits(),
+                                    "{name}: f={f} k={k} rows={n_rows} r={r} c={c}"
+                                );
+                            }
                         }
                     }
                 }
@@ -1952,7 +2372,140 @@ mod tests {
     #[test]
     #[should_panic(expected = "not a positive multiple")]
     fn sq_dists_transposed_rejects_an_unpadded_block() {
-        sq_dists_transposed(&[1.0], &[0.0; 7], 7, &mut [0.0; 7]);
+        sq_dists_transposed(&[1.0], 1, &[0.0; 7], 7, &mut [0.0; 7]);
+    }
+
+    /// Every compilation of [`quantize_i8`] against the portable body —
+    /// the scalar `round().clamp() as i8` — on blocks whose quotients
+    /// land exactly on halves (scale 1: ±k.5 and ±126.5), on ±127.5, on
+    /// NaN, ±∞, ±0.0 and subnormals (a subnormal-only block's scale
+    /// underflows to 0), on all-zero and non-finite-only blocks, and on
+    /// random blocks with special values, each at every length that
+    /// leaves a short last chunk of 8 or 16 lanes.
+    #[test]
+    fn every_quantize_i8_compilation_matches_the_scalar_body() {
+        let halves: Vec<f32> = [127.0f32, -127.0]
+            .into_iter()
+            .chain((0..127).flat_map(|k| [k as f32 + 0.5, -(k as f32) - 0.5]))
+            .collect();
+        let quarter: Vec<f32> = halves.iter().map(|v| v * 0.5).collect();
+        let blocks = [
+            halves,
+            quarter,
+            vec![127.5, -127.5, 126.5, -126.5, 0.5, -0.5, 2.5, -2.5, 1.0e-40],
+            vec![
+                f32::NAN,
+                3.0,
+                f32::INFINITY,
+                -0.0,
+                f32::NEG_INFINITY,
+                1.0e-40,
+                -2.5,
+                0.0,
+                -1.0e-45,
+                f32::NAN,
+                -3.0,
+            ],
+            vec![1.0e-45, -1.0e-45, 2.0e-45, 0.0, -0.0, 1.0e-40, -3.0e-39],
+            vec![0.0; 40],
+            vec![-0.0; 40],
+            vec![f32::NAN, f32::INFINITY, 0.0, f32::NEG_INFINITY, -0.0],
+            operand(300, 7, true),
+            operand(300, 8, false),
+        ];
+        for (name, quantize) in quantize_i8_compilations() {
+            for block in &blocks {
+                for len in [0usize, 1, 5, 7, 8, 9, 15, 16, 17, 31, 33, block.len()] {
+                    let src = &block[..len.min(block.len())];
+                    let mut want = vec![99i8; src.len()];
+                    let want_scale = quantize_i8_impl(src, &mut want);
+                    let mut got = vec![99i8; src.len()];
+                    let scale = quantize(src, &mut got);
+                    assert_eq!(scale.to_bits(), want_scale.to_bits(), "{name}: {src:?}");
+                    assert_eq!(got, want, "{name}: {src:?}");
+                }
+            }
+            let mut q = [0i8; 5];
+            quantize(
+                &[f32::NAN, 1.0, f32::INFINITY, -0.5, f32::NEG_INFINITY],
+                &mut q,
+            );
+            assert_eq!(q, [0, 127, 127, -64, -127], "{name}");
+        }
+    }
+
+    /// Every `step`-th `f32` bit pattern through each compilation's
+    /// vector round, against `f32::round`: the same bits, or NaN for
+    /// NaN.
+    fn sweep_round_half_away(step: usize) {
+        type Round16 = fn(&[f32; 16]) -> [f32; 16];
+        let mut kernels: Vec<(&str, Round16)> = Vec::new();
+        #[cfg(target_arch = "x86_64")]
+        {
+            use core::arch::x86_64::*;
+            if isa() >= Isa::Avx2 {
+                kernels.push(("avx2", |v| {
+                    let mut out = [0.0f32; 16];
+                    // SAFETY: listed only on a host with AVX2; both
+                    // arrays hold sixteen floats, two 256-bit halves.
+                    unsafe {
+                        for h in 0..2 {
+                            let r = avx2::round_half_away(_mm256_loadu_ps(v.as_ptr().add(8 * h)));
+                            _mm256_storeu_ps(out.as_mut_ptr().add(8 * h), r);
+                        }
+                    }
+                    out
+                }));
+            }
+            if isa() >= Isa::Avx512 {
+                kernels.push(("avx512", |v| {
+                    let mut out = [0.0f32; 16];
+                    // SAFETY: listed only on a host with the AVX-512 set;
+                    // both arrays hold sixteen floats.
+                    unsafe {
+                        let r = avx512::round_half_away(_mm512_loadu_ps(v.as_ptr()));
+                        _mm512_storeu_ps(out.as_mut_ptr(), r);
+                    }
+                    out
+                }));
+            }
+        }
+        for (name, round) in kernels {
+            let mut bits = (0..=u32::MAX).step_by(step);
+            loop {
+                let mut v = [0.0f32; 16];
+                let mut filled = 0;
+                for (x, b) in v.iter_mut().zip(&mut bits) {
+                    *x = f32::from_bits(b);
+                    filled += 1;
+                }
+                let got = round(&v);
+                for (&x, &r) in v.iter().zip(&got).take(filled) {
+                    let want = x.round();
+                    assert!(
+                        r.to_bits() == want.to_bits() || (r.is_nan() && want.is_nan()),
+                        "{name}: round({x:e} = {:#010x}) = {r:e}, want {want:e}",
+                        x.to_bits()
+                    );
+                }
+                if filled < 16 {
+                    break;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn vector_round_half_away_matches_f32_round_on_a_sample() {
+        sweep_round_half_away(65_521);
+    }
+
+    /// All 2³² patterns; about a minute per compilation in release, so
+    /// CI runs it with the other exhaustive sweeps.
+    #[test]
+    #[ignore]
+    fn vector_round_half_away_matches_f32_round_on_every_f32() {
+        sweep_round_half_away(1);
     }
 
     type DotFn = fn(&[f32], &[f32]) -> f32;

@@ -141,13 +141,14 @@ impl CentroidIndex {
     ///
     /// The assign step is lane-parallel: once per Lloyd iteration the
     /// `k × f` centroids are transposed into an `f × k_pad` scratch (`k`
-    /// padded to a multiple of [`kernel::LANES`]), and
-    /// [`kernel::sq_dists_transposed`] computes one item's distances to
-    /// [`kernel::LANES`] centroids at a time, one centroid per lane. Each
-    /// lane runs the scalar chain over one (item, centroid) pair — from
-    /// `0.0`, `j` ascending, `e = row[j] − cen[j]` then `d += e·e` with no
-    /// FMA — so every distance is the same bits as the scalar loop, and
-    /// the argmin below sweeps them in ascending centroid order with the
+    /// padded to a multiple of [`kernel::LANES`]), and one
+    /// [`kernel::sq_dists_transposed`] call per group of
+    /// [`kernel::DIST_ROWS`] items computes their distances to every
+    /// centroid, one centroid per lane. Each lane runs the scalar chain
+    /// over one (item, centroid) pair — from `0.0`, `j` ascending,
+    /// `e = row[j] − cen[j]` then `d += e·e` with no FMA — so every
+    /// distance is the same bits as the scalar loop, and the argmin below
+    /// sweeps each item's distances in ascending centroid order with the
     /// strict `<`. Padding lanes are computed but never compared. The
     /// assignments, the f64 update and the member lists are therefore
     /// bit-identical to one scalar distance loop per pair (pinned by the
@@ -185,8 +186,10 @@ impl CentroidIndex {
 
         let k_pad = k.next_multiple_of(kernel::LANES);
         let mut cen_t = vec![0.0f32; f * k_pad];
-        let mut dists = vec![0.0f32; k_pad];
+        let mut dists = vec![0.0f32; kernel::DIST_ROWS * k_pad];
         let mut assignment = vec![0usize; n];
+        let mut sums = vec![0.0f64; k * f];
+        let mut counts = vec![0usize; k];
         for _ in 0..params.max_iters.max(1) {
             for c in 0..k {
                 for j in 0..f {
@@ -195,19 +198,24 @@ impl CentroidIndex {
             }
             // Assign: nearest centroid by squared L2, ties to the lower id.
             let mut changed = false;
-            for (v, slot) in assignment.iter_mut().enumerate() {
-                sq_dists(&theta[v * f..(v + 1) * f], &cen_t, k_pad, &mut dists);
-                let mut best = 0usize;
-                let mut best_d = f32::INFINITY;
-                for (c, &d) in dists[..k].iter().enumerate() {
-                    if d < best_d {
-                        best_d = d;
-                        best = c;
+            for (g, slots) in assignment.chunks_mut(kernel::DIST_ROWS).enumerate() {
+                let v0 = g * kernel::DIST_ROWS;
+                let dists = &mut dists[..slots.len() * k_pad];
+                let rows = &theta[v0 * f..(v0 + slots.len()) * f];
+                sq_dists(rows, slots.len(), &cen_t, k_pad, dists);
+                for (slot, line) in slots.iter_mut().zip(dists.chunks_exact(k_pad)) {
+                    let mut best = 0usize;
+                    let mut best_d = f32::INFINITY;
+                    for (c, &d) in line[..k].iter().enumerate() {
+                        if d < best_d {
+                            best_d = d;
+                            best = c;
+                        }
                     }
-                }
-                if *slot != best {
-                    *slot = best;
-                    changed = true;
+                    if *slot != best {
+                        *slot = best;
+                        changed = true;
+                    }
                 }
             }
             if !changed {
@@ -215,8 +223,8 @@ impl CentroidIndex {
             }
             // Update: mean of each cluster's members; empty clusters keep
             // their previous centroid.
-            let mut sums = vec![0.0f64; k * f];
-            let mut counts = vec![0usize; k];
+            sums.fill(0.0);
+            counts.fill(0);
             for (v, &c) in assignment.iter().enumerate() {
                 counts[c] += 1;
                 for j in 0..f {
@@ -326,7 +334,11 @@ impl CentroidIndex {
 
 /// An int8 copy of the item factors with one FP32 scale per
 /// [`QUANT_BLOCK_ROWS`]-row block: `q = round(v / scale)` clamped to
-/// `[-127, 127]`, with `scale = max|v| / 127` over the block.
+/// `[-127, 127]`, with `scale = max|v| / 127` over the block's finite
+/// elements ([`kernel::quantize_i8`]). NaN quantizes to 0 and ±∞ to
+/// ±127, so a non-finite element leaves its block-mates' weights as
+/// they would be without it; the exact rescore still reads the true
+/// value.
 ///
 /// Reading these rows costs a quarter of the FP32 scan bytes; the
 /// per-element round-trip error is bounded by `scale / 2`
@@ -358,16 +370,7 @@ impl QuantizedFactors {
         for (b, slot) in scales.iter_mut().enumerate() {
             let lo = b * QUANT_BLOCK_ROWS;
             let hi = (lo + QUANT_BLOCK_ROWS).min(n);
-            let block = &theta[lo * f..hi * f];
-            let max_abs = block.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-            if max_abs == 0.0 {
-                continue; // scale stays 0, weights stay 0: exact.
-            }
-            let scale = max_abs / 127.0;
-            *slot = scale;
-            for (q, &v) in data[lo * f..hi * f].iter_mut().zip(block) {
-                *q = (v / scale).round().clamp(-127.0, 127.0) as i8;
-            }
+            *slot = kernel::quantize_i8(&theta[lo * f..hi * f], &mut data[lo * f..hi * f]);
         }
         QuantizedFactors {
             f,
@@ -572,6 +575,41 @@ mod tests {
         theta
     }
 
+    /// The lane-parallel build of `n` generated rows against the scalar
+    /// reference, with every compilation of the distance kernel.
+    fn check_against_scalar(
+        n: usize,
+        f: usize,
+        k: usize,
+        seed: u64,
+        nonfinite: bool,
+    ) -> Result<(), TestCaseError> {
+        let theta = generated_catalog(n, f, seed, nonfinite);
+        let params = AnnParams {
+            k_clusters: k,
+            seed,
+            ..AnnParams::default()
+        };
+        let want = build_rows_scalar(&theta, n, f, params);
+        let bits = |c: &[f32]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (name, sq_dists) in kernel::sq_dists_compilations() {
+            let got = CentroidIndex::build_rows_with(&theta, n, f, params, sq_dists);
+            prop_assert_eq!(got.params, want.params, "{}", name);
+            prop_assert_eq!(bits(&got.centroids), bits(&want.centroids), "{}", name);
+            prop_assert_eq!(&got.members, &want.members, "{}", name);
+            prop_assert_eq!(&got.offsets, &want.offsets, "{}", name);
+        }
+        let mut all = want.members.clone();
+        all.sort_unstable();
+        prop_assert_eq!(all, (0..n as u32).collect::<Vec<_>>());
+        for v in 0..n {
+            if theta[v * f..(v + 1) * f].iter().any(|x| !x.is_finite()) {
+                prop_assert!(want.members(0).contains(&(v as u32)), "row {}", v);
+            }
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -588,23 +626,25 @@ mod tests {
             seed in any::<u64>(),
             nonfinite in any::<bool>(),
         ) {
-            let theta = generated_catalog(n, f, seed, nonfinite);
-            let params = AnnParams { k_clusters: k, seed, ..AnnParams::default() };
-            let want = build_rows_scalar(&theta, n, f, params);
-            let bits = |c: &[f32]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            for (name, sq_dists) in kernel::sq_dists_compilations() {
-                let got = CentroidIndex::build_rows_with(&theta, n, f, params, sq_dists);
-                prop_assert_eq!(got.params, want.params, "{}", name);
-                prop_assert_eq!(bits(&got.centroids), bits(&want.centroids), "{}", name);
-                prop_assert_eq!(&got.members, &want.members, "{}", name);
-                prop_assert_eq!(&got.offsets, &want.offsets, "{}", name);
-            }
-            let mut all = want.members.clone();
-            all.sort_unstable();
-            prop_assert_eq!(all, (0..n as u32).collect::<Vec<_>>());
-            for v in 0..n {
-                if theta[v * f..(v + 1) * f].iter().any(|x| !x.is_finite()) {
-                    prop_assert!(want.members(0).contains(&(v as u32)), "row {}", v);
+            check_against_scalar(n, f, k, seed, nonfinite)?;
+        }
+    }
+
+    /// The same comparison at every `n` that leaves a last group of one
+    /// to three rows for the distance kernel, finite and non-finite.
+    #[test]
+    fn lane_parallel_kmeans_matches_the_scalar_reference_on_ragged_row_groups() {
+        for rem in 1..kernel::DIST_ROWS {
+            for n in [
+                rem,
+                8 * kernel::DIST_ROWS + rem,
+                61 * kernel::DIST_ROWS + rem,
+            ] {
+                for (f, k) in [(3, 2), (17, 9), (100, 32), (9, 33)] {
+                    for nonfinite in [false, true] {
+                        let seed = (n * 131 + f * 7 + k) as u64;
+                        check_against_scalar(n, f, k, seed, nonfinite).unwrap();
+                    }
                 }
             }
         }
@@ -693,6 +733,46 @@ mod tests {
                     (back - exact).abs() <= scale / 2.0 + 1e-6,
                     "item {v} dim {j}: {back} vs {exact} (scale {scale})"
                 );
+            }
+        }
+    }
+
+    /// A ±∞ element neither sets its block's scale nor zeroes its
+    /// block-mates: their weights and the scale are those of the same
+    /// block with that element made finite, ±∞ quantizes to ±127 and NaN
+    /// to 0, and every block-mate's approximate dot is finite.
+    #[test]
+    fn an_infinite_element_leaves_its_block_mates_weights() {
+        let clean = theta(40, 3, 23); // blocks 0..32 and 32..40
+        let user = [0.25f32, -0.5, 1.0];
+        for (v, j, special, weight) in [
+            (5, 1, f32::INFINITY, 127),
+            (9, 0, f32::NEG_INFINITY, -127),
+            (34, 2, f32::INFINITY, 127),
+            (12, 2, f32::NAN, 0),
+        ] {
+            let mut finite = clean.clone();
+            finite.row_mut(v)[j] = 0.0;
+            let mut t = finite.clone();
+            t.row_mut(v)[j] = special;
+            let (got, want) = (
+                QuantizedFactors::build(&t),
+                QuantizedFactors::build(&finite),
+            );
+            assert_eq!(got.scale(v).to_bits(), want.scale(v).to_bits(), "row {v}");
+            assert!(got.scale(v).is_finite() && got.scale(v) > 0.0, "row {v}");
+            for u in 0..40 {
+                for c in 0..3 {
+                    let w = if (u, c) == (v, j) {
+                        weight
+                    } else {
+                        want.row(u)[c]
+                    };
+                    assert_eq!(got.row(u)[c], w, "{special}: item {u} dim {c}");
+                }
+                if u != v && u / QUANT_BLOCK_ROWS == v / QUANT_BLOCK_ROWS {
+                    assert!(got.dot(u, &user).is_finite(), "{special}: item {u}");
+                }
             }
         }
     }
