@@ -171,9 +171,11 @@
 //! divided by the scale, rounded half away from zero, clamped and
 //! converted. Rust's `as i8` saturates and maps NaN to 0, which no vector
 //! conversion does, so the autovectorizer leaves one scalar conversion
-//! per element; the AVX2 and AVX-512 compilations round with a truncate,
-//! an exact subtraction and a masked `± 1`, clamp, and zero NaN lanes
-//! before one vector conversion, and every weight keeps its bits.
+//! per element; the AVX2 compilation rounds with a truncate, an exact
+//! subtraction and a masked `± 1`, clamps, and zeroes NaN lanes before
+//! one vector conversion, and every weight keeps its bits. AVX-512 hosts
+//! run it too: a 512-bit form saved at most 1 ms per two-shard publish,
+//! inside that publish's run-to-run spread.
 //!
 //! The Gram, CG and k-means kernels keep a `mul` then an `add` per step:
 //! their bits pin the training RMSE and the centroid index, which the
@@ -996,8 +998,8 @@ pub type QuantizeI8Fn = fn(&[f32], &mut [i8]) -> f32;
 /// The compilations of [`quantize_i8`], portable body first. The
 /// autovectorizer leaves the portable body one scalar `vcvttss2si` per
 /// element (Rust's `as i8` saturates and maps NaN to 0, which no vector
-/// conversion does), so the AVX2 and AVX-512 compilations round, clamp
-/// and zero NaN lanes in registers before one vector conversion.
+/// conversion does), so the AVX2 compilation rounds, clamps and zeroes
+/// NaN lanes in registers before one vector conversion.
 static QUANTIZE_I8: &[Compilation<QuantizeI8Fn>] = &[
     ("portable", Isa::Portable, quantize_i8_impl),
     #[cfg(target_arch = "x86_64")]
@@ -1005,11 +1007,6 @@ static QUANTIZE_I8: &[Compilation<QuantizeI8Fn>] = &[
         // SAFETY: `best` and `runnable` only hand out an entry on a host
         // that has the instruction set listed beside it.
         unsafe { avx2::quantize_i8(src, dst) }
-    }),
-    #[cfg(target_arch = "x86_64")]
-    ("avx512", Isa::Avx512, |src, dst| {
-        // SAFETY: as above.
-        unsafe { avx512::quantize_i8(src, dst) }
     }),
 ];
 
@@ -1384,9 +1381,9 @@ mod avx2 {
 
 /// The AVX-512 compilations: the pair tile of [`score_tile_prefetch`]
 /// (the module doc's "pair tile"), the `8 × 16` tile of [`syrk_packed`],
-/// the `4 × 32` tile of [`sq_dists_transposed`], the [`quantize_i8`]
-/// loop and the transposing [`widen_interleave`]. In the pair tile two
-/// users share each 512-bit accumulator, one per 256-bit half, so every
+/// the `4 × 32` tile of [`sq_dists_transposed`] and the transposing
+/// [`widen_interleave`]. In the pair tile two users share each 512-bit
+/// accumulator, one per 256-bit half, so every
 /// half is exactly one pair's lane array, as in the AVX2 tile; in the
 /// Gram and distance tiles every lane is its own chain, as in their
 /// portable bodies. Callers
@@ -1396,8 +1393,8 @@ mod avx2 {
 mod avx512 {
     use super::avx2::{self, Prefetch};
     use super::{
-        decode_f16, max_abs_finite, sq_dists_checks, syrk_checks, widen_interleave_checks,
-        DIST_ROWS, GRAM_ROWS_WIDE, LANES,
+        decode_f16, sq_dists_checks, syrk_checks, widen_interleave_checks, DIST_ROWS,
+        GRAM_ROWS_WIDE, LANES,
     };
     use crate::f16::F16;
     use core::arch::x86_64::*;
@@ -1595,75 +1592,6 @@ mod avx512 {
                 _mm512_mask_storeu_ps(line.add(WIDE * w), keep[w], a);
             }
         }
-    }
-
-    /// The lanes of a 512-bit register that hold `len` elements from
-    /// its first lane on, for `len` up to sixteen and past.
-    #[inline]
-    fn head(len: usize) -> __mmask16 {
-        if len >= WIDE {
-            u16::MAX
-        } else {
-            (1u16 << len) - 1
-        }
-    }
-
-    /// The AVX-512 [`super::quantize_i8`]: the finite maximum and the
-    /// weights sixteen lanes at a time, the last `len % 16` under a mask.
-    ///
-    /// # Safety
-    ///
-    /// The host must support `avx512f`, `avx512dq`, `avx512vl`, `avx2`
-    /// and `fma`.
-    #[target_feature(enable = "avx512f,avx512dq,avx512vl,avx2,fma")]
-    pub unsafe fn quantize_i8(src: &[f32], dst: &mut [i8]) -> f32 {
-        assert_eq!(src.len(), dst.len(), "quantize_i8: length mismatch");
-        let n = src.len();
-        // Every load and store touches only the `head(n − i)` lanes from
-        // `i < n` on, which lie inside both slices.
-        let inf = _mm512_set1_ps(f32::INFINITY);
-        let mut m = _mm512_setzero_ps();
-        for i in (0..n).step_by(WIDE) {
-            let a = _mm512_abs_ps(_mm512_maskz_loadu_ps(head(n - i), src.as_ptr().add(i)));
-            let finite = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(a, inf);
-            m = _mm512_mask_max_ps(m, finite, m, a);
-        }
-        let mut lanes = [0.0f32; WIDE];
-        _mm512_storeu_ps(lanes.as_mut_ptr(), m);
-        let max_abs = max_abs_finite(0.0, &lanes);
-        if max_abs == 0.0 {
-            dst.fill(0);
-            return 0.0;
-        }
-        let scale = max_abs / 127.0;
-        let s = _mm512_set1_ps(scale);
-        for i in (0..n).step_by(WIDE) {
-            let keep = head(n - i);
-            let q = _mm512_div_ps(_mm512_maskz_loadu_ps(keep, src.as_ptr().add(i)), s);
-            let r = round_half_away(q);
-            let r = _mm512_min_ps(
-                _mm512_max_ps(r, _mm512_set1_ps(-127.0)),
-                _mm512_set1_ps(127.0),
-            );
-            let ordered = _mm512_cmp_ps_mask::<_CMP_ORD_Q>(q, q);
-            let w = _mm512_maskz_cvttps_epi32(ordered, r);
-            _mm512_mask_cvtepi32_storeu_epi8(dst.as_mut_ptr().add(i), keep, w);
-        }
-        scale
-    }
-
-    /// `f32::round` of each lane, as the AVX2 `round_half_away` computes
-    /// it: `t = trunc(q)`, and `t + copysign(1, q)` where `|q − t| ≥ 0.5`.
-    #[target_feature(enable = "avx512f,avx512dq,avx512vl,avx2,fma")]
-    #[inline]
-    pub(super) unsafe fn round_half_away(q: __m512) -> __m512 {
-        let t = _mm512_roundscale_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(q);
-        let up = _mm512_cmp_ps_mask::<_CMP_GE_OQ>(
-            _mm512_abs_ps(_mm512_sub_ps(q, t)),
-            _mm512_set1_ps(0.5),
-        );
-        let one = _mm512_or_ps(_mm512_set1_ps(1.0), _mm512_and_ps(q, _mm512_set1_ps(-0.0)));
-        _mm512_mask_add_ps(t, up, t, one)
     }
 
     /// The AVX-512 [`super::widen_interleave`]: sixteen values of each
@@ -2313,18 +2241,18 @@ mod tests {
 
     /// Every compilation of the distance kernel against one spelled-out
     /// scalar chain per (row, centroid) pair: `f` from empty to past
-    /// several chunks; `k` from one lane to past a full 32-column tile,
-    /// with every 8-, 16- and 24-column tail; one to nine rows per call,
-    /// so every leftover of the four-row tile; finite rows (where any
-    /// reordering shows in the bits) side by side with a row holding +∞
-    /// against a last centroid holding +∞ (∞ − ∞ is NaN in that lane
-    /// only), a row with NaN and a row with −∞; and NaN in every padding
-    /// column, whose outputs are not compared.
+    /// several chunks; `k` from one lane to past two full 32-column
+    /// tiles, with every 8-, 16- and 24-column tail; one to nine rows
+    /// per call, so every leftover of the four-row tile; finite rows
+    /// (where any reordering shows in the bits) side by side with a row
+    /// holding +∞ against a last centroid holding +∞ (∞ − ∞ is NaN in
+    /// that lane only), a row with NaN and a row with −∞; and NaN in
+    /// every padding column, whose outputs are not compared.
     #[test]
     fn sq_dists_transposed_is_bit_identical_to_the_scalar_chain() {
         for (name, sq_dists) in sq_dists_compilations() {
             for f in [0usize, 1, 3, 7, 8, 9, 17, 100] {
-                for k in [1usize, 7, 8, 9, 16, 17, 32, 33, 41, 57, 64] {
+                for k in [1usize, 3, 7, 8, 9, 16, 17, 31, 32, 33, 41, 57, 64, 70] {
                     let k_pad = k.next_multiple_of(LANES);
                     let (cen, _) = vecs(f * k, (31 * f + k) as u64);
                     let mut cen_t = vec![f32::NAN; f * k_pad];
@@ -2434,61 +2362,37 @@ mod tests {
         }
     }
 
-    /// Every `step`-th `f32` bit pattern through each compilation's
-    /// vector round, against `f32::round`: the same bits, or NaN for
-    /// NaN.
+    /// Every `step`-th `f32` bit pattern through the AVX2 compilation's
+    /// vector round (the only one; AVX-512 hosts run it too), against
+    /// `f32::round`: the same bits, or NaN for NaN.
     fn sweep_round_half_away(step: usize) {
-        type Round16 = fn(&[f32; 16]) -> [f32; 16];
-        let mut kernels: Vec<(&str, Round16)> = Vec::new();
         #[cfg(target_arch = "x86_64")]
-        {
+        if isa() >= Isa::Avx2 {
             use core::arch::x86_64::*;
-            if isa() >= Isa::Avx2 {
-                kernels.push(("avx2", |v| {
-                    let mut out = [0.0f32; 16];
-                    // SAFETY: listed only on a host with AVX2; both
-                    // arrays hold sixteen floats, two 256-bit halves.
-                    unsafe {
-                        for h in 0..2 {
-                            let r = avx2::round_half_away(_mm256_loadu_ps(v.as_ptr().add(8 * h)));
-                            _mm256_storeu_ps(out.as_mut_ptr().add(8 * h), r);
-                        }
-                    }
-                    out
-                }));
-            }
-            if isa() >= Isa::Avx512 {
-                kernels.push(("avx512", |v| {
-                    let mut out = [0.0f32; 16];
-                    // SAFETY: listed only on a host with the AVX-512 set;
-                    // both arrays hold sixteen floats.
-                    unsafe {
-                        let r = avx512::round_half_away(_mm512_loadu_ps(v.as_ptr()));
-                        _mm512_storeu_ps(out.as_mut_ptr(), r);
-                    }
-                    out
-                }));
-            }
-        }
-        for (name, round) in kernels {
             let mut bits = (0..=u32::MAX).step_by(step);
             loop {
-                let mut v = [0.0f32; 16];
+                let mut v = [0.0f32; LANES];
                 let mut filled = 0;
                 for (x, b) in v.iter_mut().zip(&mut bits) {
                     *x = f32::from_bits(b);
                     filled += 1;
                 }
-                let got = round(&v);
+                let mut got = [0.0f32; LANES];
+                // SAFETY: AVX2 was probed above; both arrays hold one
+                // 256-bit vector.
+                unsafe {
+                    let r = avx2::round_half_away(_mm256_loadu_ps(v.as_ptr()));
+                    _mm256_storeu_ps(got.as_mut_ptr(), r);
+                }
                 for (&x, &r) in v.iter().zip(&got).take(filled) {
                     let want = x.round();
                     assert!(
                         r.to_bits() == want.to_bits() || (r.is_nan() && want.is_nan()),
-                        "{name}: round({x:e} = {:#010x}) = {r:e}, want {want:e}",
+                        "round({x:e} = {:#010x}) = {r:e}, want {want:e}",
                         x.to_bits()
                     );
                 }
-                if filled < 16 {
+                if filled < LANES {
                     break;
                 }
             }
@@ -2500,7 +2404,7 @@ mod tests {
         sweep_round_half_away(65_521);
     }
 
-    /// All 2³² patterns; about a minute per compilation in release, so
+    /// All 2³² patterns; about 27 s in release on a 2-vCPU Xeon VM, so
     /// CI runs it with the other exhaustive sweeps.
     #[test]
     #[ignore]
