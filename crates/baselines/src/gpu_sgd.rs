@@ -2,12 +2,12 @@
 //! or more GPUs, with warp-shuffle update kernels and half-precision
 //! factor storage.
 //!
-//! Functional: the Hogwild epoch of [`crate::sgd`] (lock-free atomics stand
-//! in for the GPU's racy warp updates). Timing: SGD is *memory-bound*
-//! (Table I: C/M = O(1)), so an epoch prices at its factor traffic over the
-//! device bandwidth; half-precision storage halves those bytes exactly as
-//! in cuMF_SGD. Multi-GPU runs partition `R` by rows and exchange the
-//! column-factor matrix every epoch.
+//! Functional: the Hogwild epoch of [`crate::sgd`], run in COO order on the
+//! calling thread (the GPU's racy warp updates are priced, not run).
+//! Timing: SGD is *memory-bound* (Table I: C/M = O(1)), so an epoch prices
+//! at its factor traffic over the device bandwidth; half-precision storage
+//! halves those bytes exactly as in cuMF_SGD. Multi-GPU runs partition `R`
+//! by rows and exchange the column-factor matrix every epoch.
 
 use crate::libmf::SystemReport;
 use crate::sgd::{hogwild_epoch, sgd_test_rmse, SgdConfig, SgdModel};

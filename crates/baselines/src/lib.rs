@@ -22,6 +22,7 @@
 //! calibration constants documented in each module.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod bidmach;
 pub mod ccd;

@@ -1,7 +1,8 @@
 //! LIBMF-style baseline: multi-threaded blocked SGD on one machine \[39\]\[3\].
 //!
 //! Functional: the [`crate::sgd`] blocked scheme with a grid larger than the
-//! thread count (LIBMF's work-stealing grid). Timing: the host roofline of
+//! thread count (LIBMF's work-stealing grid), its blocks run in order on the
+//! calling thread. Timing: the host roofline of
 //! the machine it runs on, with the shared-scheduler lock term that makes
 //! LIBMF "stop scaling when using few dozen cores" (§VI-A). The paper runs
 //! it with 40 threads on the Pascal server's POWER8 host, "which achieves

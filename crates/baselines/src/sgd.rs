@@ -1,5 +1,5 @@
-//! The shared SGD substrate: blocked conflict-free parallel epochs and
-//! lock-free Hogwild epochs, used by LIBMF, NOMAD and GPU-SGD wrappers.
+//! The shared SGD substrate: blocked epochs and Hogwild epochs, used by
+//! the LIBMF, NOMAD and GPU-SGD wrappers.
 //!
 //! The SGD update for one observation `r_uv` (equation (5)):
 //!
@@ -12,15 +12,15 @@
 //! Two observations conflict iff they share a row or a column, which yields
 //! the two classic parallelization schemes (§VI-A): **blocking** (grid the
 //! matrix; blocks on a generalized diagonal are conflict-free) and
-//! **Hogwild** (update racily and rely on sparsity). Both are implemented —
-//! blocking with provably disjoint mutable slices, Hogwild with relaxed
-//! atomics.
+//! **Hogwild** (update racily and rely on sparsity). Both epochs run on the
+//! calling thread, in their schedule's update order: the comparison between
+//! the schemes is algorithmic, and `gpu-sim` prices the parallel schedule
+//! each wrapper's timing model assumes.
 
 use cumf_numeric::dense::DenseMatrix;
 use cumf_numeric::stats::XorShift64;
 use cumf_sparse::blocking::BlockGrid;
 use cumf_sparse::coo::CooMatrix;
-use std::sync::atomic::{AtomicU32, Ordering};
 
 /// SGD hyper-parameters.
 #[derive(Clone, Copy, Debug)]
@@ -112,118 +112,42 @@ fn update_one(x: &mut [f32], theta: &mut [f32], r: f32, lr: f32, lambda: f32) {
     }
 }
 
-/// One **blocked** parallel epoch: the grid's `gb` waves run in sequence,
-/// the `gb` blocks of each wave in parallel. Within a wave, block `(i, c_i)`
-/// owns row range `i` and column range `c_i` exclusively, so the factor
-/// matrices are partitioned into disjoint mutable chunks — Rust's aliasing
-/// rules prove what LIBMF's scheduler enforces dynamically.
+/// One **blocked** epoch: the grid's `gb` waves in sequence, the `gb`
+/// blocks of each wave in wave order, each block's entries in order.
+/// Within a wave, block `(i, c_i)` owns row range `i` and column range
+/// `c_i` exclusively, so LIBMF could give each block to its own worker;
+/// here they run one after another.
 pub fn blocked_epoch(grid: &BlockGrid, model: &mut SgdModel, config: &SgdConfig, epoch: usize) {
     let lr = config.lr_at(epoch);
-    let f = config.f;
-    let gb = grid.grid();
-    for w in 0..gb {
-        let wave = grid.wave(w);
-        // Split X by block-row ranges and Θ by block-column ranges.
-        let x_chunks = split_by_ranges(
-            model.x.as_mut_slice(),
-            (0..gb).map(|i| grid.row_range(i)),
-            f,
-        );
-        let t_chunks = split_by_ranges(
-            model.theta.as_mut_slice(),
-            (0..gb).map(|i| grid.col_range(i)),
-            f,
-        );
-        // Pair each block with its chunks; waves have distinct rows & cols.
-        let mut tasks: Vec<(usize, usize, &mut [f32], &mut [f32])> = Vec::with_capacity(gb);
-        let mut x_iter: Vec<Option<&mut [f32]>> = x_chunks.into_iter().map(Some).collect();
-        let mut t_iter: Vec<Option<&mut [f32]>> = t_chunks.into_iter().map(Some).collect();
-        for &(br, bc) in &wave {
-            let xc = x_iter[br].take().expect("block-row reused within wave");
-            let tc = t_iter[bc].take().expect("block-col reused within wave");
-            tasks.push((br, bc, xc, tc));
-        }
-        rayon::scope(|s| {
-            for (br, bc, xc, tc) in tasks {
-                let (rs, _) = grid.row_range(br);
-                let (cs, _) = grid.col_range(bc);
-                s.spawn(move |_| {
-                    for e in grid.block(br, bc) {
-                        let u = e.row as usize - rs;
-                        let v = e.col as usize - cs;
-                        update_one(
-                            &mut xc[u * f..(u + 1) * f],
-                            &mut tc[v * f..(v + 1) * f],
-                            e.value,
-                            lr,
-                            config.lambda,
-                        );
-                    }
-                });
+    for w in 0..grid.grid() {
+        for (br, bc) in grid.wave(w) {
+            for e in grid.block(br, bc) {
+                update_one(
+                    model.x.row_mut(e.row as usize),
+                    model.theta.row_mut(e.col as usize),
+                    e.value,
+                    lr,
+                    config.lambda,
+                );
             }
-        });
+        }
     }
 }
 
-/// Slice a factor buffer into per-range chunks (ranges are contiguous,
-/// non-overlapping, and ordered — exactly what [`BlockGrid`] provides).
-fn split_by_ranges(
-    mut buf: &mut [f32],
-    ranges: impl Iterator<Item = (usize, usize)>,
-    f: usize,
-) -> Vec<&mut [f32]> {
-    let mut out = Vec::new();
-    let mut consumed = 0usize;
-    for (start, end) in ranges {
-        debug_assert_eq!(start, consumed, "ranges must tile the buffer");
-        let (chunk, rest) = buf.split_at_mut((end - start) * f);
-        out.push(chunk);
-        buf = rest;
-        consumed = end;
-    }
-    out
-}
-
-/// One **Hogwild** epoch: entries updated in parallel with relaxed atomic
-/// read-modify-writes and no coordination — the lock-free scheme of \[22\].
-/// Updates may interleave mid-vector; with sparse data conflicts are rare
-/// and convergence survives, which is the scheme's entire point.
+/// One **Hogwild** epoch: every entry in COO order, with no blocking —
+/// the lock-free scheme of \[22\], whose workers would update racily and
+/// rely on sparsity to keep conflicts rare.
 pub fn hogwild_epoch(data: &CooMatrix, model: &mut SgdModel, config: &SgdConfig, epoch: usize) {
-    use rayon::prelude::*;
     let lr = config.lr_at(epoch);
-    let f = config.f;
-    assert!(f <= 512, "hogwild_epoch supports f up to 512");
-    let lambda = config.lambda;
-    let x_atomic = as_atomic(model.x.as_mut_slice());
-    let t_atomic = as_atomic(model.theta.as_mut_slice());
-
-    data.entries().par_iter().for_each(|e| {
-        let xs = &x_atomic[e.row as usize * f..(e.row as usize + 1) * f];
-        let ts = &t_atomic[e.col as usize * f..(e.col as usize + 1) * f];
-        // Racy read of both vectors (Hogwild semantics).
-        let mut err = e.value;
-        let mut xv = [0.0f32; 512];
-        let mut tv = [0.0f32; 512];
-        for i in 0..f {
-            xv[i] = f32::from_bits(xs[i].load(Ordering::Relaxed));
-            tv[i] = f32::from_bits(ts[i].load(Ordering::Relaxed));
-            err -= xv[i] * tv[i];
-        }
-        for i in 0..f {
-            let nx = xv[i] + lr * (err * tv[i] - lambda * xv[i]);
-            let nt = tv[i] + lr * (err * xv[i] - lambda * tv[i]);
-            xs[i].store(nx.to_bits(), Ordering::Relaxed);
-            ts[i].store(nt.to_bits(), Ordering::Relaxed);
-        }
-    });
-}
-
-/// Reinterpret a `&mut [f32]` as atomics for Hogwild's racy updates.
-/// Sound: `AtomicU32` has the same layout as `u32`/`f32`, the exclusive
-/// borrow guarantees no non-atomic aliasing during the epoch, and every
-/// access goes through atomic loads/stores.
-fn as_atomic(buf: &mut [f32]) -> &[AtomicU32] {
-    unsafe { std::slice::from_raw_parts(buf.as_ptr() as *const AtomicU32, buf.len()) }
+    for e in data.entries() {
+        update_one(
+            model.x.row_mut(e.row as usize),
+            model.theta.row_mut(e.col as usize),
+            e.value,
+            lr,
+            config.lambda,
+        );
+    }
 }
 
 /// Test RMSE of an SGD model.
@@ -241,7 +165,7 @@ mod tests {
         let config = SgdConfig {
             f: 8,
             ..SgdConfig::new(8, 0.05)
-        }; // hogwild buffer cap is 512
+        };
         (data, config)
     }
 

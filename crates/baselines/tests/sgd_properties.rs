@@ -107,3 +107,32 @@ proptest! {
         prop_assert_eq!(model.x.as_slice(), &snapshot[..]);
     }
 }
+
+/// At `grid = 1` the blocked epoch's one block holds the entries in COO
+/// order (`BlockGrid::partition` is a stable counting sort), which is the
+/// Hogwild epoch's order: the two epochs must agree bit for bit, at any
+/// factor width.
+#[test]
+fn hogwild_equals_blocked_at_grid_one() {
+    for f in [6usize, 520] {
+        let data = random_data(40, 30, 500, 7 + f as u64);
+        let config = SgdConfig {
+            f,
+            grid: 1,
+            ..SgdConfig::new(f, 0.02)
+        };
+        let bg = BlockGrid::partition(&data, 1);
+        let mut blocked = SgdModel::init(40, 30, &config, 3.0);
+        let mut hog = SgdModel::init(40, 30, &config, 3.0);
+        for k in 0..3 {
+            blocked_epoch(&bg, &mut blocked, &config, k);
+            hogwild_epoch(&data, &mut hog, &config, k);
+        }
+        let bits = |m: &cumf_numeric::dense::DenseMatrix| -> Vec<u32> {
+            m.as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&blocked.x), bits(&hog.x), "f = {f}: X");
+        assert_eq!(bits(&blocked.theta), bits(&hog.theta), "f = {f}: Θ");
+        assert!(hog.x.as_slice().iter().all(|v| v.is_finite()), "f = {f}");
+    }
+}

@@ -6,6 +6,7 @@
 //! on smaller synthetic instances for smoke-testing.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod diff;
 pub mod kernels;

@@ -112,27 +112,28 @@ pub fn fold_in_row(
 }
 
 /// Fold a batch of new rows in, returning an `rows × f` factor matrix.
-/// Rows solve in parallel, each worker reusing one [`FoldInScratch`].
+/// Rows solve in order on one [`FoldInScratch`].
 /// Each row is any borrowable rating list (`Vec<(u32, f32)>` or a slice),
 /// so callers can fold histories they do not own.
-pub fn fold_in_batch<R: AsRef<[(u32, f32)]> + Sync>(
+pub fn fold_in_batch<R: AsRef<[(u32, f32)]>>(
     item_factors: &DenseMatrix,
     rows: &[R],
     lambda: f32,
     solver: &SolverKind,
 ) -> DenseMatrix {
-    use rayon::prelude::*;
     let f = item_factors.cols();
     let mut out = DenseMatrix::zeros(rows.len(), f);
-    out.as_mut_slice()
-        .par_chunks_mut(f)
-        .zip(rows.par_iter())
-        .for_each_init(
-            || FoldInScratch::new(f),
-            |scratch, (row, ratings)| {
-                fold_in_row_into(item_factors, ratings.as_ref(), lambda, solver, scratch, row);
-            },
+    let mut scratch = FoldInScratch::new(f);
+    for (row, ratings) in out.as_mut_slice().chunks_mut(f).zip(rows) {
+        fold_in_row_into(
+            item_factors,
+            ratings.as_ref(),
+            lambda,
+            solver,
+            &mut scratch,
+            row,
         );
+    }
     out
 }
 

@@ -29,7 +29,6 @@ use cumf_numeric::stats::XorShift64;
 use cumf_numeric::sym::{packed_len, SymPacked};
 use cumf_sparse::CsrMatrix;
 use cumf_telemetry::{KernelLaunchRecord, PhaseSpan, Recorder, NOOP};
-use rayon::prelude::*;
 
 /// Configuration of the implicit-feedback trainer.
 #[derive(Clone, Debug)]
@@ -249,45 +248,24 @@ impl<'a> ImplicitAlsTrainer<'a> {
         let solver = self.config.solver;
 
         // Gram base: G = Σ_v θ_v θ_vᵀ over ALL feature rows (dense part of
-        // the one-class loss), computed once per sweep in parallel.
-        let gram = (0..features.rows())
-            .into_par_iter()
-            .fold(
-                || SymPacked::zeros(f),
-                |mut acc, v| {
-                    acc.syr(features.row(v));
-                    acc
-                },
-            )
-            .reduce(
-                || SymPacked::zeros(f),
-                |mut a, b| {
-                    for (x, y) in a.as_mut_slice().iter_mut().zip(b.as_slice()) {
-                        *x += y;
-                    }
-                    a
-                },
-            );
+        // the one-class loss), computed once per sweep.
+        let gram = gram(features);
 
         let mut out = DenseMatrix::zeros(r.rows(), f);
-        out.as_mut_slice()
-            .par_chunks_mut(f)
-            .enumerate()
-            .for_each_init(
-                || (SymPacked::zeros(f), vec![0.0f32; f], SolveScratch::new(f)),
-                |(a, b, scratch), (u, row)| {
-                    a.as_mut_slice().copy_from_slice(gram.as_slice());
-                    b.fill(0.0);
-                    for (v, rv) in r.row_iter(u) {
-                        let c_minus_1 = alpha * rv.max(0.0);
-                        a.syr_scaled(c_minus_1, features.row(v as usize));
-                        cumf_numeric::dense::axpy(1.0 + c_minus_1, features.row(v as usize), b);
-                    }
-                    a.add_diagonal(lambda);
-                    row.copy_from_slice(old.row(u));
-                    solve_row_with(&solver, a, row, b, scratch);
-                },
-            );
+        let (mut a, mut b, mut scratch) =
+            (SymPacked::zeros(f), vec![0.0f32; f], SolveScratch::new(f));
+        for (u, row) in out.as_mut_slice().chunks_mut(f).enumerate() {
+            a.as_mut_slice().copy_from_slice(gram.as_slice());
+            b.fill(0.0);
+            for (v, rv) in r.row_iter(u) {
+                let c_minus_1 = alpha * rv.max(0.0);
+                a.syr_scaled(c_minus_1, features.row(v as usize));
+                cumf_numeric::dense::axpy(1.0 + c_minus_1, features.row(v as usize), &mut b);
+            }
+            a.add_diagonal(lambda);
+            row.copy_from_slice(old.row(u));
+            solve_row_with(&solver, &a, row, &b, &mut scratch);
+        }
         out
     }
 
@@ -297,13 +275,8 @@ impl<'a> ImplicitAlsTrainer<'a> {
     /// `Σ_{all v} (x_uᵀθ_v)² = x_uᵀ (ΘᵀΘ) x_u`.
     pub fn objective(&self) -> f64 {
         let f = self.config.f;
-        // Gram of Θ.
-        let mut gram = SymPacked::zeros(f);
-        for v in 0..self.theta.rows() {
-            gram.syr(self.theta.row(v));
-        }
+        let gram = gram(&self.theta);
         let dense_part: f64 = (0..self.x.rows())
-            .into_par_iter()
             .map(|u| {
                 let xu = self.x.row(u);
                 let mut gx = vec![0.0f32; f];
@@ -313,7 +286,6 @@ impl<'a> ImplicitAlsTrainer<'a> {
             .sum();
         // Correction on observed cells: c(1 − s)² − s² where s = x·θ.
         let correction: f64 = (0..self.data.r.rows())
-            .into_par_iter()
             .map(|u| {
                 let xu = self.x.row(u);
                 let mut acc = 0.0f64;
@@ -330,6 +302,15 @@ impl<'a> ImplicitAlsTrainer<'a> {
                 + cumf_numeric::dense::dot_f64(self.theta.as_slice(), self.theta.as_slice()));
         dense_part + correction + reg
     }
+}
+
+/// `ΘᵀΘ = Σ_v θ_v θ_vᵀ` over every row of `features`, in row order.
+fn gram(features: &DenseMatrix) -> SymPacked {
+    let mut g = SymPacked::zeros(features.cols());
+    for v in 0..features.rows() {
+        g.syr(features.row(v));
+    }
+    g
 }
 
 #[cfg(test)]

@@ -46,7 +46,6 @@ use cumf_gpu_sim::GpuSpec;
 use cumf_numeric::dense::DenseMatrix;
 use cumf_numeric::kernel::{syrk_packed, LANES};
 use cumf_numeric::sym::{packed_len, SymPacked};
-use cumf_sparse::CsrMatrix;
 
 /// Geometry of the kernel: feature dimension, staging batch, register tile.
 #[derive(Clone, Copy, Debug)]
@@ -259,28 +258,6 @@ pub fn hermitian_cost(
     }
 }
 
-/// Run `get_hermitian` functionally for all rows of `r` (parallel over rows
-/// like the GPU's one-block-per-row mapping), fused with a consumer — the
-/// trainer fuses bias + solve here so the `A_u`s never all materialize.
-pub fn for_each_row_hermitian<F>(
-    r: &CsrMatrix,
-    features: &DenseMatrix,
-    lambda: f32,
-    shape: &HermitianShape,
-    consumer: F,
-) where
-    F: Fn(usize, &SymPacked) + Sync,
-{
-    use rayon::prelude::*;
-    (0..r.rows()).into_par_iter().for_each_init(
-        || (SymPacked::zeros(shape.f), Vec::new()),
-        |(acc, staging), u| {
-            hermitian_row(r.row_cols(u), features, lambda, shape, staging, acc);
-            consumer(u, acc);
-        },
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,6 +303,30 @@ mod tests {
     }
 
     #[test]
+    fn one_staging_buffer_serves_rows_of_any_length() {
+        // The trainer and fold-in reuse one staging buffer and one A_u
+        // across rows; a longer row before a shorter one (and an empty
+        // one) must leave nothing behind.
+        let f = 13;
+        let features = random_features(40, f, 9);
+        let rows: [&[u32]; 5] = [
+            &[0, 7, 12, 19, 25, 31, 33, 36, 39, 2, 4],
+            &[5, 1],
+            &[],
+            &[38, 17, 22, 9, 30, 11, 6],
+            &[14],
+        ];
+        let shape = HermitianShape { f, bin: 4, tile: 5 };
+        let mut staging = Vec::new();
+        let mut a = SymPacked::zeros(f);
+        for cols in rows {
+            hermitian_row(cols, &features, 0.1, &shape, &mut staging, &mut a);
+            let reference = hermitian_row_reference(cols, &features, 0.1, f);
+            assert_eq!(a.as_slice(), reference.as_slice(), "row {cols:?}");
+        }
+    }
+
+    #[test]
     fn lambda_scales_with_row_count() {
         let f = 8;
         let features = random_features(10, f, 1);
@@ -353,35 +354,6 @@ mod tests {
         // n_u = 0 → A_u is exactly zero (the trainer special-cases empty
         // rows rather than solving a singular system).
         assert!(a.as_slice().iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
-    fn parallel_sweep_matches_serial() {
-        use cumf_sparse::coo::CooMatrix;
-        let f = 12;
-        let mut coo = CooMatrix::new(30, 20);
-        let mut rng = XorShift64::new(11);
-        for _ in 0..200 {
-            coo.push(
-                rng.next_below(30) as u32,
-                rng.next_below(20) as u32,
-                rng.next_f32(),
-            );
-        }
-        let r = CsrMatrix::from_coo(&coo);
-        let features = random_features(20, f, 5);
-        let shape = HermitianShape { f, bin: 8, tile: 5 };
-
-        let results: Vec<parking_lot::Mutex<Option<SymPacked>>> =
-            (0..30).map(|_| parking_lot::Mutex::new(None)).collect();
-        for_each_row_hermitian(&r, &features, 0.1, &shape, |u, a| {
-            *results[u].lock() = Some(a.clone());
-        });
-        for (u, cell) in results.iter().enumerate() {
-            let got = cell.lock().take().unwrap();
-            let want = hermitian_row_reference(r.row_cols(u), &features, 0.1, f);
-            assert_eq!(got.as_slice(), want.as_slice(), "row {u}");
-        }
     }
 
     #[test]

@@ -52,9 +52,10 @@ pub struct SolveTrace {
 /// Per-row solve buffers kept across rows: the FP16 copy of `A_u`, the
 /// FP32 matrix the FP16 CG runs on (first the rescaled system of the
 /// overflow guard, then the widened FP16 copy), and the CG work vectors.
-/// A sweep holds one per worker (the trainer's and the fold-in's
-/// per-worker state), so the solve allocates nothing per row. Every
-/// buffer is overwritten before it is read: reuse never changes a bit.
+/// A caller keeps one across its rows (the implicit trainer,
+/// `FoldInScratch` and [`SolveBatch`] each hold one), so the solve
+/// allocates nothing per row. Every buffer is overwritten before it is
+/// read: reuse never changes a bit.
 #[derive(Clone, Debug)]
 pub struct SolveScratch {
     a16: SymPackedF16,

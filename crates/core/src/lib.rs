@@ -17,11 +17,12 @@
 //!    (`O(f³)`), optionally reading `A_u` in FP16 to halve solver memory
 //!    traffic (Solutions 3–4).
 //!
-//! Kernels execute functionally on the host (real arithmetic, parallelized
-//! with rayon standing in for the GPU's thread blocks), while every launch is
-//! priced on a [`cumf_gpu_sim::GpuSpec`] — see that crate for the model. The
-//! trainer reports per-phase simulated time plus genuinely measured test
-//! RMSE, which is exactly the data the paper's evaluation plots.
+//! Kernels execute functionally on the host (real arithmetic on the
+//! calling thread, vectorized by the SIMD kernels of `cumf_numeric::kernel`),
+//! while every launch is priced on a [`cumf_gpu_sim::GpuSpec`] — see that
+//! crate for the model. The trainer reports per-phase simulated time plus
+//! genuinely measured test RMSE, which is exactly the data the paper's
+//! evaluation plots.
 //!
 //! ## Quickstart
 //!
@@ -43,6 +44,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod als;
 pub mod config;

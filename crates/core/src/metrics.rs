@@ -5,7 +5,6 @@ use cumf_numeric::dense::{dot, DenseMatrix};
 use cumf_numeric::stats::Welford;
 use cumf_sparse::coo::CooMatrix;
 use cumf_sparse::csr::CsrMatrix;
-use rayon::prelude::*;
 
 /// Predicted rating: `x_uᵀ θ_v`.
 #[inline]
@@ -13,28 +12,22 @@ pub fn predict(x_row: &[f32], theta_row: &[f32]) -> f32 {
     dot(x_row, theta_row)
 }
 
-/// Root-mean-square error of `X·Θᵀ` against held-out observations,
-/// evaluated in parallel with a merge-tree of Welford accumulators.
+/// Root-mean-square error of `X·Θᵀ` against held-out observations: one
+/// Welford accumulator per 4096-entry chunk, merged in chunk order.
 pub fn test_rmse(x: &DenseMatrix, theta: &DenseMatrix, test: &CooMatrix) -> f64 {
     if test.nnz() == 0 {
         return 0.0;
     }
-    let w = test
-        .entries()
-        .par_chunks(4096)
-        .map(|chunk| {
-            let mut acc = Welford::new();
-            for e in chunk {
-                let p = predict(x.row(e.row as usize), theta.row(e.col as usize));
-                let err = (p - e.value) as f64;
-                acc.push(err * err);
-            }
-            acc
-        })
-        .reduce(Welford::new, |mut a, b| {
-            a.merge(&b);
-            a
-        });
+    let mut w = Welford::new();
+    for chunk in test.entries().chunks(4096) {
+        let mut acc = Welford::new();
+        for e in chunk {
+            let p = predict(x.row(e.row as usize), theta.row(e.col as usize));
+            let err = (p - e.value) as f64;
+            acc.push(err * err);
+        }
+        w.merge(&acc);
+    }
     w.root_mean()
 }
 
@@ -45,7 +38,6 @@ pub fn test_rmse(x: &DenseMatrix, theta: &DenseMatrix, test: &CooMatrix) -> f64 
 /// on to detect kernel regressions.
 pub fn training_objective(r: &CsrMatrix, x: &DenseMatrix, theta: &DenseMatrix, lambda: f32) -> f64 {
     let loss: f64 = (0..r.rows())
-        .into_par_iter()
         .map(|u| {
             let xu = x.row(u);
             let mut s = 0.0f64;
@@ -58,7 +50,6 @@ pub fn training_objective(r: &CsrMatrix, x: &DenseMatrix, theta: &DenseMatrix, l
         .sum();
 
     let reg_x: f64 = (0..r.rows())
-        .into_par_iter()
         .map(|u| {
             let xu = x.row(u);
             r.row_nnz(u) as f64 * cumf_numeric::dense::dot_f64(xu, xu)
@@ -73,7 +64,6 @@ pub fn training_objective(r: &CsrMatrix, x: &DenseMatrix, theta: &DenseMatrix, l
         }
     }
     let reg_t: f64 = (0..theta.rows())
-        .into_par_iter()
         .map(|v| {
             let tv = theta.row(v);
             col_counts[v] as f64 * cumf_numeric::dense::dot_f64(tv, tv)

@@ -22,6 +22,7 @@
 //! comparisons.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod generator;
 pub mod loader;

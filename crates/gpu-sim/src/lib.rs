@@ -30,6 +30,7 @@
 //! itself.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod device;

@@ -93,6 +93,7 @@
 //! `serve_bench` in `cumf-bench`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(clippy::too_many_lines)]
 #![deny(rustdoc::broken_intra_doc_links)]
 

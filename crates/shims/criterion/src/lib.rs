@@ -9,6 +9,7 @@
 //! to give a usable order-of-magnitude number offline.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::time::{Duration, Instant};
 

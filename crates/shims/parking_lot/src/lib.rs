@@ -3,6 +3,7 @@
 //! Backed by `std::sync`; poisoning is ignored (parking_lot semantics).
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 /// A mutual-exclusion lock whose `lock()` returns the guard directly.
 #[derive(Debug, Default)]

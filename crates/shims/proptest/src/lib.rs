@@ -10,6 +10,7 @@
 //! index, which together with determinism is enough to reproduce.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod strategy;
 pub mod test_runner;

@@ -8,6 +8,7 @@
 //! splitmix64, which passes the callers' statistical-shape assertions.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 /// The core random-number-generator interface.
 pub trait RngCore {

@@ -4,6 +4,7 @@
 //! these shims exist.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 use rand::{Rng, RngCore};
 

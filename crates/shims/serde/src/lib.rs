@@ -9,6 +9,7 @@
 //! deliberately small — callers only need "make my struct a JSON value".
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod json;
 

@@ -8,6 +8,8 @@
 //!
 //! Generics are not supported; derive targets here are plain data records.
 
+#![forbid(unsafe_code)]
+
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 /// Derive `serde::Serialize` (the shim's `to_value` form).

@@ -12,6 +12,7 @@
 //! train/test splits.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod blocking;
 pub mod coo;
